@@ -241,12 +241,6 @@ def word_weights(profile):
     return p @ np.asarray(profile, dtype=np.int64)
 
 
-def profile_is_admissible(profile, m):
-    allowed = {w for w in _ALLOWED if w <= m}
-    wt = word_weights(profile)
-    return all(int(w) in allowed for w in wt[1:])
-
-
 def _cell_keys(profile):
     k = (len(profile) - 1).bit_length()
     wt = word_weights(profile)

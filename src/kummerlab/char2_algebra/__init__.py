@@ -6,7 +6,8 @@ factorization, and the explicit Cartier-operator computations used by the
 surface families.
 """
 
-from .field import FieldError, FieldSpec, BaseField, ExtField, get_field
+from .field import (FieldError, FieldSpec, BaseField, ExtField, get_field,
+                    row_reduce)
 from .poly import FqPoly, PolyError, poly_gcd_multivariate, resultant
 from .factor import factor_univariate, poly_roots
 from .cartier import (
@@ -29,6 +30,7 @@ from .cartier import (
 
 __all__ = [
     "FieldError", "FieldSpec", "BaseField", "ExtField", "get_field",
+    "row_reduce",
     "FqPoly", "PolyError", "poly_gcd_multivariate", "resultant",
     "factor_univariate", "poly_roots",
     "AmbientSpan", "CartierError", "FormElement", "cartier_general",

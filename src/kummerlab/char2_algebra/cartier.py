@@ -15,7 +15,8 @@ inseparable double covers.
 
 from dataclasses import dataclass
 
-from .poly import FqPoly, PolyError, poly_gcd_multivariate
+from .field import row_reduce
+from .poly import FqPoly, poly_gcd_multivariate
 
 
 class CartierError(ValueError):
@@ -142,35 +143,6 @@ def check_p1_derivative(f_poly, p=None):
 # linear algebra over a field object (small dense systems)
 
 
-def _row_reduce(rows, field):
-    """Gaussian elimination; returns (echelon rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def _reduce_against(vec, echelon, pivots, field):
     vec = list(vec)
     for row, c in zip(echelon, pivots):
@@ -187,7 +159,7 @@ def _nullspace(rows, ncols, field):
     # solve c * M = 0: reduce M^T augmented-style
     m = len(rows)
     cols = [[rows[k][j] for k in range(m)] for j in range(ncols)]  # ncols x m
-    ech, pivots = _row_reduce(cols, field)
+    ech, pivots = row_reduce(cols, field)
     free = [j for j in range(m) if j not in pivots]
     basis = []
     for j in free:
@@ -273,47 +245,22 @@ def z_filtration(h_poly, ambient, depth):
                     extra.append(e)
             images.append((a_poly, b_poly))
         ext_idx = {e: len(monos) + k for k, e in enumerate(sorted(extra))}
-        width = len(monos) + len(ext_idx) + 1     # + w slot
-        rows = []
+        pad = [f.zero] * len(ext_idx)
+        # target space: current basis embedded in the same width
+        ech, pivots = row_reduce([vec + pad for vec in current], f)
+        # the w-line is never inside Z_i for i >= 1, so each w-monomial of
+        # an image is one more residual coordinate that must vanish
+        wmonos = sorted({e for _a, b_poly in images for e in b_poly.terms})
+        full_res = []
         for a_poly, b_poly in images:
-            row = [f.zero] * width
+            if not b_poly.is_zero() and not ambient.has_w:
+                raise CartierError("span not Cartier-stable: w-component "
+                                   "appears but the span has no w line")
+            row = [f.zero] * (len(monos) + len(ext_idx))
             for e, c in a_poly.terms.items():
                 row[idx[e] if e in idx else ext_idx[e]] = c
-            if not b_poly.is_zero():
-                if not ambient.has_w:
-                    raise CartierError("span not Cartier-stable: w-component "
-                                       "appears but the span has no w line")
-                row[width - 1] = f.one  # marker: nonzero w part
-                # keep the actual poly for the exact residual below
-            rows.append(row)
-        # target space: current basis embedded in the same width
-        targets = []
-        for vec in current:
-            row = [f.zero] * width
-            for i, c in enumerate(vec):
-                row[i] = c
-            targets.append(row)
-        ech, pivots = _row_reduce(targets, f)
-        residuals = []
-        for (a_poly, b_poly), row in zip(images, rows):
-            if not b_poly.is_zero():
-                # w-line is never inside Z_i for i >= 1: the w component must
-                # vanish, which is a semilinear-linear condition handled by
-                # treating each w-monomial as an extra residual coordinate
-                pass
-            residuals.append(_reduce_against(row, ech, pivots, f))
-        # append exact w-part coordinates to residuals
-        wmonos = []
-        for a_poly, b_poly in images:
-            for e in b_poly.terms:
-                if e not in wmonos:
-                    wmonos.append(e)
-        wmonos.sort()
-        full_res = []
-        for (a_poly, b_poly), res in zip(images, residuals):
-            res = list(res[:width - 1])
-            res += [b_poly.terms.get(e, f.zero) for e in wmonos]
-            full_res.append(res)
+            res = _reduce_against(row, ech, pivots, f)
+            full_res.append(res + [b_poly.terms.get(e, f.zero) for e in wmonos])
         null = _nullspace(full_res, len(full_res[0]) if full_res else 0, f)
         new_basis = []
         for c in null:
@@ -323,8 +270,7 @@ def z_filtration(h_poly, ambient, depth):
                 if ck2 != f.zero:
                     v = [f.add(x, f.mul(ck2, y)) for x, y in zip(v, current[k])]
             new_basis.append(v)
-        nb, _p = _row_reduce(new_basis, f) if new_basis else ([], [])
-        current = nb
+        current, _p = row_reduce(new_basis, f)
         out.append((len(current), [list(v) for v in current]))
     return out
 

@@ -8,7 +8,8 @@ generator is supplied by the caller so runs are reproducible.
 
 import random
 
-from .poly import FqPoly, PolyError, dense_divmod, dense_gcd, dense_mul, dense_trim
+from .poly import (FqPoly, PolyError, dense_divmod, dense_gcd, dense_mul,
+                   dense_sub, dense_trim)
 
 
 def _derivative(a, f):
@@ -101,7 +102,7 @@ def distinct_degree(a, f):
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
         h = _pow_mod(h, q, rest, f)
-        diff = _poly_sub(h, x, f)
+        diff = dense_sub(h, x, f)
         g = dense_gcd(rest, diff, f)
         if len(g) > 1:
             out.append((g, d))
@@ -110,13 +111,6 @@ def distinct_degree(a, f):
     if len(rest) > 1:
         out.append((rest, len(rest) - 1))
     return out
-
-
-def _poly_sub(a, b, f):
-    n = max(len(a), len(b))
-    a = list(a) + [f.zero] * (n - len(a))
-    b = list(b) + [f.zero] * (n - len(b))
-    return dense_trim([f.sub(x, y) for x, y in zip(a, b)], f)
 
 
 def _total_degree_of_field(f):
@@ -150,12 +144,12 @@ def equal_degree_split(a, d, f, rng):
                 acc = r[:]
                 for _ in range(e_total - 1):
                     acc = dense_divmod(dense_mul(acc, acc, f), poly, f)[1]
-                    t = _poly_sub(t, [f.neg(c) for c in acc], f)  # t += acc
+                    t = dense_sub(t, [f.neg(c) for c in acc], f)  # t += acc
                 g = dense_gcd(poly, t, f)
             else:
                 e = (q ** d - 1) // 2
                 t = _pow_mod(r, e, poly, f)
-                t = _poly_sub(t, [f.one], f)
+                t = dense_sub(t, [f.one], f)
                 g = dense_gcd(poly, t, f)
             if 1 < len(g) < len(poly):
                 rest, _ = dense_divmod(poly, g, f)

@@ -5,13 +5,16 @@ modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
 2^16.  Towers K[u]/(h) over a base field keep elements as coefficient
 tuples; they exist to host algebraic points found during factorization
-and are never serialized.
+and are never serialized.  `row_reduce` is the Gaussian elimination over
+any of these field objects.
 
 Moduli come from a fixed built-in table and are re-verified irreducible at
 construction time.
 """
 
 from dataclasses import dataclass
+
+from .poly import dense_divmod, dense_mul, dense_sub, dense_trim
 
 
 class FieldError(ValueError):
@@ -408,20 +411,12 @@ class ExtField:
             raise FieldError("division by zero")
         bf = self.base
         # extended Euclid in base[u]
-        r0 = list(self.modulus)
-        r1 = list(a)
+        r0, r1 = list(self.modulus), dense_trim(list(a), bf)
         s0, s1 = [bf.zero], [bf.one]
-
-        def trim(x):
-            while x and x[-1] == bf.zero:
-                x.pop()
-            return x
-
-        r0, r1 = trim(r0), trim(r1)
         while r1:
-            q, r = _poly_divmod_base(r0, r1, bf)
-            r0, r1 = r1, trim(r)
-            s0, s1 = s1, trim(_poly_sub_base(s0, _poly_mul_base(q, s1, bf), bf))
+            q, r = dense_divmod(r0, r1, bf)
+            r0, r1 = r1, r
+            s0, s1 = s1, dense_sub(s0, dense_mul(q, s1, bf), bf)
         if len(r0) != 1:
             raise FieldError("tower modulus is not irreducible (zero divisor hit)")
         c = bf.inv(r0[0])
@@ -470,39 +465,35 @@ class ExtField:
         return hash((self.base, self.modulus))
 
 
-def _poly_mul_base(a, b, bf):
-    if not a or not b:
-        return []
-    res = [bf.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != bf.zero:
-            for j, bj in enumerate(b):
-                res[i + j] = bf.add(res[i + j], bf.mul(ai, bj))
-    return res
+
+# ---------------------------------------------------------------------------
+# linear algebra over a field object (small dense systems)
 
 
-def _poly_sub_base(a, b, bf):
-    n = max(len(a), len(b))
-    a = list(a) + [bf.zero] * (n - len(a))
-    b = list(b) + [bf.zero] * (n - len(b))
-    return [bf.sub(x, y) for x, y in zip(a, b)]
-
-
-def _poly_divmod_base(a, b, bf):
-    a = list(a)
-    if not b:
-        raise FieldError("polynomial division by zero")
-    inv = bf.inv(b[-1])
-    q = [bf.zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        if a[-1] == bf.zero:
-            a.pop()
+def row_reduce(rows, field):
+    """Gaussian elimination; returns (echelon rows, pivot column indices)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != field.zero:
+                piv = i
+                break
+        if piv is None:
             continue
-        c = bf.mul(a[-1], inv)
-        shift = len(a) - len(b)
-        q[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = bf.sub(a[shift + j], bf.mul(c, b[j]))
-        while a and a[-1] == bf.zero:
-            a.pop()
-    return q, a
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != field.zero:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots

@@ -261,7 +261,8 @@ def _coef_str(field, c):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over a field object
+# dense univariate helpers over a field object: the package's only copy,
+# used by the factorization and by ExtField.inv
 
 
 def dense_trim(a, f):
@@ -286,6 +287,13 @@ def dense_divmod(a, b, f):
             a[shift + j] = f.sub(a[shift + j], f.mul(c, b[j]))
         dense_trim(a, f)
     return q, a
+
+
+def dense_sub(a, b, f):
+    n = max(len(a), len(b))
+    a = list(a) + [f.zero] * (n - len(a))
+    b = list(b) + [f.zero] * (n - len(b))
+    return dense_trim([f.sub(x, y) for x, y in zip(a, b)], f)
 
 
 def dense_mul(a, b, f):

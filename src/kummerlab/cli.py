@@ -10,7 +10,9 @@ environment variable KUMMERLAB_SEED overrides the default seed.
 import argparse
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 
 from .binary_codes import (
     BinaryCode,
@@ -60,11 +62,16 @@ def _default_seed():
 
 
 def _parse_field(text):
-    parts = dict(kv.split("=", 1) for kv in text.split(","))
-    p = int(parts.get("p", 2))
+    parts = {}
+    for kv in text.split(","):
+        if not re.fullmatch(r"[pe]=[0-9]+", kv):
+            raise UsageError(f"bad field spec {text!r}; expected e=<degree>"
+                             f" or p=<prime>,e=<degree>")
+        key, value = kv.split("=")
+        parts[key] = int(value)
     if "e" not in parts:
         raise UsageError("field spec needs e=<degree>")
-    return get_field(p, int(parts["e"]))
+    return get_field(parts.get("p", 2), parts["e"])
 
 
 def _parse_coeffs(field, text):
@@ -79,9 +86,29 @@ def _parse_coeffs(field, text):
     return out
 
 
+def _is_exact_number(x):
+    if isinstance(x, str):
+        try:
+            Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_lattice(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_json(json.load(fh))
+        obj = json.load(fh)
+    gram = obj.get("gram") if isinstance(obj, dict) else None
+    if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
+        raise UsageError(f"{path}: expected a JSON object whose \"gram\" is "
+                         f"a list of rows")
+    if not all(_is_exact_number(x) for row in gram for x in row):
+        raise UsageError(f"{path}: gram entries must be integers or "
+                         f"rational strings")
+    if not isinstance(obj.get("labels", []), list):
+        raise UsageError(f"{path}: \"labels\" must be a list")
+    return lattice_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +170,8 @@ def _cmd_codes(args):
         inputs = {"m": args.m, "exhaustive": res.exhaustive}
         return inputs, results, claims
     # g-table
+    if args.max < 0:
+        raise UsageError("--max must be non-negative")
     table = {}
     ok = True
     top = min(args.max, 17 if not args.quick else 14)
@@ -231,12 +260,20 @@ def _cmd_surface(args):
     return inputs, results, claims
 
 
+_RDP_TYPE = re.compile(r"[ADEade]\d+(r\d+(/\d+)?)?")
+
+
 def _cmd_rdp(args):
     claims = []
     if args.action == "verify-leq5":
         from .verify import campaign_leq5
         results, claims, _ = campaign_leq5()
         return {}, results, claims
+    if not _RDP_TYPE.fullmatch(args.type.strip()):
+        raise UsageError(f"bad RDP type {args.type!r}; expected A<n>, "
+                         f"D<n>r<r> or E<n>r<r>")
+    if args.max_n < 0:
+        raise UsageError("--max-n must be non-negative")
     t = RdpType.parse(args.type)
     table = {str(n): dim_b_bar(t, n) for n in range(0, args.max_n + 1)}
     results = {"type": t.symbol(), "b_index": b_index(t), "dims": table}

@@ -24,14 +24,6 @@ def mat_mul(a, b):
     return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum(row[i] * v[i] for i in range(len(v))) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def det_bareiss(a):
     """Determinant of a square integer matrix by fraction-free elimination."""
     n = len(a)
@@ -361,7 +353,6 @@ def symmetric_diagonalize(g):
     n = len(g)
     m = [[Fraction(x) for x in row] for row in g]
     diag = []
-    idx = list(range(n))
     for k in range(n):
         # find a nonzero diagonal pivot, possibly after a "sum trick"
         piv = None
@@ -400,5 +391,4 @@ def symmetric_diagonalize(g):
                     m[i][t] -= f * m[k][t]
                 for t in range(n):
                     m[t][i] -= f * m[t][k]
-    del idx
     return diag

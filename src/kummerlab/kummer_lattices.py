@@ -230,13 +230,6 @@ def _u_reading_q4(index):
             for j in range(6)]
 
 
-def _u_reading_q4_literal(index):
-    """u_i = (1/2) * 4 w_i: the discarded 'w_i' reading of the same sum."""
-    vec = [Fraction(0)] * 6
-    vec[index - 1] = Fraction(2)
-    return vec
-
-
 def u_classes_q4():
     """Dual classes u_1..u_5 of Q_4 with the reading decided empirically.
 
@@ -386,11 +379,6 @@ def admissible_sigmas(type_symbol, complement="Q4", extended=True):
         depth = 0
     top = (kt.a + b) // 2
     return list(range(top - depth, top + 1))
-
-
-def max_sigma(type_symbol):
-    """Largest Artin invariant admitting a saturated embedding of K(T)."""
-    return max(admissible_sigmas(type_symbol, "Q4"))
 
 
 # ---------------------------------------------------------------------------

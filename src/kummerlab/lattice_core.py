@@ -12,7 +12,6 @@ lattices produced while building code overlattices; the even-lattice
 constructor rejects non-integral input.
 """
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -162,14 +161,6 @@ def signature(lat):
     r = sum(1 for d in diag if d > 0)
     s = sum(1 for d in diag if d < 0)
     return (r, s)
-
-
-def is_negative_definite(lat):
-    try:
-        r, s = signature(lat)
-    except LatticeError:
-        return False
-    return r == 0 and s == lat.rank
 
 
 @dataclass
@@ -381,9 +372,6 @@ def reflect(lat, v, x):
 # ADE classification of a root set
 
 
-_ADE_POSITIVE_COUNTS = {}
-
-
 def _expected_pairs(kind, n):
     if kind == "A":
         return n * (n + 1) // 2
@@ -552,18 +540,6 @@ def saturation(gens, lat):
     return SaturationResult(Lattice(gram), basis, index)
 
 
-def sublattice_index(sub_rows, lat):
-    """Index of the full-rank sublattice spanned by sub_rows in lat (exact)."""
-    if len(sub_rows) != lat.rank:
-        raise LatticeError("sublattice must have full rank")
-    d = det_fraction([[_frac(x) for x in row] for row in sub_rows])
-    if d == 0:
-        raise LatticeError("sublattice must have full rank")
-    if d.denominator != 1:
-        raise LatticeError("generators not in L")
-    return abs(int(d))
-
-
 def class_order(lat, vec):
     """Order of vec + L in L^vee/L (vec in basis coordinates)."""
     n = 1
@@ -698,8 +674,3 @@ def lattice_from_json(obj):
     gram = obj["gram"]
     labels = obj.get("labels")
     return Lattice(gram, labels)
-
-
-def load_lattice(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_json(json.load(fh))

@@ -138,11 +138,6 @@ def dim_b_bar(t, n):
     return seq[min(n, len(seq)) - 1]
 
 
-_MZ = {
-    # by (family, parity of index)
-}
-
-
 def mzbz(t):
     """(i, m, b) for the type; b requires the supersingular coindex."""
     n = t.index

@@ -15,11 +15,11 @@ generator ideal.
 from dataclasses import dataclass
 
 from ..char2_algebra.cartier import sqrt_poly
-from ..char2_algebra.poly import FqPoly, dense_gcd, poly_gcd_multivariate
+from ..char2_algebra.factor import poly_roots
+from ..char2_algebra.poly import FqPoly, poly_gcd_multivariate
 from ..char2_algebra.poly import resultant as poly_resultant
-from .spec import SurfaceError, SurfaceSpec, _COEFF_SLOTS, _FIXED_TERMS
-from .points import PointRecord, local_colength, _NonIsolated
-from .points import singular_points as _points_of_system
+from .spec import SurfaceError, _COEFF_SLOTS, _FIXED_TERMS
+from .points import _NonIsolated, _colength_at, closed_points
 
 
 @dataclass
@@ -93,7 +93,6 @@ def fixed_locus_subgroup_check(d):
     polynomials.  The order is the total colength of the generator ideal,
     summed over closed points.
     """
-    f = d.field
     gens = (d.f, d.g)
     witness = None
     for gen in gens:
@@ -102,76 +101,19 @@ def fixed_locus_subgroup_check(d):
             witness = w
             break
     additive = witness is None
-    order = _system_order(gens, d.vars, f)
+    order = _system_order(gens, d.vars)
     return gens, additive, order, witness
 
 
-def _system_order(gens, variables, f):
+def _system_order(gens, variables):
     """Total colength of a zero-dimensional ideal (g1, g2) in the plane."""
     g1, g2 = gens
-    if g1.is_zero() or g2.is_zero():
-        raise SurfaceError("fixed locus is not zero-dimensional")
-    elim = variables[1]
-    key = variables[0]
-    d1 = g1.degree(elim)
-    d2 = g2.degree(elim)
-    if d1 > 0 and d2 > 0:
-        res = poly_resultant(g1, g2, elim)
-    elif d1 == 0:
-        res = g1
-    else:
-        res = g2
-    if res.is_zero():
-        raise SurfaceError("fixed locus is not zero-dimensional")
-    from ..char2_algebra.factor import factor_univariate
-    from ..char2_algebra.field import ExtField
-    from .points import _specialize
-    res_uni = res.restrict_vars((key,))
-    _unit, factors = factor_univariate(res_uni)
     total = 0
-    for fac, _m in factors:
-        deg1 = fac.degree()
-        if deg1 == 0:
-            continue
-        if deg1 == 1:
-            k_field, embed1 = f, (lambda c: c)
-            dense = fac.dense_univariate()
-            xbar = f.neg(f.mul(dense[0], f.inv(dense[1])))
-        else:
-            k_field = ExtField(f, fac.dense_univariate())
-            embed1 = k_field.embed
-            xbar = tuple([f.zero, f.one] + [f.zero] * (deg1 - 2))
-        s1 = _specialize(g1, key, xbar, k_field, embed1)
-        s2 = _specialize(g2, key, xbar, k_field, embed1)
-        if not s1:
-            g = s2
-        elif not s2:
-            g = s1
-        else:
-            g = dense_gcd(s1, s2, k_field)
-        if len(g) <= 1:
-            continue
-        gp = FqPoly.from_dense(k_field, elim, g)
-        _u, yfacs = factor_univariate(gp)
-        for yfac, _mm in yfacs:
-            deg2 = yfac.degree()
-            if deg2 == 1:
-                pt_field, emb = k_field, embed1
-                dense = yfac.dense_univariate()
-                ybar = pt_field.neg(pt_field.mul(dense[0], pt_field.inv(dense[1])))
-                xval = xbar
-            else:
-                pt_field = ExtField(k_field, yfac.dense_univariate())
-                emb = lambda c, e1=embed1, pf=pt_field: pf.embed(e1(c))
-                ybar = tuple([k_field.zero, k_field.one] + [k_field.zero] * (deg2 - 2))
-                xval = pt_field.embed(xbar)
-            a_t = g1.map_field(pt_field, emb).shift({key: xval, elim: ybar})
-            b_t = g2.map_field(pt_field, emb).shift({key: xval, elim: ybar})
-            try:
-                c = local_colength([a_t, b_t], pt_field)
-            except _NonIsolated:
-                raise SurfaceError("fixed locus is not zero-dimensional") from None
-            total += deg1 * deg2 * c
+    try:
+        for pt_field, emb, point, deg in closed_points(g1, g2, *variables):
+            total += deg * _colength_at(g1, g2, pt_field, emb, point)
+    except _NonIsolated:
+        raise SurfaceError("fixed locus is not zero-dimensional") from None
     return total
 
 
@@ -329,7 +271,6 @@ def classify_derivations(family, f_poly, g_poly):
 
 
 def _rational_common_zero(f_poly, g_poly, field, variables):
-    from ..char2_algebra.factor import poly_roots
     v1, v2 = variables
     if f_poly.degree(v2) > 0 and g_poly.degree(v2) > 0:
         res = poly_resultant(f_poly, g_poly, v2)

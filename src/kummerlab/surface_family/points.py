@@ -1,22 +1,27 @@
 """Brute-force singular points of the families with exact local colengths.
 
-Strategy: eliminate one variable by an exact resultant, factor the
-resultant over the base field, and host each Galois orbit of solutions in
-a quotient-ring tower.  Transverse points (nonvanishing Jacobian) have
-colength 1; at the rest the colength of the Jacobian ideal is computed by
-truncated-degree linear algebra in the local ring, with an (N, N+1)
-stabilization check and a hard cap.
+Strategy: `closed_points` solves a zero-dimensional plane system
+(g1, g2).  It eliminates one variable by an exact resultant, factors the
+resultant over the base field, specializes the system at each factor's
+root, factors the gcd of the specializations, and hosts each Galois orbit
+of common zeros in a quotient-ring tower.  `_colength_at` then gives the
+local colength there: 1 at transverse points (nonvanishing Jacobian),
+otherwise truncated-degree linear algebra in the local ring, with an
+(N, N+1) stabilization check and a hard cap.  Two callers share it:
+`singular_points` solves the partials (H_x, H_y) of a family member, and
+`derivations._system_order` sums deg * colength over the fixed-locus
+generators of the covering derivation.
 
 Rank computations over base fields use numpy int tables (characteristic 2
-addition is XOR); towers fall back to generic Gaussian elimination.
+addition is XOR); towers fall back to `row_reduce`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..char2_algebra.factor import factor_univariate, poly_roots
-from ..char2_algebra.field import BaseField, ExtField
+from ..char2_algebra.factor import factor_univariate
+from ..char2_algebra.field import BaseField, ExtField, row_reduce
 from ..char2_algebra.poly import FqPoly, dense_gcd, dense_trim
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import BRANCH_PROFILES, SurfaceError, classify_by_coefficients
@@ -129,38 +134,10 @@ def gf2e_rank(rows, field):
     return rank
 
 
-def generic_rank(rows, field):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != field.zero:
-                fval = rows[i][col]
-                rows[i] = [field.sub(a, field.mul(fval, b))
-                           for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def matrix_rank(rows, field):
     if isinstance(field, BaseField) and field.char == 2:
         return gf2e_rank(rows, field)
-    return generic_rank(rows, field)
+    return len(row_reduce(rows, field)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +209,6 @@ def _specialize(poly, key_name, value, K, embed):
     return dense_trim(out, K)
 
 
-def _map_poly(poly, K, embed):
-    return poly.map_field(K, embed)
-
-
 def _elim_data(spec):
     """(A, B, key variable, eliminated variable) for the partials system."""
     h_poly = spec.H()
@@ -247,97 +220,89 @@ def _elim_data(spec):
     return a, b, v2, v1          # eliminate x, key by t
 
 
+def _identity(c):
+    return c
+
+
+def _adjoin_root(fac, field):
+    """(field', embedding of field, root) for a monic irreducible factor."""
+    dense = fac.dense_univariate()
+    if len(dense) == 2:
+        root = field.neg(field.mul(dense[0], field.inv(dense[1])))
+        return field, _identity, root
+    ext = ExtField(field, dense)
+    root = tuple([field.zero, field.one] + [field.zero] * (len(dense) - 3))
+    return ext, ext.embed, root
+
+
+def closed_points(g1, g2, key, elim):
+    """Each Galois orbit of common zeros of (g1, g2) in the plane, once.
+
+    Yields (point field, embedding of the base field, {variable: coordinate},
+    residue degree).  Raises _NonIsolated when a generator or the resultant
+    in `elim` vanishes, or when both specializations at a root of the
+    resultant do (a common curve through that root).
+    """
+    if g1.is_zero() or g2.is_zero():
+        raise _NonIsolated()
+    if g1.degree(elim) > 0 and g2.degree(elim) > 0:
+        res = poly_resultant(g1, g2, elim)
+    else:
+        res = g1 if g1.degree(elim) == 0 else g2
+    if res.is_zero():
+        raise _NonIsolated()
+    _unit, factors = factor_univariate(res.restrict_vars((key,)))
+    for fac, _mult in factors:
+        k_field, embed1, xbar = _adjoin_root(fac, g1.field)
+        s1 = _specialize(g1, key, xbar, k_field, embed1)
+        s2 = _specialize(g2, key, xbar, k_field, embed1)
+        if not s1 and not s2:
+            raise _NonIsolated()
+        g = dense_gcd(s1, s2, k_field) if s1 and s2 else s1 or s2
+        if len(g) <= 1:
+            continue
+        _u, yfactors = factor_univariate(FqPoly.from_dense(k_field, elim, g))
+        for yfac, _m in yfactors:
+            pt_field, embed2, ybar = _adjoin_root(yfac, k_field)
+            if pt_field is k_field:
+                emb = embed1
+            else:
+                emb = lambda c, e1=embed1, e2=embed2: e2(e1(c))
+            yield pt_field, emb, {key: embed2(xbar), elim: ybar}, \
+                fac.degree() * yfac.degree()
+
+
+def _colength_at(g1, g2, field, embed, point, cap=COLENGTH_CAP):
+    """Local colength of (g1, g2) at a common zero hosted in `field`."""
+    a, b = g1.map_field(field, embed), g2.map_field(field, embed)
+    v1, v2 = a.vars
+    # transversality shortcut: the Jacobian matrix of (a, b)
+    jac = field.sub(
+        field.mul(a.partial(v1).evaluate(point), b.partial(v2).evaluate(point)),
+        field.mul(a.partial(v2).evaluate(point), b.partial(v1).evaluate(point)))
+    if jac != field.zero:
+        return 1
+    return local_colength([a.shift(point), b.shift(point)], field, cap)
+
+
 def singular_points(spec, cap=COLENGTH_CAP):
     """All singular points of the affine family chart, one record per orbit.
 
     Raises SurfaceError("non-isolated singular locus") when the partials
     share a factor or a colength exceeds the cap.
     """
-    f = spec.field
     a_poly, b_poly, key, elim = _elim_data(spec)
-    if a_poly.is_zero() or b_poly.is_zero():
-        raise SurfaceError("non-isolated singular locus")
-    deg_a = a_poly.degree(elim)
-    deg_b = b_poly.degree(elim)
-    if deg_a > 0 and deg_b > 0:
-        res = poly_resultant(a_poly, b_poly, elim)
-    elif deg_a == 0:
-        res = a_poly
-    else:
-        res = b_poly
-    if res.is_zero():
-        raise SurfaceError("non-isolated singular locus")
-    res_uni = res.restrict_vars((key,))
-    _unit, factors = factor_univariate(res_uni)
-    out = []
-    for fac, _mult in factors:
-        d1 = fac.degree()
-        if d1 == 0:
-            continue
-        if d1 == 1:
-            k_field = f
-            embed1 = lambda c: c
-            dense = fac.dense_univariate()
-            xbar = f.neg(f.mul(dense[0], f.inv(dense[1])))
-        else:
-            k_field = ExtField(f, fac.dense_univariate())
-            embed1 = k_field.embed
-            xbar = tuple([f.zero, f.one] + [f.zero] * (d1 - 2))
-        a_spec = _specialize(a_poly, key, xbar, k_field, embed1)
-        b_spec = _specialize(b_poly, key, xbar, k_field, embed1)
-        if not a_spec:
-            g = b_spec
-        elif not b_spec:
-            g = a_spec
-        else:
-            g = dense_gcd(a_spec, b_spec, k_field)
-        if len(g) <= 1:
-            continue
-        g_poly = FqPoly.from_dense(k_field, elim, g)
-        _u, yfactors = factor_univariate(g_poly)
-        for yfac, _m in yfactors:
-            d2 = yfac.degree()
-            if d2 == 1:
-                pt_field = k_field
-                embed2 = lambda c: c
-                dense = yfac.dense_univariate()
-                ybar = pt_field.neg(pt_field.mul(dense[0], pt_field.inv(dense[1])))
-                xval = xbar
-                emb_base = embed1
-            else:
-                pt_field = ExtField(k_field, yfac.dense_univariate())
-                embed2 = pt_field.embed
-                ybar = tuple([k_field.zero, k_field.one] + [k_field.zero] * (d2 - 2))
-                xval = pt_field.embed(xbar)
-                emb_base = lambda c, e1=embed1, pf=pt_field: pf.embed(e1(c))
-            if key == spec.vars[0]:
-                px, py = xval, ybar
-            else:
-                px, py = ybar, xval
-            colength = _point_colength(spec, pt_field, emb_base, px, py, cap)
-            out.append(PointRecord(pt_field, px, py, d1 * d2, colength, emb_base))
-    out.sort(key=lambda r: (r.residue_degree, r.colength))
-    return out
-
-
-def _point_colength(spec, pt_field, emb, px, py, cap):
-    h_k = _map_poly(spec.H(), pt_field, emb)
     v1, v2 = spec.vars
-    a_k = h_k.partial(v1)
-    b_k = h_k.partial(v2)
-    point = {v1: px, v2: py}
-    # transversality shortcut: the Jacobian matrix of (A, B)
-    jac = (pt_field.sub(
-        pt_field.mul(a_k.partial(v1).evaluate(point), b_k.partial(v2).evaluate(point)),
-        pt_field.mul(a_k.partial(v2).evaluate(point), b_k.partial(v1).evaluate(point))))
-    if jac != pt_field.zero:
-        return 1
-    a_t = a_k.shift({v1: px, v2: py})
-    b_t = b_k.shift({v1: px, v2: py})
+    out = []
     try:
-        return local_colength([a_t, b_t], pt_field, cap)
+        for pt_field, emb, point, deg in closed_points(a_poly, b_poly, key, elim):
+            colength = _colength_at(a_poly, b_poly, pt_field, emb, point, cap)
+            out.append(PointRecord(pt_field, point[v1], point[v2], deg,
+                                   colength, emb))
     except _NonIsolated:
         raise SurfaceError("non-isolated singular locus") from None
+    out.sort(key=lambda r: (r.residue_degree, r.colength))
+    return out
 
 
 def classify_full(spec, cap=COLENGTH_CAP):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,41 @@ def test_exit_codes():
     # inadmissible embedding triple
     rc, _ = run_cli(["kummer", "embed", "--type", "16A1", "--sigma", "6"])
     assert rc == 2
+
+
+BAD_INPUTS = [
+    pytest.param(["surface", "classify", "--family", "class4", "--field", "e"],
+                 None, id="field-without-value"),
+    pytest.param(["surface", "classify", "--family", "class4", "--field",
+                  "e=abc"], None, id="field-degree-not-integer"),
+    pytest.param(["rdp", "table", "--type", "X"], None, id="rdp-type"),
+    pytest.param(["lattice", "info", "--in"], {"gram": [["a", 0], [0, "b"]]},
+                 id="gram-not-numeric"),
+    pytest.param(["lattice", "info", "--in"], [[2, 0], [0, 2]],
+                 id="lattice-json-list"),
+    pytest.param(["codes", "g-table", "--max", "-5"], None,
+                 id="codes-max-negative"),
+    pytest.param(["rdp", "table", "--max-n", "-3"], None,
+                 id="rdp-max-n-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,lattice", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(argv, lattice, tmp_path):
+    if lattice is not None:
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice))
+        argv = argv + [str(path)]
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "kummerlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kummerlab: error: ")
+    assert proc.stdout == ""
 
 
 def test_report_written_to_file(tmp_path):

@@ -1,0 +1,79 @@
+"""Every module-level definition in the package is named somewhere else.
+
+A function, class or constant defined at the top of a module under
+src/kummerlab counts as used when some file in src/ or tests/ names it
+(as a variable, an attribute, or through an `import ... as` alias)
+outside its own definition, or when a package `__all__` lists it.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kummerlab"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _definitions(tree):
+    """(name, node) for each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                for t in elts:
+                    if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                        yield t.id, node
+
+
+def _aliases(tree):
+    return {a.asname: a.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names if a.asname}
+
+
+def _references(node, aliases):
+    """Counter of the names a subtree mentions, aliases resolved."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[aliases.get(sub.id, sub.id)] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_dead_module_level_definitions():
+    trees = {p: _parse(p) for d in ("src", "tests")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    aliases = {p: _aliases(t) for p, t in trees.items()}
+    total = Counter()
+    exported = set()
+    for path, tree in trees.items():
+        total += _references(tree, aliases[path])
+        if path.name == "__init__.py":
+            exported |= _exported(tree)
+    dead = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for name, node in _definitions(tree):
+            own = _references(node, aliases[path])[name]
+            if name not in exported and total[name] - own <= 0:
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not dead, "definitions nothing names:\n" + "\n".join(dead)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from kummerlab.char2_algebra import FqPoly, get_field
+from kummerlab.char2_algebra import ExtField, FqPoly, get_field, row_reduce
 from kummerlab.surface_family import (
     BRANCHES,
     BRANCH_PROFILES,
+    DerivationSpec,
     SurfaceError,
     SurfaceSpec,
     classify_by_coefficients,
@@ -19,6 +20,7 @@ from kummerlab.surface_family import (
     translate_to_origin,
     z1z2_parametrization_check,
 )
+from kummerlab.surface_family.points import _colength_at, closed_points, gf2e_rank
 
 
 def test_classify_by_coefficients_class4():
@@ -96,6 +98,46 @@ def test_nonisolated_detected():
     x = FqPoly.variable(f, ("x", "y"), "x")
     with pytest.raises(_NonIsolated):
         local_colength([x, x * x], f, cap=6)
+
+
+def test_closed_points_orbits_over_tower():
+    # x^4 + x = x (x + 1)(x^2 + x + 1) and y^2 + y = y (y + 1) over F_8;
+    # F_4 is not inside F_8, so x^2 + x + 1 is one orbit of degree 2
+    f = get_field(2, 3)
+    v = ("x", "y")
+    x, y = (FqPoly.variable(f, v, n) for n in v)
+    g1, g2 = x.pow_int(4) + x, y * y + y
+    found = []
+    for pt_field, emb, point, deg in closed_points(g1, g2, "x", "y"):
+        for g in (g1, g2):
+            assert g.map_field(pt_field, emb).evaluate(point) == pt_field.zero
+        assert isinstance(pt_field, ExtField) == (deg == 2)
+        found.append((deg, _colength_at(g1, g2, pt_field, emb, point)))
+    assert found == [(1, 1)] * 4 + [(2, 1)] * 2
+    assert sum(d * c for d, c in found) == 8
+
+
+@pytest.mark.parametrize("e", [1, 4, 8])
+def test_gf2e_rank_matches_row_reduce(e):
+    f = get_field(2, e)
+    rng = random.Random(e)
+    assert gf2e_rank([], f) == len(row_reduce([], f)[1]) == 0
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+        inner = rng.randrange(0, min(nrows, ncols) + 1)
+        left = [[f.rand(rng) for _ in range(inner)] for _ in range(nrows)]
+        right = [[f.rand(rng) for _ in range(ncols)] for _ in range(inner)]
+        rows = []
+        for lrow in left:
+            row = [f.zero] * ncols
+            for a, rrow in zip(lrow, right):
+                row = [f.add(c, f.mul(a, b)) for c, b in zip(row, rrow)]
+            rows.append(row)
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(nrows + 1), [f.zero] * ncols)
+        rank = gf2e_rank(rows, f)
+        assert rank == len(row_reduce(rows, f)[1])
+        assert rank <= inner
 
 
 def test_translate_to_origin_roundtrip():
@@ -195,6 +237,22 @@ def test_fixed_locus_h07_dichotomy():
         bad = covering_derivation(bad_spec)
         _g, additive, _o, witness = fixed_locus_subgroup_check(bad)
         assert not additive and witness is not None
+
+
+@pytest.mark.parametrize("shared", ["s", "t"])
+def test_fixed_locus_with_common_factor_rejected(shared):
+    # D(s) and D(t) share the factor (shared + 1): a curve of fixed points.
+    # With shared = "t" the resultant in t vanishes; with shared = "s" it
+    # does not, and both specializations vanish at s = 1 instead.
+    f = get_field(2, 4)
+    v = ("s", "t")
+    s_var, t_var = (FqPoly.variable(f, v, n) for n in v)
+    one = FqPoly.const(f, v, f.one)
+    common = FqPoly.variable(f, v, shared) + one
+    d = DerivationSpec("class4", f, v, common * s_var, common * (t_var + one),
+                       f.zero)
+    with pytest.raises(SurfaceError, match="fixed locus is not zero-dimensional"):
+        fixed_locus_subgroup_check(d)
 
 
 def test_fixed_points_closed_under_addition():
