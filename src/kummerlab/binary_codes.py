@@ -520,13 +520,10 @@ def mod4_overlattice(code):
     index = (1 << m) // det if det else 0
     if index != 1 << code.dim:
         raise CodeError("overlattice index mismatch")
-    root_vecs = a1m_frame_roots(code)
-    pairs = []
-    for v in root_vecs:
-        c = solve_left_fraction(basis, v)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise CodeError("root bookkeeping failed")
-        pairs.append([int(x) for x in c])
+    pairs = solve_left_fraction(basis, a1m_frame_roots(code))
+    if any(c is None or any(x.denominator != 1 for x in c) for c in pairs):
+        raise CodeError("root bookkeeping failed")
+    pairs = [[int(x) for x in c] for c in pairs]
     return Overlattice(lat, basis, index, pairs)
 
 

@@ -14,16 +14,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .binary_codes import (
-    BinaryCode,
-    CodeError,
-    build_v16,
-    equivalence_classes,
-    f_bound,
-    max_admissible_dim,
-)
+from .binary_codes import CodeError, f_bound, max_admissible_dim
 from .char2_algebra import FieldError, get_field
-from .kummer_lattices import KummerError, build_kummer, build_q, embed_kummer
+from .kummer_lattices import KummerError, build_kummer, embed_kummer
 from .lattice_core import (
     LatticeError,
     ade_type,
@@ -34,7 +27,7 @@ from .lattice_core import (
     roots,
     signature,
 )
-from .rdp_invariants import RdpCollection, RdpError, RdpType, b_index, dim_b_bar
+from .rdp_invariants import RdpError, RdpType, b_index, dim_b_bar
 from .reports import claim, emit, make_report
 from .surface_family import (
     SurfaceError,
@@ -282,6 +275,8 @@ def _cmd_rdp(args):
 
 
 def _cmd_verify(args):
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     seed = args.seed if args.seed is not None else _default_seed()
     results, claims, degrees = run_campaign(args.campaign, seed=seed,
                                             quick=args.quick, jobs=args.jobs)

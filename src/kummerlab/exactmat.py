@@ -274,15 +274,17 @@ def mat_inverse_fraction(a):
     return [row[n:] for row in m]
 
 
-def solve_left_fraction(b, v):
-    """Solve c * b = v over Q for a full-row-rank matrix b; None if unsolvable.
+def solve_left_fraction(b, vs):
+    """Solve c * b = v over Q for each v in vs, with one elimination.
 
-    b has r rows, n >= r columns; v has length n.
+    b is a full-row-rank matrix with r rows and n >= r columns; each v has
+    length n.  Returns one solution per v, None where c * b = v has none.
     """
     r = len(b)
     n = len(b[0]) if b else 0
-    m = [[Fraction(b[i][j]) for i in range(r)] for j in range(n)]  # n x r
-    rhs = [Fraction(x) for x in v]
+    # the n x r system b^T, augmented by one column per right-hand side
+    m = [[Fraction(b[i][j]) for i in range(r)] + [Fraction(v[j]) for v in vs]
+         for j in range(n)]
     piv_cols = []
     row = 0
     for col in range(r):
@@ -294,25 +296,24 @@ def solve_left_fraction(b, v):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        rhs[row], rhs[piv] = rhs[piv], rhs[row]
         inv = 1 / m[row][col]
         m[row] = [x * inv for x in m[row]]
-        rhs[row] *= inv
         for i in range(n):
             if i != row and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-                rhs[i] -= f * rhs[row]
         piv_cols.append(col)
         row += 1
-    sol = [Fraction(0)] * r
-    for i, col in enumerate(piv_cols):
-        sol[col] = rhs[i]
-    # consistency check
-    for j in range(n):
-        if sum(sol[i] * b[i][j] for i in range(r)) != v[j]:
-            return None
-    return sol
+    out = []
+    for t, v in enumerate(vs):
+        sol = [Fraction(0)] * r
+        for i, col in enumerate(piv_cols):
+            sol[col] = m[i][r + t]
+        # consistency check
+        consistent = all(sum(sol[i] * b[i][j] for i in range(r)) == v[j]
+                         for j in range(n))
+        out.append(sol if consistent else None)
+    return out
 
 
 def saturation_basis(gens, n):

@@ -15,7 +15,7 @@ groups, parities, saturation.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmat import hnf_basis, left_kernel_basis, solve_left_fraction
+from .exactmat import hnf_basis, identity, left_kernel_basis, mat_mul, solve_left_fraction
 from .binary_codes import BinaryCode, build_v16, mod4_overlattice
 from .lattice_core import (
     GlueData,
@@ -23,10 +23,9 @@ from .lattice_core import (
     LatticeError,
     _qmod2,
     ade_type,
-    direct_sum,
-    discriminant,
     discriminant_group,
     glue,
+    gram_of,
     is_two_elementary_type2,
     roots,
     saturation,
@@ -110,7 +109,7 @@ class KummerLattice:
     def frame_class_coords(self, subset):
         """(1/2) sum of e_v over `subset`, in lattice-basis coordinates."""
         vec = [Fraction(1, 2) if i in subset else Fraction(0) for i in range(16)]
-        c = solve_left_fraction(self.frame_basis, vec)
+        c = solve_left_fraction(self.frame_basis, [vec])[0]
         if c is None:
             raise KummerError("class does not lie in the rational span")
         return c
@@ -146,13 +145,10 @@ def build_kummer(type_symbol):
         det *= row[i]
     checks["index_over_roots"] = det == 1 << kt.log2_index_over_roots
     k16 = mod4_overlattice(build_v16())
-    sub = []
-    for row in k16.basis:
-        c = solve_left_fraction(ov.basis, row)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise KummerError("K(16A1) is not contained in the overlattice")
-        sub.append([int(x) for x in c])
-    sub_h = hnf_basis(sub)
+    sub = solve_left_fraction(ov.basis, k16.basis)
+    if any(c is None or any(x.denominator != 1 for x in c) for c in sub):
+        raise KummerError("K(16A1) is not contained in the overlattice")
+    sub_h = hnf_basis([[int(x) for x in c] for c in sub])
     det16 = 1
     for i, row in enumerate(sub_h):
         det16 *= row[i]
@@ -237,20 +233,17 @@ def u_classes_q4():
     and repeating w_i; only the former produces dual vectors gluing against
     the t-classes, so it is adopted and reported.
     """
-    q4 = build_q("Q4")
-    chosen = []
-    for i in range(1, 6):
-        cand = _u_reading_q4(i)
-        if any(_frac_pair(q4, cand, j).denominator != 1 for j in range(6)):
-            raise KummerError("u-class reading failed duality check")
-        chosen.append(cand)
+    chosen = [_u_reading_q4(i) for i in range(1, 6)]
+    if not _in_dual(build_q("Q4"), chosen):
+        raise KummerError("u-class reading failed duality check")
     reading = "u_i = (1/2) * sum of w_j for j in 2..6, j != i+1"
     return chosen, reading
 
 
-def _frac_pair(lat, vec, j):
-    basis_vec = [Fraction(int(t == j)) for t in range(6)]
-    return Fraction(lat.pair(vec, basis_vec))
+def _in_dual(lat, vecs):
+    """Whether every vector pairs integrally with the whole lattice."""
+    return all(Fraction(x).denominator == 1
+               for row in gram_of(lat, vecs, identity(lat.rank)) for x in row)
 
 
 def u_classes_q2():
@@ -260,13 +253,11 @@ def u_classes_q2():
     three half-sums (w_a + w_b)/2, a < b in {2, 3, 4}, are the nonzero
     classes of the discriminant group, and the first two are adopted.
     """
-    q2 = build_q("Q2")
     literal = [
         [Fraction(1, 2), 0, Fraction(1, 2), 0, 0, 0],       # (w1+w3)/2
         [0, Fraction(1, 2), Fraction(1, 2), 0, 0, 0],       # (w2+w3)/2
     ]
-    literal_dual = all(
-        _frac_pair(q2, vec, j).denominator == 1 for vec in literal for j in range(6))
+    literal_dual = _in_dual(build_q("Q2"), literal)
     chosen = [
         [0, Fraction(1, 2), Fraction(1, 2), 0, 0, 0],       # (w2+w3)/2
         [0, Fraction(1, 2), 0, Fraction(1, 2), 0, 0],       # (w2+w4)/2
@@ -281,20 +272,15 @@ def u_classes_q2():
 
 def q_glue_values(lat, classes):
     """q-values of sums of m distinct listed dual classes, grouped by m."""
-    n = lat.rank
-    for vec in classes:
-        for j in range(n):
-            basis_vec = [Fraction(int(t == j)) for t in range(n)]
-            if Fraction(lat.pair(vec, basis_vec)).denominator != 1:
-                raise KummerError("class not in the discriminant group")
+    if not _in_dual(lat, classes):
+        raise KummerError("class not in the discriminant group")
+    pm = gram_of(lat, classes)
     out = {}
     k = len(classes)
     for mask in range(1 << k):
-        m = bin(mask).count("1")
-        vec = [sum(Fraction(classes[i][j]) for i in range(k) if (mask >> i) & 1)
-               for j in range(n)]
-        val = _qmod2(lat.norm(vec)) if any(vec) or True else Fraction(0)
-        out.setdefault(m, set()).add(val)
+        picked = [i for i in range(k) if (mask >> i) & 1]
+        val = _qmod2(sum(pm[i][j] for i in picked for j in picked))
+        out.setdefault(len(picked), set()).add(val)
     return {m: sorted(vals) for m, vals in sorted(out.items())}
 
 
@@ -398,8 +384,7 @@ def _positive_class(embed):
     norm = q.norm(list(coeffs))
     if norm <= 0:
         raise KummerError("positive class table is wrong")
-    d = [sum(c * embed.complement_coords[i][j] for i, c in enumerate(coeffs))
-         for j in range(22)]
+    d = mat_mul([list(coeffs)], embed.complement_coords)[0]
     return d, list(coeffs), norm
 
 
@@ -411,23 +396,17 @@ def extra_root_orthogonality(embed):
     """
     lat = embed.lattice
     d_vec, _coeffs, _norm = _positive_class(embed)
-    gram = [[int(x) for x in row] for row in lat.gram]
-    pair_col = [[sum(gram[i][j] * d_vec[j] for j in range(22))] for i in range(22)]
-    kern = left_kernel_basis(pair_col)
+    kern = left_kernel_basis(gram_of(lat, identity(lat.rank), [d_vec]))
     if len(kern) != 21:
         raise KummerError("orthogonal complement has unexpected rank")
-    sub_gram = [[lat.pair(a, b) for b in kern] for a in kern]
-    sub = Lattice(sub_gram)
-    rts = roots(sub)
-    n_in = n_orth = 0
+    rts = roots(Lattice(gram_of(lat, kern)))
     k_rows = embed.kummer_coords
-    for r in rts:
-        amb = [sum(r[i] * kern[i][j] for i in range(21)) for j in range(22)]
-        inside = solve_left_fraction(k_rows, amb) is not None
-        orth = all(lat.pair(amb, k_rows[i]) == 0 for i in range(16))
-        if inside:
+    amb = mat_mul(rts, kern)
+    n_in = n_orth = 0
+    for sol, pairs in zip(solve_left_fraction(k_rows, amb), gram_of(lat, amb, k_rows)):
+        if sol is not None:
             n_in += 1
-        elif orth:
+        elif not any(pairs):
             n_orth += 1
         else:
             raise KummerError("root neither inside the Kummer factor nor orthogonal")
@@ -437,9 +416,5 @@ def extra_root_orthogonality(embed):
 def complement_of_kummer(embed):
     """Orthogonal complement of the Kummer factor inside the glued lattice."""
     lat = embed.lattice
-    gram = [[int(x) for x in row] for row in lat.gram]
-    cols = [[sum(gram[i][j] * embed.kummer_coords[t][j] for j in range(22))
-             for t in range(16)] for i in range(22)]
-    kern = left_kernel_basis(cols)
-    sub_gram = [[lat.pair(a, b) for b in kern] for a in kern]
-    return Lattice(sub_gram)
+    kern = left_kernel_basis(gram_of(lat, identity(lat.rank), embed.kummer_coords))
+    return Lattice(gram_of(lat, kern))

@@ -1,26 +1,30 @@
 """Exact arithmetic on integral symmetric bilinear forms.
 
 Lattices are free Z-modules with a symmetric pairing given by a Gram
-matrix.  Everything here is exact: determinants and signatures via
-fraction-free/rational elimination, discriminant groups via Smith normal
-form, root enumeration via an exact rational Cholesky search, and even
-overlattices via glue data on discriminant groups.
+matrix.  Vectors are row tuples of coordinates in the lattice basis, with
+integer or rational entries.  Every Gram or cross-pairing matrix is one
+integer product rows * G * cols^T over a common denominator (`gram_of`);
+`Lattice.pair` is the pair-by-pair reference.  Discriminant groups come
+from the Smith normal form U * G * V = D of the integer Gram: the
+generators are the rows U[i] / d_i mod Z^n.  Determinants and signatures
+use rational elimination, roots an exact rational Cholesky search, and
+even overlattices glue data on discriminant groups.
 
-Vectors are row tuples of coordinates in the lattice basis.  Gram entries
-are integers, except that denominator 2 is tolerated in intermediate
-lattices produced while building code overlattices; the even-lattice
-constructor rejects non-integral input.
+Gram entries are integers, except that denominator 2 is tolerated in
+intermediate lattices produced while building code overlattices; the
+even-lattice constructor rejects non-integral input.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 
 from .exactmat import (
     det_fraction,
     hnf_basis,
-    mat_inverse_fraction,
+    identity,
+    mat_mul,
     snf,
     solve_left_fraction,
     saturation_basis,
@@ -34,6 +38,11 @@ class LatticeError(ValueError):
 
 def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _denominator(values):
+    """The least common denominator of a flat iterable of rationals."""
+    return lcm(*(_frac(x).denominator for x in values))
 
 
 class Lattice:
@@ -103,6 +112,27 @@ def direct_sum(l1, l2):
     if l1.labels is not None and l2.labels is not None:
         labels = l1.labels + l2.labels
     return Lattice(gram, labels)
+
+
+def gram_of(lat, rows, cols=None):
+    """The pairing matrix rows * G * cols^T (cols defaults to rows).
+
+    Rows, cols and the Gram matrix are scaled to integers over one common
+    denominator and multiplied as integers.  Entries are ints when that
+    denominator is 1, else Fractions.
+    """
+    cols = rows if cols is None else cols
+    den = _denominator(x for m in (rows, cols, lat.gram) for row in m for x in row)
+
+    def scaled(m):
+        return [[int(_frac(x) * den) for x in row] for row in m]
+
+    out = mat_mul(mat_mul(scaled(rows), scaled(lat.gram)),
+                  [list(c) for c in zip(*scaled(cols))])
+    if den == 1:
+        return out
+    den3 = den ** 3
+    return [[Fraction(x, den3) for x in row] for row in out]
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +233,16 @@ def _qmod2(x):
 def discriminant_group(lat):
     if not lat.is_even:
         raise LatticeError("discriminant group requires an even lattice")
-    g = lat.gram_int()
-    n = lat.rank
-    if det_fraction(g) == 0:
+    d, u, _v = snf(lat.gram_int())
+    if 0 in d:
         raise LatticeError("degenerate lattice")
-    d, _u, v = snf(g)
-    vinv = mat_inverse_fraction(v)
-    ginv = mat_inverse_fraction(g)
-    gens = []
-    for i, di in enumerate(d):
-        if di in (0, 1):
-            continue
-        z = [vinv[i][j] for j in range(n)]
-        vec = [sum(_frac(z[k]) * ginv[k][j] for k in range(n)) for j in range(n)]
-        vec = [x - x.__floor__() for x in vec]  # reduce mod Z^n
-        gens.append((di, tuple(vec)))
-    gens.sort(key=lambda t: (t[0], t[1]))
+    # U G V = D gives G^-1 = V D^-1 U, so the dual classes are U[i] / d_i
+    gens = sorted((di, tuple(Fraction(x % di, di) for x in u[i]))
+                  for i, di in enumerate(d) if di != 1)
     generators = [list(vec) for _, vec in gens]
     orders = [o for o, _ in gens]
-    qvalues = [_qmod2(lat.norm(vec)) for vec in generators]
-    pairings = [[lat.pair(a, b) for b in generators] for a in generators]
+    pairings = gram_of(lat, generators)
+    qvalues = [_qmod2(row[i]) for i, row in enumerate(pairings)]
     return DiscriminantGroup(generators, orders, qvalues, pairings)
 
 
@@ -356,7 +376,7 @@ def roots(lat):
     """All v with v^2 = -2, one representative per +-pair."""
     r, s = signature(lat)
     if r != 0 or s != lat.rank:
-        raise LatticeError("root enumeration requires definite lattice")
+        raise LatticeError("root enumeration requires a negative definite lattice")
     return short_vectors(lat, 2, target=Fraction(2))
 
 
@@ -380,35 +400,6 @@ def _expected_pairs(kind, n):
     return {6: 36, 7: 63, 8: 120}[n]
 
 
-def _int_rows(vectors):
-    out = []
-    for v in vectors:
-        row = []
-        for x in v:
-            f = _frac(x)
-            if f.denominator != 1:
-                return None
-            row.append(int(f))
-        out.append(row)
-    return out
-
-
-def _pairing_matrix(lat, rows):
-    """rows * G * rows^T over exact integers when possible."""
-    g = [[_frac(x) for x in row] for row in lat.gram]
-    irows = _int_rows(rows)
-    if irows is not None and lat.is_integral:
-        gi = [[int(x) for x in row] for row in g]
-        half = [[sum(r[t] * gi[t][j] for t in range(lat.rank)) for j in range(lat.rank)]
-                for r in irows]
-        return [[sum(h[t] * irows[j][t] for t in range(lat.rank)) for j in range(len(irows))]
-                for h in half]
-    half = [[sum(_frac(r[t]) * g[t][j] for t in range(lat.rank)) for j in range(lat.rank)]
-            for r in rows]
-    return [[sum(h[t] * _frac(rows[j][t]) for t in range(lat.rank)) for j in range(len(rows))]
-            for h in half]
-
-
 def ade_type(lat, root_list=None):
     """Decompose a root set into connected components and classify each.
 
@@ -419,7 +410,7 @@ def ade_type(lat, root_list=None):
     if not root_list:
         return []
     m = len(root_list)
-    pm = _pairing_matrix(lat, root_list)
+    pm = gram_of(lat, root_list)
     adj = [[] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -472,7 +463,7 @@ def _classify_component(lat, pairs):
         else:
             simple.append(v)
     k = len(simple)
-    sp = _pairing_matrix(lat, [list(v) for v in simple])
+    sp = gram_of(lat, simple)
     deg = [0] * k
     edges = 0
     for i in range(k):
@@ -536,19 +527,12 @@ def saturation(gens, lat):
             raise LatticeError("generators not in L")
     rows = [[int(x) for x in row] for row in gens]
     basis, index = saturation_basis(rows, lat.rank)
-    gram = [[lat.pair(a, b) for b in basis] for a in basis]
-    return SaturationResult(Lattice(gram), basis, index)
+    return SaturationResult(Lattice(gram_of(lat, basis)), basis, index)
 
 
 def class_order(lat, vec):
     """Order of vec + L in L^vee/L (vec in basis coordinates)."""
-    n = 1
-    while True:
-        if all((_frac(x) * n).denominator == 1 for x in vec):
-            return n
-        n += 1
-        if n > 1 << 20:
-            raise LatticeError("class order too large")
+    return _denominator(vec)
 
 
 @dataclass
@@ -595,61 +579,43 @@ def glue(l1, l2, gd):
         if o1 != o2:
             raise LatticeError("glue map does not respect group orders")
         orders.append(o1)
+    # q1 + q2 on sum c_i (v1_i, v2_i) is the form c^T (M1 + M2) c
+    q = [[a + b for a, b in zip(r1, r2)]
+         for r1, r2 in zip(gram_of(l1, gd.m1), gram_of(l2, gd.m2))]
     for coeffs in _subgroup_elements(orders):
-        x1 = [sum(c * _frac(v[i]) for c, v in zip(coeffs, gd.m1)) for i in range(n1)]
-        x2 = [sum(c * _frac(v[i]) for c, v in zip(coeffs, gd.m2)) for i in range(n2)]
-        if _qmod2(l1.norm(x1) + l2.norm(x2)) != 0:
+        val = sum(ci * cj * q[i][j] for i, ci in enumerate(coeffs)
+                  for j, cj in enumerate(coeffs))
+        if _qmod2(val) != 0:
             raise LatticeError("glue data violates q1 + q2 = 0")
-    rows = []
-    for i in range(n1):
-        rows.append([Fraction(int(i == j)) for j in range(n1)] + [Fraction(0)] * n2)
-    for i in range(n2):
-        rows.append([Fraction(0)] * n1 + [Fraction(int(i == j)) for j in range(n2)])
-    for v1, v2 in zip(gd.m1, gd.m2):
-        rows.append([_frac(x) for x in v1] + [_frac(x) for x in v2])
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // __import__("math").gcd(den, x.denominator)
-    scaled = [[int(x * den) for x in row] for row in rows]
-    basis_scaled = hnf_basis(scaled)
+    rows = identity(n1 + n2) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
+    den = _denominator(x for row in rows for x in row)
+    basis_scaled = hnf_basis([[int(_frac(x) * den) for x in row] for row in rows])
     if len(basis_scaled) != n1 + n2:
         raise LatticeError("glue generators do not span full rank")
     basis = [[Fraction(x, den) for x in row] for row in basis_scaled]
     amb = direct_sum(l1, l2)
-    gram = [[amb.pair(a, b) for b in basis] for a in basis]
+    gram = gram_of(amb, basis)
     glued = Lattice(gram)
     if not glued.is_integral:
         raise LatticeError("non-integral pairing in glued lattice")
     if not glued.is_even:
         raise LatticeError("glued lattice is not even")
     # index over the direct sum
-    m1_order = 1
-    for o in orders:
-        m1_order *= o
-    idx = Fraction(abs(det_fraction([list(r) for r in amb.gram])),
-                   abs(det_fraction([list(r) for r in gram])))
-    import math as _math
-    idx_sqrt = _math.isqrt(idx.numerator) if idx.denominator == 1 else None
+    m1_order = prod(orders)
+    idx = Fraction(abs(det_fraction(amb.gram)), abs(det_fraction(gram)))
+    idx_sqrt = isqrt(idx.numerator) if idx.denominator == 1 else None
     if idx_sqrt is None or idx_sqrt * idx_sqrt != idx.numerator:
         raise LatticeError("glued index is not integral")
     # m1_order may overcount if generators were dependent; compare honestly
     if idx_sqrt != m1_order:
         raise LatticeError(
             f"glue index {idx_sqrt} differs from |M1| = {m1_order}; dependent glue generators")
-    sub1, sub2 = [], []
-    for i in range(n1):
-        vec = [Fraction(int(i == j)) for j in range(n1)] + [Fraction(0)] * n2
-        c = solve_left_fraction(basis, vec)
+    coords = solve_left_fraction(basis, identity(n1 + n2))
+    for i, c in enumerate(coords):
         if c is None or any(x.denominator != 1 for x in c):
-            raise LatticeError("factor L1 not contained in glued lattice")
-        sub1.append([int(x) for x in c])
-    for i in range(n2):
-        vec = [Fraction(0)] * n1 + [Fraction(int(i == j)) for j in range(n2)]
-        c = solve_left_fraction(basis, vec)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise LatticeError("factor L2 not contained in glued lattice")
-        sub2.append([int(x) for x in c])
+            raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
+    coords = [[int(x) for x in c] for c in coords]
+    sub1, sub2 = coords[:n1], coords[n1:]
     for sub in (sub1, sub2):
         sat = saturation(sub, glued)
         if sat.index != 1:

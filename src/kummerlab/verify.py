@@ -3,10 +3,12 @@
 Every campaign returns (results, claims, field_degrees).  Campaigns are
 deterministic given the seed; randomized sweeps derive per-purpose
 generators from string-tagged seeds.  The singularity sweep can fan out
-over a process pool; tasks are keyed by (family, branch, field degree),
+over a process pool of at most min(jobs, CPU count, task count)
+processes; tasks are keyed by (family, branch, field degree),
 and merging is order-independent by construction.
 """
 
+import os
 import random
 
 from .binary_codes import (
@@ -28,13 +30,12 @@ from .char2_algebra import (
     z_filtration_dims,
 )
 from .kummer_lattices import (
-    KUMMER_TYPES,
     KummerError,
     admissible_sigmas,
     build_kummer,
     embed_kummer,
 )
-from .lattice_core import ade_type, discriminant_group, roots
+from .lattice_core import roots
 from .rdp_invariants import (
     RdpCollection,
     RdpType,
@@ -369,9 +370,10 @@ def campaign_singularities(seed, count=200, jobs=1):
             sizes[0] += count - per * len(degrees)
             for e, n in zip(degrees, sizes):
                 tasks.append((family, branch, e, seed, n))
-    if jobs > 1:
+    processes = min(jobs, os.cpu_count() or 1, len(tasks))
+    if processes > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(processes) as pool:
             raws = pool.map(_singularity_task, tasks)
     else:
         raws = [_singularity_task(t) for t in tasks]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from kummerlab.cli import main
 from kummerlab.reports import validate_report
+from kummerlab.verify import campaign_singularities
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,23 +81,28 @@ def test_exit_codes():
 
 BAD_INPUTS = [
     pytest.param(["surface", "classify", "--family", "class4", "--field", "e"],
-                 None, id="field-without-value"),
+                 None, None, id="field-without-value"),
     pytest.param(["surface", "classify", "--family", "class4", "--field",
-                  "e=abc"], None, id="field-degree-not-integer"),
-    pytest.param(["rdp", "table", "--type", "X"], None, id="rdp-type"),
+                  "e=abc"], None, None, id="field-degree-not-integer"),
+    pytest.param(["rdp", "table", "--type", "X"], None, None, id="rdp-type"),
     pytest.param(["lattice", "info", "--in"], {"gram": [["a", 0], [0, "b"]]},
-                 id="gram-not-numeric"),
-    pytest.param(["lattice", "info", "--in"], [[2, 0], [0, 2]],
+                 None, id="gram-not-numeric"),
+    pytest.param(["lattice", "info", "--in"], [[2, 0], [0, 2]], None,
                  id="lattice-json-list"),
-    pytest.param(["codes", "g-table", "--max", "-5"], None,
+    pytest.param(["codes", "g-table", "--max", "-5"], None, None,
                  id="codes-max-negative"),
-    pytest.param(["rdp", "table", "--max-n", "-3"], None,
+    pytest.param(["rdp", "table", "--max-n", "-3"], None, None,
                  id="rdp-max-n-negative"),
+    pytest.param(["lattice", "roots", "--in"], {"gram": [[2]]},
+                 "root enumeration requires a negative definite lattice",
+                 id="roots-positive-definite"),
+    pytest.param(["verify", "table1", "--jobs", "0"], None,
+                 "--jobs must be at least 1", id="verify-jobs-zero"),
 ]
 
 
-@pytest.mark.parametrize("argv,lattice", BAD_INPUTS)
-def test_bad_input_exits_2_with_one_error_line(argv, lattice, tmp_path):
+@pytest.mark.parametrize("argv,lattice,message", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(argv, lattice, message, tmp_path):
     if lattice is not None:
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(lattice))
@@ -109,7 +116,36 @@ def test_bad_input_exits_2_with_one_error_line(argv, lattice, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("kummerlab: error: ")
+    if message is not None:
+        assert message in lines[0]
     assert proc.stdout == ""
+
+
+def test_singularity_pool_is_capped(monkeypatch):
+    """--jobs is capped at the CPU count and the task count; no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = campaign_singularities(seed=1, count=5, jobs=10 ** 6)
+    assert sizes == [4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert campaign_singularities(seed=1, count=5, jobs=10 ** 6) == pooled
+    assert sizes == [4]
+    assert campaign_singularities(seed=1, count=5, jobs=1) == pooled
 
 
 def test_report_written_to_file(tmp_path):

@@ -77,3 +77,28 @@ def test_no_dead_module_level_definitions():
             if name not in exported and total[name] - own <= 0:
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not dead, "definitions nothing names:\n" + "\n".join(dead)
+
+
+def _imported_names(tree):
+    """(bound name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for d in ("src", "tests"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue  # package re-exports
+            tree = _parse(path)
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= _exported(tree)
+            unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for name, line in _imported_names(tree) if name not in used]
+    assert not unused, "imports nothing uses:\n" + "\n".join(unused)

@@ -5,7 +5,6 @@ import pytest
 from kummerlab.kummer_lattices import (
     KUMMER_TYPES,
     KummerError,
-    T_CLASSES_Q2,
     T_CLASSES_Q4,
     admissible_sigmas,
     build_kummer,

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from kummerlab.exactmat import det_bareiss
+from kummerlab.exactmat import det_bareiss, hnf_basis, identity, mat_mul, solve_left_fraction
 from kummerlab.lattice_core import (
     GlueData,
     Lattice,
@@ -11,11 +13,13 @@ from kummerlab.lattice_core import (
     ade_gram,
     ade_lattice,
     ade_type,
+    class_order,
     direct_sum,
     discriminant,
     discriminant_group,
     even_lattice,
     glue,
+    gram_of,
     is_two_elementary_type2,
     lattice_from_json,
     lattice_to_json,
@@ -245,3 +249,80 @@ def test_json_round_trip(tmp_path):
     back = lattice_from_json(obj)
     assert back.gram == lat.gram
     assert back.labels == lat.labels
+
+
+# ---------------------------------------------------------------------------
+# property tests: small nondegenerate even lattices in random bases
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+BLOCKS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5),
+          ("E", 6), ("E", 7)]
+
+
+@st.composite
+def even_lattices(draw):
+    """A direct sum of A/D/E blocks (rank <= 10) under a unimodular change of basis."""
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=3))
+    lat = ade_lattice(*blocks[0])
+    for kind, n in blocks[1:]:
+        if lat.rank + n <= 10:
+            lat = direct_sum(lat, ade_lattice(kind, n))
+    n = lat.rank
+    u = identity(n)
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(-2, 2)), max_size=2 * n))
+    for i, j, c in steps:
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    g = lat.gram_int()
+    return even_lattice(mat_mul(mat_mul(u, g), [list(c) for c in zip(*u)]))
+
+
+def rational_rows(n, max_rows=4):
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), max_size=max_rows)
+
+
+@PROPERTY
+@given(st.data())
+def test_gram_of_matches_pair_by_pair(data):
+    lat = data.draw(even_lattices())
+    rows = data.draw(rational_rows(lat.rank))
+    cols = data.draw(rational_rows(lat.rank))
+    assert gram_of(lat, rows) == [[lat.pair(a, b) for b in rows] for a in rows]
+    assert gram_of(lat, rows, cols) == [[lat.pair(a, b) for b in cols] for a in rows]
+
+
+@PROPERTY
+@given(even_lattices())
+def test_discriminant_group_properties(lat):
+    dg = discriminant_group(lat)
+    assert dg.order == abs(discriminant(lat))
+    for x, order in zip(dg.generators, dg.orders):
+        for j in range(lat.rank):
+            unit = [int(i == j) for i in range(lat.rank)]
+            assert Fraction(lat.pair(x, unit)).denominator == 1
+        assert class_order(lat, x) == order
+
+
+@PROPERTY
+@given(st.data())
+def test_batched_solve_left(data):
+    n = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, n))
+    entry = st.integers(-4, 4)
+    b = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=r, max_size=r))
+    assume(len(hnf_basis(b)) == r)
+    coeffs = data.draw(rational_rows(r, max_rows=3))
+    inside = [[sum(c[i] * b[i][j] for i in range(r)) for j in range(n)] for c in coeffs]
+    others = data.draw(rational_rows(n, max_rows=3))
+    vs = inside + others
+    sols = solve_left_fraction(b, vs)
+    assert len(sols) == len(vs)
+    for v, sol in zip(vs, sols):
+        den = math.lcm(*(x.denominator for x in v))
+        in_span = len(hnf_basis(b + [[int(x * den) for x in v]])) == r
+        assert (sol is not None) == in_span
+        if sol is not None:
+            assert [sum(sol[i] * b[i][j] for i in range(r)) for j in range(n)] == v
