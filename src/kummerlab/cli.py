@@ -370,12 +370,8 @@ def main(argv=None):
         report = make_report(["kummerlab"] + argv, inputs, results, claims,
                              seeds=seeds, field_extensions=degrees)
         return emit(report, getattr(args, "out", None))
-    except (UsageError, FieldError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
-        print(f"kummerlab: error: {exc}", file=sys.stderr)
-        return 2
-    except (LatticeError, CodeError, KummerError, SurfaceError,
-            RdpError) as exc:
+    except (UsageError, FieldError, OSError, KeyError, json.JSONDecodeError,
+            LatticeError, KummerError, CodeError, SurfaceError, RdpError) as exc:
         print(f"kummerlab: error: {exc}", file=sys.stderr)
         return 2
 

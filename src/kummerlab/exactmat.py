@@ -1,12 +1,18 @@
 """Exact integer and rational matrix routines (no external CAS).
 
-All matrices are lists of lists.  Integer routines use Python bignums;
-rational routines use fractions.Fraction.  These back the lattice layer:
-determinants, Hermite/Smith normal forms with transforms, saturation,
-membership solving and symmetric diagonalization.
+All matrices are lists of lists of ints or Fractions.  Every routine
+computes in Python integers: a rational input is first scaled to integers
+over one common denominator (`integer_scaled`), and Fractions are built
+only for the results.  Two fraction-free (Bareiss) loops do all the
+elimination besides the Hermite and Smith forms: `_bareiss` (Gauss-Jordan;
+determinants, solving, inverses) and `symmetric_bareiss` (congruence;
+signatures and the positive-definite factor for root enumeration).  These
+back the lattice layer: determinants, Hermite/Smith normal forms with
+transforms, saturation, membership solving and symmetric diagonalization.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def mat_copy(a):
@@ -17,6 +23,19 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def common_denominator(values):
+    """The least common denominator of an iterable of ints and Fractions."""
+    return lcm(*(x.denominator for x in values))
+
+
+def integer_scaled(mats):
+    """(den, scaled): den is the common denominator of every entry of `mats`,
+    and scaled holds each matrix times den, with int entries."""
+    den = common_denominator(x for m in mats for row in m for x in row)
+    return den, [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+                 for m in mats]
+
+
 def mat_mul(a, b):
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
@@ -24,55 +43,48 @@ def mat_mul(a, b):
     return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
 
 
+def _bareiss(m, ncols):
+    """Fraction-free Gauss-Jordan elimination of the integer matrix m, in place.
+
+    Pivots are taken in the first ncols columns.  Returns (cols, sign, p):
+    the pivot column of each pivot row (rows 0 .. len(cols) - 1), the sign
+    of the row permutation, and the last pivot p (1 if there is none).
+    Afterwards m is p times its reduced row echelon form in the pivot rows,
+    and the rows below them are zero in the first ncols columns.  Every
+    entry stays a minor of the input, so each division by the previous
+    pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    """
+    cols, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(cols)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        cols.append(c)
+        prev = p
+    return cols, sign, prev
+
+
 def det_bareiss(a):
     """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
     m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    cols, sign, p = _bareiss(m, len(m))
+    return sign * p if len(cols) == len(m) else 0
 
 
 def det_fraction(a):
     """Determinant of a square matrix with Fraction/int entries."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
+    den, (m,) = integer_scaled([a])
+    return Fraction(det_bareiss(m), den ** len(m))
 
 
 def hnf_rows(a):
@@ -253,25 +265,10 @@ def snf(a):
 
 def mat_inverse_fraction(a):
     """Inverse of a nonsingular matrix over Q (entries Fraction/int)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [row[n:] for row in m]
+    rows = solve_left_fraction(a, identity(len(a)))
+    if None in rows:
+        raise ValueError("singular matrix")
+    return rows
 
 
 def solve_left_fraction(b, vs):
@@ -282,37 +279,20 @@ def solve_left_fraction(b, vs):
     """
     r = len(b)
     n = len(b[0]) if b else 0
-    # the n x r system b^T, augmented by one column per right-hand side
-    m = [[Fraction(b[i][j]) for i in range(r)] + [Fraction(v[j]) for v in vs]
-         for j in range(n)]
-    piv_cols = []
-    row = 0
-    for col in range(r):
-        piv = None
-        for i in range(row, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(n):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-        piv_cols.append(col)
-        row += 1
+    den, (bs, vss) = integer_scaled([b, vs])
+    # the n x r system b^T, augmented by one column per right-hand side;
+    # scaling both sides by den leaves the solutions unchanged
+    m = [[bs[i][j] for i in range(r)] + [v[j] for v in vss] for j in range(n)]
+    cols, _sign, p = _bareiss(m, r)
     out = []
-    for t, v in enumerate(vs):
+    for t in range(r, r + len(vs)):
+        if any(row[t] for row in m[len(cols):]):
+            out.append(None)
+            continue
         sol = [Fraction(0)] * r
-        for i, col in enumerate(piv_cols):
-            sol[col] = m[i][r + t]
-        # consistency check
-        consistent = all(sum(sol[i] * b[i][j] for i in range(r)) == v[j]
-                         for j in range(n))
-        out.append(sol if consistent else None)
+        for row, c in zip(m, cols):
+            sol[c] = Fraction(row[t], p)
+        out.append(sol)
     return out
 
 
@@ -326,12 +306,9 @@ def saturation_basis(gens, n):
         return [], 1
     d, u_, v = snf(work)
     r = sum(1 for x in d if x != 0)
-    vinv = mat_inverse_fraction(v)
-    sat = []
-    for i in range(r):
-        row = [vinv[i][j] for j in range(n)]
-        assert all(x.denominator == 1 for x in map(Fraction, row))
-        sat.append([int(Fraction(x)) for x in row])
+    sat = mat_inverse_fraction(v)[:r]
+    assert all(x.denominator == 1 for row in sat for x in row)
+    sat = [[int(x) for x in row] for row in sat]
     index = 1
     for x in d[:r]:
         index *= x
@@ -345,51 +322,53 @@ def left_kernel_basis(a):
     return [u[i][:] for i in range(r, len(a))]
 
 
+def symmetric_bareiss(g):
+    """Fraction-free congruence elimination of a rational symmetric matrix.
+
+    Returns (den, pivots, rows).  den * g is the integer matrix that is
+    eliminated; pivots[k] is its k-th leading principal minor after the
+    pivoting, and rows[k] the k-th pivot row from the pivot on, so that
+    D_k = pivots[k] / (pivots[k-1] * den) are the diagonal entries of
+    P g P^T = D for some P, and rows[k][j] / pivots[k] the entries of the
+    unit upper-triangular factor.  A zero diagonal pivot is replaced by the
+    first nonzero later diagonal entry, else by the sum trick e_i += e_j;
+    elimination stops when the remaining block is zero.  When every pivot
+    is positive no pivoting happened and g = U^T D U in its own order.
+    """
+    den, (m,) = integer_scaled([g])
+    pivots, rows, prev = [], [], 1
+    while m:
+        piv = next((i for i in range(len(m)) if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(len(m)) for j in range(i + 1, len(m))
+                         if m[i][j]), None)
+            if pair is None:
+                break
+            # row/col op: e_i += e_j makes the diagonal entry 2 * m[i][j]
+            piv, j = pair
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
+            for row in m:
+                row[0], row[piv] = row[piv], row[0]
+        top = m[0]
+        p = top[0]
+        pivots.append(p)
+        rows.append(top)
+        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in m[1:]]
+        prev = p
+    return den, pivots, rows
+
+
 def symmetric_diagonalize(g):
     """Exact symmetric diagonalization of a rational symmetric matrix.
 
     Returns the list of diagonal entries of D for some P with P g P^T = D
     (congruence, not similarity).  Signs of the entries give the signature.
     """
-    n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    diag = []
-    for k in range(n):
-        # find a nonzero diagonal pivot, possibly after a "sum trick"
-        piv = None
-        for i in range(k, n):
-            if m[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            found = False
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        # row/col op: e_i += e_j makes diagonal entry 2*m[i][j]
-                        for t in range(n):
-                            m[i][t] += m[j][t]
-                        for t in range(n):
-                            m[t][i] += m[t][j]
-                        piv = i
-                        found = True
-                        break
-                if found:
-                    break
-            if piv is None:
-                diag.extend(Fraction(0) for _ in range(k, n))
-                break
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m:
-                row[k], row[piv] = row[piv], row[k]
-        d = m[k][k]
-        diag.append(d)
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / d
-                for t in range(n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(n):
-                    m[t][i] -= f * m[t][k]
-    return diag
+    den, pivots, _rows = symmetric_bareiss(g)
+    diag = [Fraction(p, q * den) for p, q in zip(pivots, [1] + pivots)]
+    return diag + [Fraction(0)] * (len(g) - len(diag))

@@ -6,9 +6,12 @@ integer or rational entries.  Every Gram or cross-pairing matrix is one
 integer product rows * G * cols^T over a common denominator (`gram_of`);
 `Lattice.pair` is the pair-by-pair reference.  Discriminant groups come
 from the Smith normal form U * G * V = D of the integer Gram: the
-generators are the rows U[i] / d_i mod Z^n.  Determinants and signatures
-use rational elimination, roots an exact rational Cholesky search, and
-even overlattices glue data on discriminant groups.
+generators are the rows U[i] / d_i mod Z^n.  Determinants, signatures
+and solving use the fraction-free integer eliminations of `exactmat`;
+roots come from one symmetric elimination of -G, whose pivots both prove
+negative definiteness and give the exact rational Fincke-Pohst search its
+LDL^T factor.  Even overlattices come from glue data on discriminant
+groups.
 
 Gram entries are integers, except that denominator 2 is tolerated in
 intermediate lattices produced while building code overlattices; the
@@ -18,16 +21,19 @@ even-lattice constructor rejects non-integral input.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
 from .exactmat import (
+    common_denominator,
     det_fraction,
     hnf_basis,
     identity,
+    integer_scaled,
     mat_mul,
     snf,
     solve_left_fraction,
     saturation_basis,
+    symmetric_bareiss,
     symmetric_diagonalize,
 )
 
@@ -38,11 +44,6 @@ class LatticeError(ValueError):
 
 def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _denominator(values):
-    """The least common denominator of a flat iterable of rationals."""
-    return lcm(*(_frac(x).denominator for x in values))
 
 
 class Lattice:
@@ -121,14 +122,8 @@ def gram_of(lat, rows, cols=None):
     denominator and multiplied as integers.  Entries are ints when that
     denominator is 1, else Fractions.
     """
-    cols = rows if cols is None else cols
-    den = _denominator(x for m in (rows, cols, lat.gram) for row in m for x in row)
-
-    def scaled(m):
-        return [[int(_frac(x) * den) for x in row] for row in m]
-
-    out = mat_mul(mat_mul(scaled(rows), scaled(lat.gram)),
-                  [list(c) for c in zip(*scaled(cols))])
+    den, (rs, cs, g) = integer_scaled([rows, rows if cols is None else cols, lat.gram])
+    out = mat_mul(mat_mul(rs, g), [list(c) for c in zip(*cs)])
     if den == 1:
         return out
     den3 = den ** 3
@@ -313,35 +308,14 @@ def _interval(c, bound):
     return -lo_neg, hi
 
 
-def _cholesky_pos(q):
-    """d, u for positive-definite rational q: Q(x) = sum d_i (x_i + sum_j u_ij x_j)^2."""
-    n = len(q)
-    m = [[_frac(x) for x in row] for row in q]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if m[i][i] <= 0:
-            raise LatticeError("form is not positive definite")
-        d[i] = m[i][i]
-        for j in range(i + 1, n):
-            u[i][j] = m[i][j] / m[i][i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                m[r][c] = m[r][c] - m[i][r] * m[i][c] / m[i][i]
-                m[c][r] = m[r][c]
-    return d, u
+def short_vectors(d, u, norm_bound, target=None):
+    """All x != 0 with 0 < Q(x) <= norm_bound (or Q(x) == target), up to sign.
 
-
-def short_vectors(lat, norm_bound, target=None):
-    """All v != 0 with 0 < -v^2 <= norm_bound (or -v^2 == target), up to sign.
-
-    The lattice must be negative definite.  One representative per +-pair
-    is returned, with the first nonzero coordinate positive, sorted
-    lexicographically.
+    Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with every d_i > 0, where
+    u[i] holds u_ij for j > i.  One representative per +-pair is returned,
+    with the first nonzero coordinate positive, sorted lexicographically.
     """
-    n = lat.rank
-    q = [[-x for x in row] for row in lat.gram]
-    d, u = _cholesky_pos(q)
+    n = len(d)
     bound = _frac(norm_bound)
     found = []
     x = [0] * n
@@ -360,7 +334,7 @@ def short_vectors(lat, norm_bound, target=None):
                             found.append(tuple(-y for y in v))
                             break
             return
-        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        c = sum(uij * xj for uij, xj in zip(u[i], x[i + 1:]))
         lo, hi = _interval(c, rem / d[i])
         for xi in range(lo, hi + 1):
             x[i] = xi
@@ -373,11 +347,19 @@ def short_vectors(lat, norm_bound, target=None):
 
 
 def roots(lat):
-    """All v with v^2 = -2, one representative per +-pair."""
-    r, s = signature(lat)
-    if r != 0 or s != lat.rank:
+    """All v with v^2 = -2, one representative per +-pair.
+
+    One elimination of -G: all pivots positive means -G is positive
+    definite (Sylvester), and then -v^2 = sum_i d_i (v_i + sum_j u_ij v_j)^2.
+    """
+    den, pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
+    if len(pivots) != lat.rank:
+        raise LatticeError("degenerate lattice")
+    if any(p < 0 for p in pivots):
         raise LatticeError("root enumeration requires a negative definite lattice")
-    return short_vectors(lat, 2, target=Fraction(2))
+    d = [Fraction(p, q * den) for p, q in zip(pivots, [1] + pivots)]
+    u = [[Fraction(x, p) for x in row[1:]] for p, row in zip(pivots, rows)]
+    return short_vectors(d, u, 2, target=Fraction(2))
 
 
 def reflect(lat, v, x):
@@ -532,7 +514,7 @@ def saturation(gens, lat):
 
 def class_order(lat, vec):
     """Order of vec + L in L^vee/L (vec in basis coordinates)."""
-    return _denominator(vec)
+    return common_denominator(_frac(x) for x in vec)
 
 
 @dataclass
@@ -588,8 +570,8 @@ def glue(l1, l2, gd):
         if _qmod2(val) != 0:
             raise LatticeError("glue data violates q1 + q2 = 0")
     rows = identity(n1 + n2) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
-    den = _denominator(x for row in rows for x in row)
-    basis_scaled = hnf_basis([[int(_frac(x) * den) for x in row] for row in rows])
+    den, (scaled,) = integer_scaled([rows])
+    basis_scaled = hnf_basis(scaled)
     if len(basis_scaled) != n1 + n2:
         raise LatticeError("glue generators do not span full rank")
     basis = [[Fraction(x, den) for x in row] for row in basis_scaled]

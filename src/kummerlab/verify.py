@@ -12,6 +12,7 @@ import os
 import random
 
 from .binary_codes import (
+    CodeError,
     build_v16,
     equivalence_classes,
     f_bound,
@@ -35,9 +36,10 @@ from .kummer_lattices import (
     build_kummer,
     embed_kummer,
 )
-from .lattice_core import roots
+from .lattice_core import LatticeError, roots
 from .rdp_invariants import (
     RdpCollection,
+    RdpError,
     RdpType,
     b_index,
     dim_b_bar,
@@ -46,6 +48,7 @@ from .rdp_invariants import (
 from .reports import claim
 from .surface_family import (
     BRANCHES,
+    SurfaceError,
     SurfaceSpec,
     classify_full,
     covering_derivation,
@@ -507,18 +510,32 @@ _CAMPAIGNS = {
 CAMPAIGN_NAMES = tuple(_CAMPAIGNS) + ("all",)
 
 
+def _run_one(name, seed, quick, jobs):
+    """One campaign; a package error inside it becomes a failing claim."""
+    try:
+        return _CAMPAIGNS[name](seed, quick, jobs)
+    except (LatticeError, KummerError, CodeError, SurfaceError, RdpError) as exc:
+        return {}, [claim(f"{name}.error", f"campaign {name} ran to completion",
+                          False, details=f"{type(exc).__name__}: {exc}")], []
+
+
 def run_campaign(name, seed=0, quick=False, jobs=1):
-    """(results, claims, field_degrees) for one named campaign or 'all'."""
+    """(results, claims, field_degrees) for one named campaign or 'all'.
+
+    A campaign that raises a package error reports a failing
+    '<campaign>.error' claim (exit 1: a claim failed, not bad input), and
+    under 'all' the other campaigns still report.
+    """
     if name == "all":
         results = {}
         claims = []
         degrees = []
         for sub in _CAMPAIGNS:
-            r, c, d = _CAMPAIGNS[sub](seed, quick, jobs)
+            r, c, d = _run_one(sub, seed, quick, jobs)
             results[sub] = r
             claims.extend(c)
             degrees.extend(d)
         return results, claims, degrees
     if name not in _CAMPAIGNS:
         raise KeyError(name)
-    return _CAMPAIGNS[name](seed, quick, jobs)
+    return _run_one(name, seed, quick, jobs)

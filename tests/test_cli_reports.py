@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from kummerlab import verify
 from kummerlab.cli import main
-from kummerlab.reports import validate_report
+from kummerlab.lattice_core import LatticeError
+from kummerlab.reports import claim, validate_report
 from kummerlab.verify import campaign_singularities
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -167,6 +169,29 @@ def test_verify_subcommand_and_seed_env(monkeypatch):
     # explicit flag wins over the environment
     rc, out = run_cli(["verify", "golay", "--seed", "3"])
     assert json.loads(out)["seeds"] == {"seed": 3}
+
+
+def test_campaign_error_is_a_failing_claim(monkeypatch):
+    """A package error inside a campaign fails that campaign's claim (exit 1);
+    under 'all' the other campaigns still report."""
+    def broken(seed, quick, jobs):
+        raise LatticeError("degenerate lattice")
+
+    monkeypatch.setattr(verify, "_CAMPAIGNS", {
+        "fine": lambda seed, quick, jobs: ({"x": 1}, [claim("fine.ok", "ok", True)], []),
+        "broken": broken,
+    })
+    rc, out = run_cli(["verify", "all", "--seed", "0"])
+    assert rc == 1
+    rep = json.loads(out)
+    validate_report(rep)
+    assert rep["results"] == {"fine": {"x": 1}, "broken": {}}
+    assert rep["claims"] == [
+        {"id": "fine.ok", "description": "ok", "passed": True},
+        {"id": "broken.error", "description": "campaign broken ran to completion",
+         "passed": False, "details": "LatticeError: degenerate lattice"},
+    ]
+    assert verify.run_campaign("broken")[1] == rep["claims"][1:]
 
 
 def test_verify_campaign_determinism():

@@ -1,28 +1,50 @@
 import random
+from fractions import Fraction
+from itertools import permutations
+from math import prod
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kummerlab.exactmat import (
     det_bareiss,
     det_fraction,
     hnf_basis,
     hnf_rows,
+    identity,
     left_kernel_basis,
+    mat_inverse_fraction,
     mat_mul,
     saturation_basis,
     snf,
     symmetric_diagonalize,
 )
 
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
 
 def rand_matrix(rng, rows, cols, lim=12):
     return [[rng.randrange(-lim, lim + 1) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_det_agrees_with_fraction_elimination():
+def leibniz_det(a):
+    """The permutation sum: an elimination-free reference determinant."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_det_agrees_with_leibniz():
     rng = random.Random(1)
-    for _ in range(100):
-        n = rng.randrange(1, 6)
-        a = rand_matrix(rng, n, n)
-        assert det_bareiss(a) == det_fraction(a)
+    for _ in range(150):
+        n = rng.randrange(0, 6)
+        a = rand_matrix(rng, n, n, lim=rng.choice([1, 12]))
+        assert det_bareiss(a) == leibniz_det(a)
+        q = [[Fraction(x, rng.randrange(1, 7)) for x in row] for row in a]
+        assert det_fraction(q) == leibniz_det(q)
 
 
 def test_hnf_row_space_preserved():
@@ -82,3 +104,67 @@ def test_symmetric_diagonalize_signature_on_known_forms():
     # hyperbolic plane: signature (1, 1) despite zero diagonal
     diag = symmetric_diagonalize([[0, 1], [1, 0]])
     assert sorted(x > 0 for x in diag) == [False, True]
+
+
+def rational_matrices(n, lo=-6, hi=6):
+    entry = st.builds(Fraction, st.integers(lo, hi), st.integers(1, 5))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(rational_matrices))
+def test_inverse_times_matrix_is_identity(a):
+    n = len(a)
+    if leibniz_det(a) == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            mat_inverse_fraction(a)
+    else:
+        assert mat_mul(mat_inverse_fraction(a), a) == identity(n)
+
+
+@PROPERTY
+@given(st.data())
+def test_inverse_rejects_singular(data):
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(rational_matrices(n))
+    # row k is a rational combination of the other rows
+    k = data.draw(st.integers(0, n - 1))
+    coeffs = data.draw(rational_matrices(1)).pop() * n
+    a[k] = [sum(coeffs[i] * a[i][j] for i in range(n) if i != k) for j in range(n)]
+    with pytest.raises(ValueError, match="singular matrix"):
+        mat_inverse_fraction(a)
+
+
+@st.composite
+def diagonal_and_steps(draw):
+    """An integer diagonal D (zeros allowed) and row operations making P."""
+    n = draw(st.integers(1, 6))
+    diag = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(-3, 3)), max_size=3 * n))
+    return diag, steps
+
+
+@PROPERTY
+@given(diagonal_and_steps())
+# random P almost never needs the sum trick e_i += e_j; these two do, after one
+# pivot (the Schur complement is a hyperbolic plane), the second with a zero in D
+@example(([1, -1, 1], [(1, 2, -1), (0, 1, -1)]))
+@example(([1, 1, 0, -1], [(3, 1, -1), (0, 3, -1)]))
+def test_symmetric_diagonalize_keeps_inertia(case):
+    """Sylvester: P D P^T has the sign counts of D for unimodular P."""
+    diag, steps = case
+    n = len(diag)
+    p = identity(n)
+    for i, j, c in steps:
+        if i != j:
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    pd = [[x * diag[j] for j, x in enumerate(row)] for row in p]
+    g = mat_mul(pd, [list(col) for col in zip(*p)])
+    out = symmetric_diagonalize(g)
+    assert len(out) == n
+    # every congruence step is unimodular, so det g = prod D
+    assert prod(out) == leibniz_det(g)
+    for sign in (1, 0, -1):
+        assert sum((x > 0) - (x < 0) == sign for x in out) == \
+            sum((x > 0) - (x < 0) == sign for x in diag)

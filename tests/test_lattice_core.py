@@ -48,6 +48,9 @@ def test_degenerate_rejected():
         discriminant(lat)
     with pytest.raises(LatticeError):
         signature(lat)
+    for gram in ([[0, 0], [0, -2]], [[-2, 2], [2, -2]], [[0, 0], [0, 2]]):
+        with pytest.raises(LatticeError, match="degenerate lattice"):
+            roots(Lattice(gram))
 
 
 def test_signature_examples():

@@ -1,0 +1,47 @@
+"""Every function the benchmark's span tracer wraps must exist by that name.
+
+`perfbench/tracing.LAYERS` names its targets as (module, attribute) strings;
+a rename or deletion in the package would only show when a traced benchmark
+run fails.  This loads the table from the file and resolves each target the
+way `Tracer.install` does, without running a workload or starting a process.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import kummerlab
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+TARGETS = [(layer, modname, attr) for layer, targets in load_layers().items()
+           for _name, modname, attr in targets]
+
+
+def test_targets_listed():
+    assert len(TARGETS) > 30
+    assert {layer for layer, _m, _a in TARGETS} >= {"exactmat", "lattice_core"}
+
+
+@pytest.mark.parametrize("layer,modname,attr", TARGETS,
+                         ids=[f"{m}:{a}" for _l, m, a in TARGETS])
+def test_target_resolves(layer, modname, attr):
+    for info in pkgutil.walk_packages(kummerlab.__path__, "kummerlab."):
+        if info.name != "kummerlab.__main__":
+            importlib.import_module(info.name)
+    obj = importlib.import_module(modname)
+    for part in attr.split("."):
+        assert hasattr(obj, part), f"{layer}: {modname}.{attr} is missing"
+        obj = getattr(obj, part)
+    assert callable(obj)
