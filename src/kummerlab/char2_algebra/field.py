@@ -8,8 +8,8 @@ tuples; they exist to host algebraic points found during factorization
 and are never serialized.  `row_reduce` is the Gaussian elimination over
 any of these field objects.
 
-Moduli come from a fixed built-in table and are re-verified irreducible at
-construction time.
+Moduli come from a fixed built-in table; construction proves each one
+irreducible by finding an element of multiplicative order p^e - 1.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ class FieldError(ValueError):
 
 
 # minimal-weight irreducible polynomials, coefficient bitmask/digit lists
-# (ascending degree, monic).  Verified at construction.
+# (ascending degree, monic).  Proved irreducible at construction.
 _MODULI = {
     2: {
         1: [1, 1],
@@ -76,76 +76,6 @@ def _fp_poly_mulmod(a, b, mod, p):
     return out
 
 
-def _fp_poly_gcd(a, b, p):
-    a, b = a[:], b[:]
-
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        while len(r) >= len(b) and trim(r):
-            if not r:
-                break
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for j in range(len(b)):
-                r[shift + j] = (r[shift + j] - c * b[j]) % p
-            r = trim(r)
-        a, b = b, r
-    return a
-
-
-def _verify_irreducible(mod, p):
-    """Rabin test: x^(p^e) = x mod m and gcd(x^(p^(e/l)) - x, m) = 1."""
-    e = len(mod) - 1
-    xred = _fp_poly_mulmod([1], [0, 1], mod, p)
-
-    def pth_power(a):
-        acc = [1]
-        for _ in range(p):
-            acc = _fp_poly_mulmod(acc, a, mod, p)
-        return acc
-
-    def minus_x(a):
-        n = max(len(a), len(xred))
-        a = list(a) + [0] * (n - len(a))
-        b = list(xred) + [0] * (n - len(xred))
-        d = [(u - v) % p for u, v in zip(a, b)]
-        while d and d[-1] == 0:
-            d.pop()
-        return d
-
-    powers = {}
-    cur = xred[:]
-    for k in range(1, e + 1):
-        cur = pth_power(cur)
-        powers[k] = cur[:]
-    if minus_x(powers[e]):
-        return False
-    for ell in {d for d in range(2, e + 1) if e % d == 0 and _is_prime(d)}:
-        diff = minus_x(powers[e // ell])
-        g = _fp_poly_gcd([c % p for c in mod], diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     p: int
@@ -173,8 +103,6 @@ class BaseField:
             raise FieldError("characteristic must be 2, 3 or 5")
         if len(spec.modulus) != e + 1 or spec.modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree e")
-        if not _verify_irreducible(list(spec.modulus), p):
-            raise FieldError(f"modulus {spec.modulus} is reducible over F_{p}")
         self.spec = spec
         self.char = p
         self.degree = e
@@ -219,7 +147,10 @@ class BaseField:
                     and _pow_raw(cand, q - 1, raw_mul) == 1:
                 gen = cand
         if gen is None:
-            raise FieldError("no multiplicative generator found")
+            # a reducible modulus leaves fewer than q - 1 units, so no
+            # element has order q - 1: the search doubles as the proof
+            raise FieldError(f"modulus {self.spec.modulus} is reducible "
+                             f"over F_{p}")
         self.generator = gen
         exp = [1] * (q - 1)
         cur = 1

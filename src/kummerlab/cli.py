@@ -142,6 +142,8 @@ def _cmd_lattice(args):
 def _cmd_codes(args):
     claims = []
     if args.action == "search":
+        if args.budget is not None and args.budget < 1:
+            raise UsageError("--budget must be at least 1")
         res = max_admissible_dim(args.m, budget=args.budget,
                                  exhaustive=True if args.exhaustive else None)
         results = {

@@ -304,11 +304,11 @@ def saturation_basis(gens, n):
     work = [row for row in gens if any(row)]
     if not work:
         return [], 1
-    d, u_, v = snf(work)
+    d, u, _v = snf(work)
     r = sum(1 for x in d if x != 0)
-    sat = mat_inverse_fraction(v)[:r]
-    assert all(x.denominator == 1 for row in sat for x in row)
-    sat = [[int(x) for x in row] for row in sat]
+    # U*A*V = D, so row i < r of V^-1 (a saturated basis) is (U*A)[i] / d_i
+    sat = [[x // d[i] for x in row]
+           for i, row in enumerate(mat_mul(u[:r], work))]
     index = 1
     for x in d[:r]:
         index *= x

@@ -165,14 +165,10 @@ def _condition_ii_class4(f_poly, g_poly, field, variables):
     return True
 
 
-def _condition_iii(f_poly, g_poly, variables):
-    """Coprimality of the coefficient pair, via a resultant."""
-    v2 = variables[1]
+def _condition_iii(f_poly, g_poly):
+    """Coprimality of the coefficient pair: their gcd is a constant."""
     if f_poly.is_zero() or g_poly.is_zero():
         return False
-    if f_poly.degree(v2) > 0 and g_poly.degree(v2) > 0:
-        if poly_resultant(f_poly, g_poly, v2).is_zero():
-            return False
     g = poly_gcd_multivariate(f_poly, g_poly)
     return g.degree() == 0
 
@@ -244,7 +240,7 @@ def classify_derivations(family, f_poly, g_poly):
         h_poly = _reconstruct_potential(f_poly, g_poly, field, variables)
         verdict["ii"] = h_poly is not None and \
             _potential_in_family(h_poly, family, field) is not None
-    verdict["iii"] = _condition_iii(f_poly, g_poly, variables)
+    verdict["iii"] = _condition_iii(f_poly, g_poly)
     h_poly = _reconstruct_potential(f_poly, g_poly, field, variables)
     if h_poly is not None:
         fam = _potential_in_family(h_poly, family, field)

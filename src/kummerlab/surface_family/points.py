@@ -6,26 +6,26 @@ resultant over the base field, specializes the system at each factor's
 root, factors the gcd of the specializations, and hosts each Galois orbit
 of common zeros in a quotient-ring tower.  `_colength_at` then gives the
 local colength there: 1 at transverse points (nonvanishing Jacobian),
-otherwise truncated-degree linear algebra in the local ring, with an
-(N, N+1) stabilization check and a hard cap.  Two callers share it:
+otherwise the intersection multiplicity of the two curves at the point,
+by Fulton's algorithm (Fulton, Algebraic Curves, 3.3) on the translated
+pair.  That recursion uses only field addition and multiplication, so it
+runs unchanged over base fields and towers; a colength above
+COLENGTH_CAP counts as non-isolated.  Two callers share it:
 `singular_points` solves the partials (H_x, H_y) of a family member, and
 `derivations._system_order` sums deg * colength over the fixed-locus
 generators of the covering derivation.
-
-Rank computations over base fields use numpy int tables (characteristic 2
-addition is XOR); towers fall back to `row_reduce`.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..char2_algebra.factor import factor_univariate
-from ..char2_algebra.field import BaseField, ExtField, row_reduce
+from ..char2_algebra.field import ExtField, row_reduce
 from ..char2_algebra.poly import FqPoly, dense_gcd, dense_trim
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import BRANCH_PROFILES, SurfaceError, classify_by_coefficients
 
+# largest local colength taken as isolated; Bezout bounds every colength
+# the families and their derivations can reach by 4 * 4 = 2 * 8 = 16
 COLENGTH_CAP = 24
 
 
@@ -74,118 +74,51 @@ class _NonIsolated(Exception):
 
 
 # ---------------------------------------------------------------------------
-# rank over GF(2^e) with numpy tables
-
-
-_NP_CACHE = {}
-
-
-def _np_tables(field):
-    key = field.spec
-    if key not in _NP_CACHE:
-        q = field.order
-        exp = np.array(field._exp + field._exp, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        for v in range(1, q):
-            log[v] = field._log[v]
-        _NP_CACHE[key] = (exp, log, q)
-    return _NP_CACHE[key]
-
-
-def gf2e_rank(rows, field):
-    """Rank of a matrix over F_{2^e} given as lists of int-coded entries."""
-    if not rows:
-        return 0
-    exp, log, q = _np_tables(field)
-    m = np.array(rows, dtype=np.int64)
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        nz = np.nonzero(m[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        # normalize pivot row
-        pv = int(m[rank, col])
-        if pv != 1:
-            inv_log = (q - 1 - log[pv]) % (q - 1)
-            row = m[rank]
-            nzr = row != 0
-            row[nzr] = exp[log[row[nzr]] + inv_log]
-        # eliminate below and above
-        colvals = m[:, col].copy()
-        colvals[rank] = 0
-        tgt = np.nonzero(colvals)[0]
-        if tgt.size:
-            piv_row = m[rank]
-            pnz = piv_row != 0
-            logs_piv = log[piv_row[pnz]]
-            for i in tgt:
-                fval = int(m[i, col])
-                add = np.zeros(ncols, dtype=np.int64)
-                add[pnz] = exp[logs_piv + log[fval]]
-                m[i] ^= add
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+# local colength by Fulton's intersection-multiplicity algorithm
 
 
 def matrix_rank(rows, field):
-    if isinstance(field, BaseField) and field.char == 2:
-        return gf2e_rank(rows, field)
     return len(row_reduce(rows, field)[1])
 
 
-# ---------------------------------------------------------------------------
-# local colength by truncated-degree linear algebra
+def _on_x_axis(terms):
+    """Exponents of x in the terms of F(x, 0)."""
+    return [a for a, b in terms if b == 0]
 
 
-def _truncated_dim(polys, field, n_cut):
-    monos = [(i, j) for d in range(n_cut) for i in range(d + 1)
-             for j in [d - i]]
-    index = {m: k for k, m in enumerate(monos)}
-    rows = []
-    for poly in polys:
-        if poly.is_zero():
-            continue
-        base_terms = list(poly.terms.items())
-        for d in range(n_cut):
-            for i in range(d + 1):
-                j = d - i
-                row = [field.zero] * len(monos)
-                nonzero = False
-                for (a, b), c in base_terms:
-                    e = (a + i, b + j)
-                    if a + i + b + j < n_cut:
-                        k = index[e]
-                        row[k] = field.add(row[k], c)
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    rank = matrix_rank(rows, field)
-    return len(monos) - rank
+def local_colength(polys, field):
+    """dim of field[[x,y]]/(F, G) at the origin, by Fulton's algorithm.
 
-
-def local_colength(polys, field, cap=COLENGTH_CAP):
-    """dim of field[[x,y]]/(polys) for an ideal supported at the origin.
-
-    Computes truncations at increasing degree until two consecutive values
-    agree; raises _NonIsolated past the cap.
+    Each step keeps the local ideal or splits off a known amount: G = y*H
+    adds ord_x F(x, 0) and continues with (F, H); otherwise the pair with
+    the larger deg G(x, 0) is reduced by a multiple of x^k F.  Raises
+    _NonIsolated on a common factor y or once the total passes the cap.
     """
-    for poly in polys:
-        if poly.coefficient((0, 0)) != field.zero:
-            return 0
-    prev = None
-    for n_cut in range(2, cap + 2):
-        cur = _truncated_dim(polys, field, n_cut)
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
-    raise _NonIsolated()
+    f_poly, g_poly = polys
+    total = 0
+    while True:
+        if f_poly.coefficient((0, 0)) != field.zero or \
+                g_poly.coefficient((0, 0)) != field.zero:
+            return total
+        fx, gx = _on_x_axis(f_poly.terms), _on_x_axis(g_poly.terms)
+        if not fx and not gx:
+            raise _NonIsolated()
+        if not fx or not gx:
+            if not fx:
+                f_poly, g_poly, fx = g_poly, f_poly, gx
+            total += min(fx)
+            if total > COLENGTH_CAP:
+                raise _NonIsolated()
+            g_poly = FqPoly(field, g_poly.vars,
+                            {(a, b - 1): c for (a, b), c in g_poly.terms.items()})
+            continue
+        r, s = max(fx), max(gx)
+        if r > s:
+            f_poly, g_poly, r, s = g_poly, f_poly, s, r
+        lead_f, lead_g = f_poly.coefficient((r, 0)), g_poly.coefficient((s, 0))
+        shifted = FqPoly(field, f_poly.vars,
+                         {(a + s - r, b): c for (a, b), c in f_poly.terms.items()})
+        g_poly = g_poly.scale(lead_f) - shifted.scale(lead_g)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +205,7 @@ def closed_points(g1, g2, key, elim):
                 fac.degree() * yfac.degree()
 
 
-def _colength_at(g1, g2, field, embed, point, cap=COLENGTH_CAP):
+def _colength_at(g1, g2, field, embed, point):
     """Local colength of (g1, g2) at a common zero hosted in `field`."""
     a, b = g1.map_field(field, embed), g2.map_field(field, embed)
     v1, v2 = a.vars
@@ -282,21 +215,21 @@ def _colength_at(g1, g2, field, embed, point, cap=COLENGTH_CAP):
         field.mul(a.partial(v2).evaluate(point), b.partial(v1).evaluate(point)))
     if jac != field.zero:
         return 1
-    return local_colength([a.shift(point), b.shift(point)], field, cap)
+    return local_colength([a.shift(point), b.shift(point)], field)
 
 
-def singular_points(spec, cap=COLENGTH_CAP):
+def singular_points(spec):
     """All singular points of the affine family chart, one record per orbit.
 
     Raises SurfaceError("non-isolated singular locus") when the partials
-    share a factor or a colength exceeds the cap.
+    share a factor or a colength exceeds COLENGTH_CAP.
     """
     a_poly, b_poly, key, elim = _elim_data(spec)
     v1, v2 = spec.vars
     out = []
     try:
         for pt_field, emb, point, deg in closed_points(a_poly, b_poly, key, elim):
-            colength = _colength_at(a_poly, b_poly, pt_field, emb, point, cap)
+            colength = _colength_at(a_poly, b_poly, pt_field, emb, point)
             out.append(PointRecord(pt_field, point[v1], point[v2], deg,
                                    colength, emb))
     except _NonIsolated:
@@ -305,10 +238,10 @@ def singular_points(spec, cap=COLENGTH_CAP):
     return out
 
 
-def classify_full(spec, cap=COLENGTH_CAP):
+def classify_full(spec):
     """Coefficient branch cross-validated against brute-force enumeration."""
     branch = classify_by_coefficients(spec)
-    points = singular_points(spec, cap)
+    points = singular_points(spec)
     n_geom = sum(r.residue_degree for r in points)
     total = sum(r.residue_degree * r.colength for r in points)
     expect_n, expect_c = BRANCH_PROFILES[branch]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummerlab.char2_algebra import (
     BaseField,
@@ -16,6 +17,8 @@ from kummerlab.char2_algebra import (
     resultant,
 )
 from kummerlab.char2_algebra.poly import dense_gcd, poly_divexact
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 3), (2, 8), (3, 2), (5, 2)])
@@ -139,6 +142,59 @@ def test_factor_odd_characteristic():
         for irr, mult in factors:
             prod = prod * irr.pow_int(mult)
         assert prod == poly
+
+
+@st.composite
+def univariate_products(draw):
+    """(unit * prod of monic polynomials, its field) over F_2^e or F_3^2."""
+    f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])))
+    coef = st.integers(0, f.order - 1)
+    target = FqPoly.const(f, ("t",), draw(st.integers(1, f.order - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        low = draw(st.lists(coef, min_size=1, max_size=3))
+        factor = FqPoly.from_dense(f, "t", low + [f.one])
+        target = target * factor.pow_int(draw(st.integers(1, 3)))
+    return target
+
+
+@PROPERTY
+@given(univariate_products())
+def test_factor_multiplies_back(target):
+    f = target.field
+    unit, factors = factor_univariate(target)
+    prod = FqPoly.const(f, ("t",), unit)
+    for irr, mult in factors:
+        assert irr.degree() > 0 and irr.monic() == irr and mult > 0
+        prod = prod * irr.pow_int(mult)
+    assert prod == target
+    assert len({irr for irr, _m in factors}) == len(factors)
+
+
+@st.composite
+def bivariate_pairs(draw):
+    """Two polynomials of positive y-degree, often with a common factor."""
+    f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (3, 1)])))
+    coef = st.integers(1, f.order - 1)
+    expo = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def poly(min_y):
+        terms = draw(st.dictionaries(expo, coef, max_size=3))
+        terms[(draw(st.integers(0, 2)), draw(st.integers(min_y, 2)))] = f.one
+        return FqPoly(f, ("x", "y"), terms)
+
+    a, b = poly(1), poly(1)
+    if draw(st.booleans()):
+        common = poly(0)
+        a, b = a * common, b * common
+    return a, b
+
+
+@PROPERTY
+@given(bivariate_pairs())
+def test_resultant_zero_iff_common_y_factor(pair):
+    a, b = pair
+    vanishes = resultant(a, b, "y").is_zero()
+    assert vanishes == (poly_gcd_multivariate(a, b).degree("y") > 0)
 
 
 def test_poly_roots():

@@ -100,6 +100,8 @@ BAD_INPUTS = [
                  id="roots-positive-definite"),
     pytest.param(["verify", "table1", "--jobs", "0"], None,
                  "--jobs must be at least 1", id="verify-jobs-zero"),
+    pytest.param(["codes", "search", "--m", "8", "--budget", "0"], None,
+                 "--budget must be at least 1", id="codes-budget-zero"),
 ]
 
 
