@@ -11,15 +11,18 @@ Codewords are bitmasks over a ground set of size m <= 24.  The search
 works on "cell profiles": a dimension-k code, up to coordinate
 permutation, is the multiset of its m column vectors in F_2^k, stored as
 a counts vector of length 2^k.  Extending a code by one generator splits
-every cell in two, so children of a profile are enumerated by integer
-splits and filtered by the weight constraints, vectorized with numpy.
+every cell in two, so the children of a profile are integer splits of its
+cells.  They are enumerated by a depth-first walk over the cells that
+carries the weight of every new word and cuts a branch as soon as some
+word can no longer reach an allowed weight.  Each profile's invariant
+and cell keys are computed once and shared by the bucketing and the
+GL(k,2)-isomorphism tests.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .exactmat import hnf_basis, solve_left_fraction
 from .lattice_core import Lattice
@@ -209,67 +212,40 @@ def shortened_golay(m):
 # profiles, equivalence, exhaustive search
 
 
-def _parity_matrix(k):
-    n = 1 << k
-    a = np.arange(n, dtype=np.int64)
-    popcnt = np.zeros(n, dtype=np.int64)
-    for b in range(k):
-        popcnt += (a >> b) & 1
-    # P[a, z] = parity(popcount(a & z))
-    p = np.zeros((n, n), dtype=np.int64)
-    for aa in range(n):
-        x = aa & a
-        cnt = np.zeros(n, dtype=np.int64)
-        for b in range(k):
-            cnt += (x >> b) & 1
-        p[aa] = cnt & 1
-    return p
-
-
-_PARITY_CACHE = {}
-
-
-def parity_matrix(k):
-    if k not in _PARITY_CACHE:
-        _PARITY_CACHE[k] = _parity_matrix(k)
-    return _PARITY_CACHE[k]
-
-
 def word_weights(profile):
-    k = (len(profile) - 1).bit_length()
-    p = parity_matrix(k)
-    return p @ np.asarray(profile, dtype=np.int64)
+    """Weight of each word a in F_2^k: the cells z with a.z = 1, counted."""
+    return [sum(c for z, c in enumerate(profile) if (a & z).bit_count() & 1)
+            for a in range(len(profile))]
 
 
-def _cell_keys(profile):
-    k = (len(profile) - 1).bit_length()
+@functools.lru_cache(maxsize=None)
+def _profile_keys(profile):
+    """(profile_invariant, cell keys) of a profile, computed once per profile.
+
+    The key of cell z is its count with the sorted weights of the words
+    through z; every GL(k,2)-equivalence must map cells to equal keys.
+    """
     wt = word_weights(profile)
-    p = parity_matrix(k)
-    keys = []
-    for z in range(len(profile)):
-        through = tuple(sorted(int(wt[a]) for a in range(1 << k) if p[a][z]))
-        keys.append((profile[z], through))
-    return keys
+    keys = [(c, tuple(sorted(wt[a] for a in range(len(profile)) if (a & z).bit_count() & 1)))
+            for z, c in enumerate(profile)]
+    return (len(profile), tuple(sorted(wt[1:])), tuple(sorted(keys[1:]))), keys
 
 
 def profile_invariant(profile):
-    wt = word_weights(profile)
-    return (len(profile),
-            tuple(sorted(int(w) for w in wt[1:])),
-            tuple(sorted(_cell_keys(profile)[1:])))
+    return _profile_keys(profile)[0]
 
 
 def profiles_isomorphic(pa, pb):
     """Decide GL(k,2)-equivalence of two cell profiles."""
     if len(pa) != len(pb) or sum(pa) != sum(pb):
         return False
-    if profile_invariant(pa) != profile_invariant(pb):
+    inv_a, keys_a = _profile_keys(pa)
+    inv_b, keys_b = _profile_keys(pb)
+    if inv_a != inv_b:
         return False
     k = (len(pa) - 1).bit_length()
     if k == 0:
         return pa == pb
-    keys_a = _cell_keys(pa)
-    keys_b = _cell_keys(pb)
     span_img = {0: 0}
 
     def dfs(i):
@@ -318,39 +294,40 @@ def code_from_profile(m, profile):
 
 
 def _children_profiles(profile, m):
-    """Admissible one-generator extensions of a profile, as new profiles."""
-    k = (len(profile) - 1).bit_length()
-    ncells = len(profile)
-    p = parity_matrix(k)
-    wt_old = p @ np.asarray(profile, dtype=np.int64)
-    allowed = np.array([w for w in _ALLOWED if w <= m], dtype=np.int64)
-    varying = [z for z in range(ncells) if profile[z] > 0]
-    ranges = [profile[z] + 1 for z in varying]
-    total = 1
-    for r in ranges:
-        total *= r
+    """Admissible one-generator extensions of a profile, as new profiles.
+
+    The new generator g takes s_z of the c_z = profile[z] points of each
+    nonempty cell z, so the new word a + g meets cell z in c_z - s_z
+    points when z lies in a and in s_z points otherwise.  The walk fixes
+    s_z cell by cell (first cell most significant, values ascending, the
+    order of itertools.product) and carries each new word's weight on the
+    cells fixed so far; the cells left can raise it by at most their size.
+    A branch is cut once, for some word, no allowed weight <= m lies in
+    that reach; at a leaf the reach is the weight itself.
+    """
+    n = len(profile)
+    varying = [z for z in range(n) if profile[z]]
+    inside = [[(a & z).bit_count() & 1 for a in range(n)] for z in varying]
+    # first[w]: least allowed weight >= w, or m + 1 if there is none
+    first = [min([x for x in _ALLOWED if w <= x <= m], default=m + 1)
+             for w in range(m + 1)]
+    split = [0] * n
     out = []
-    chunk = 1 << 17
-    prod_iter = itertools.product(*[range(r) for r in ranges])
-    while True:
-        block = list(itertools.islice(prod_iter, chunk))
-        if not block:
-            break
-        s = np.array(block, dtype=np.int64)
-        ssum = s.sum(axis=1)
-        psub = p[:, varying]
-        w_new = wt_old[None, :] + ssum[:, None] - 2 * (s @ psub.T)
-        valid = np.isin(w_new, allowed).all(axis=1)
-        for row, ok in zip(block, valid):
-            if not ok:
-                continue
-            child = [0] * (ncells << 1)
-            svec = dict(zip(varying, row))
-            for z in range(ncells):
-                sz = svec.get(z, 0)
-                child[z] = profile[z] - sz
-                child[z + ncells] = sz
-            out.append(tuple(child))
+
+    def walk(i, weights, left):
+        if any(first[w] > w + left for w in weights):
+            return
+        if i == len(varying):
+            out.append(tuple(c - s for c, s in zip(profile, split)) + tuple(split))
+            return
+        z = varying[i]
+        c = profile[z]
+        for s in range(c + 1):
+            split[z] = s
+            walk(i + 1, [w + (c - s if t else s) for w, t in zip(weights, inside[i])], left - c)
+        split[z] = 0
+
+    walk(0, [0] * n, m)
     return out
 
 
@@ -444,7 +421,7 @@ def equivalence_classes(codes):
     for idx, prof in enumerate(profs):
         placed = False
         for cls in classes:
-            if len(prof) == len(profs[cls[0]]) and profiles_isomorphic(prof, profs[cls[0]]):
+            if profiles_isomorphic(prof, profs[cls[0]]):
                 cls.append(idx)
                 placed = True
                 break

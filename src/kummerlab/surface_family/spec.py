@@ -45,6 +45,9 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_VARS:
             raise SurfaceError(f"unknown family {self.family!r}")
+        if self.field.char != 2:
+            raise SurfaceError("the surface families are defined over F_2^e, "
+                               f"not over {self.field!r}")
         slots = _COEFF_SLOTS[self.family]
         clean = {}
         for name, value in self.coeffs.items():

@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummerlab.binary_codes import (
     BinaryCode,
     CodeError,
+    _children_profiles,
     a1m_frame_roots,
     build_subcode,
     build_v16,
+    code_from_profile,
     code_to_overlattice,
     equivalence_classes,
     f_bound,
@@ -110,14 +113,65 @@ def test_pairwise_even_intersection():
             assert bin(a & b).count("1") % 2 == 0
 
 
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# classes per dimension and search nodes of the exhaustive search, m = 0..17
+SEARCH_TABLE = (
+    [({0: 1}, 0)] * 8
+    + [({0: 1, 1: 1}, 1)] * 4
+    + [({0: 1, 1: 2, 2: 1}, 3)] * 2
+    + [({0: 1, 1: 2, 2: 2, 3: 1}, 7),
+       ({0: 1, 1: 2, 2: 2, 3: 2, 4: 1}, 13),
+       ({0: 1, 1: 3, 2: 4, 3: 4, 4: 3, 5: 1}, 99),
+       ({0: 1, 1: 3, 2: 4, 3: 5, 4: 4, 5: 2}, 743)]
+)
+
+
 def test_exhaustive_search_small():
-    for m in range(0, 15):
+    for m, (class_counts, nodes) in enumerate(SEARCH_TABLE):
         res = max_admissible_dim(m)
         assert res.exhaustive
         assert res.dim == f_bound(m)
+        assert (res.class_counts, res.nodes) == (class_counts, nodes)
         for w in res.witnesses:
             assert w.is_admissible()
             assert w.dim == res.dim
+
+
+def brute_force_children(profile, m):
+    """Every split of every nonempty cell, kept iff the extended code is admissible."""
+    k = (len(profile) - 1).bit_length()
+    varying = [z for z in range(len(profile)) if profile[z]]
+    out = []
+    for values in itertools.product(*[range(profile[z] + 1) for z in varying]):
+        split = [0] * len(profile)
+        for z, v in zip(varying, values):
+            split[z] = v
+        child = tuple(c - v for c, v in zip(profile, split)) + tuple(split)
+        code = code_from_profile(m, child)
+        if code.dim == k + 1 and code.is_admissible():
+            out.append(child)
+    return out
+
+
+ADMISSIBLE_SOURCES = [BinaryCode(0, []), build_subcode(3), build_v16(), shortened_golay(17)]
+
+
+@PROPERTY
+@given(st.sampled_from(ADMISSIBLE_SOURCES), st.lists(st.integers(1, 31), max_size=3))
+def test_children_profiles_match_brute_force(source, picks):
+    # a random subcode of dimension <= 3: each pick XORs a subset of the basis
+    rows = []
+    for pick in picks:
+        w = 0
+        for j, b in enumerate(source.basis):
+            if (pick >> j) & 1:
+                w ^= b
+        rows.append(w)
+    code = BinaryCode(source.ground_size, rows)
+    assert code.is_admissible()
+    m, profile = code.ground_size, code.profile()
+    assert _children_profiles(profile, m) == brute_force_children(profile, m)
 
 
 def test_exhaustive_search_16_unique():
@@ -154,11 +208,13 @@ def test_equivalence_classes():
         rows.append(w)
     permuted = BinaryCode(16, rows)
     assert len(equivalence_classes([v16, permuted])) == 1
-    # different weight enumerator: two classes
-    other = BinaryCode(16, [(1 << 8) - 1])  # one weight-8 word code, dim 1
+    # any two one-word codes of weight 8 on 16 points are equivalent
+    other = BinaryCode(16, [(1 << 8) - 1])
     sub = BinaryCode(16, [v16.basis[0]])
-    assert len(equivalence_classes([other, sub])) <= 2
-    assert len(equivalence_classes([v16, build_subcode(4).basis and v16])) == 1
+    assert len(equivalence_classes([other, sub])) == 1
+    # a hyperplane subcode of V16 has a smaller dimension: two classes
+    hyperplane = BinaryCode(16, v16.basis[:4])
+    assert equivalence_classes([v16, hyperplane, permuted]) == [[0, 2], [1]]
 
 
 def test_code_to_overlattice_zero_and_v16():

@@ -102,7 +102,20 @@ BAD_INPUTS = [
                  "--jobs must be at least 1", id="verify-jobs-zero"),
     pytest.param(["codes", "search", "--m", "8", "--budget", "0"], None,
                  "--budget must be at least 1", id="codes-budget-zero"),
+    pytest.param(["surface", "derivation-check", "--family", "class2", "--field",
+                  "p=3,e=1"], None, "defined over F_2^e", id="derivation-check-char3"),
+    pytest.param(["surface", "classify", "--family", "class4", "--field",
+                  "p=3,e=2"], None, "defined over F_2^e", id="classify-char3"),
 ]
+
+
+def run_python(args):
+    """A fresh interpreter with the package's source directory on the path."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("argv,lattice,message", BAD_INPUTS)
@@ -111,11 +124,7 @@ def test_bad_input_exits_2_with_one_error_line(argv, lattice, message, tmp_path)
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(lattice))
         argv = argv + [str(path)]
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "kummerlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python(["-m", "kummerlab.cli", *argv])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -123,6 +132,11 @@ def test_bad_input_exits_2_with_one_error_line(argv, lattice, message, tmp_path)
     if message is not None:
         assert message in lines[0]
     assert proc.stdout == ""
+
+
+def test_cli_does_not_import_numpy():
+    proc = run_python(["-c", "import kummerlab.cli, sys; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_singularity_pool_is_capped(monkeypatch):
