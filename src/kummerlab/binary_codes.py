@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmat import hnf_basis, solve_left_fraction
+from .exactmat import hnf_basis, mat_mul, solve_left_fraction
 from .lattice_core import Lattice
 
 MAX_GROUND = 24
@@ -116,12 +116,6 @@ class BinaryCode:
         return {"m": self.ground_size,
                 "basis": [format(b, f"0{max(self.ground_size, 1)}b")[::-1]
                           for b in self.basis]}
-
-    @classmethod
-    def from_json(cls, obj):
-        m = obj["m"]
-        rows = [int(s[::-1], 2) if s else 0 for s in obj["basis"]]
-        return cls(m, rows)
 
     def __repr__(self):
         return f"BinaryCode(m={self.ground_size}, dim={self.dim})"
@@ -487,8 +481,9 @@ def mod4_overlattice(code):
         rows.append([1 if (b >> i) & 1 else 0 for i in range(m)])
     basis2 = hnf_basis(rows)
     basis = [[Fraction(x, 2) for x in row] for row in basis2]
-    gram = [[-2 * sum(a[i] * b[i] for i in range(m)) for b in basis] for a in basis]
-    lat = Lattice(gram)
+    # basis = basis2 / 2 in the A_1^m frame, whose Gram is -2 I
+    gram = mat_mul(basis2, [list(c) for c in zip(*basis2)])
+    lat = Lattice([[Fraction(-x, 2) for x in row] for row in gram])
     if not lat.is_even:
         raise CodeError("overlattice is not even")
     det = 1

@@ -211,9 +211,6 @@ class BaseField:
         """Image of the integer n in the prime field."""
         return n % self.char
 
-    def frobenius(self, a):
-        return self.pow_elem(a, self.char)
-
     def proot(self, a):
         """The unique p-th root (inverse Frobenius)."""
         return self.pow_elem(a, self.char ** (self.degree - 1))
@@ -226,12 +223,6 @@ class BaseField:
 
     def elements(self):
         return range(self.order)
-
-    def multiplicative_order_element(self, n):
-        """An element of multiplicative order n (n must divide q - 1)."""
-        if (self.order - 1) % n:
-            raise FieldError(f"no element of order {n}")
-        return self._exp[(self.order - 1) // n]
 
     # -- encoding for reports ----------------------------------------------
     def encode(self, a):
@@ -368,9 +359,6 @@ class ExtField:
 
     def scalar(self, n):
         return self.embed(self.base.scalar(n))
-
-    def frobenius(self, a):
-        return self.pow_elem(a, self.char)
 
     def proot(self, a):
         total_deg = self.base.degree * self.rel_degree

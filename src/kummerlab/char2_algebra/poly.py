@@ -44,10 +44,6 @@ class FqPoly:
         e[i] = 1
         return cls(field, variables, {tuple(e): field.one})
 
-    @classmethod
-    def monomial(cls, field, variables, expo, c=None):
-        return cls(field, variables, {tuple(expo): field.one if c is None else c})
-
     # -- basics --------------------------------------------------------------
     def is_zero(self):
         return not self.terms

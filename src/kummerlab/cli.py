@@ -44,6 +44,11 @@ class UsageError(ValueError):
     pass
 
 
+# largest Gram matrix a lattice file may hold; the package's own lattices
+# have rank at most 22
+MAX_LATTICE_RANK = 32
+
+
 def _default_seed():
     env = os.environ.get("KUMMERLAB_SEED")
     if env is None:
@@ -96,6 +101,9 @@ def _load_lattice(path):
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise UsageError(f"{path}: expected a JSON object whose \"gram\" is "
                          f"a list of rows")
+    if len(gram) > MAX_LATTICE_RANK:
+        raise UsageError(f"{path}: gram matrix of rank {len(gram)} exceeds "
+                         f"the limit of {MAX_LATTICE_RANK}")
     if not all(_is_exact_number(x) for row in gram for x in row):
         raise UsageError(f"{path}: gram entries must be integers or "
                          f"rational strings")

@@ -242,7 +242,7 @@ def u_classes_q4():
 
 def _in_dual(lat, vecs):
     """Whether every vector pairs integrally with the whole lattice."""
-    return all(Fraction(x).denominator == 1
+    return all(x.denominator == 1
                for row in gram_of(lat, vecs, identity(lat.rank)) for x in row)
 
 

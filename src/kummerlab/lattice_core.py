@@ -1,21 +1,23 @@
 """Exact arithmetic on integral symmetric bilinear forms.
 
 Lattices are free Z-modules with a symmetric pairing given by a Gram
-matrix.  Vectors are row tuples of coordinates in the lattice basis, with
-integer or rational entries.  Every Gram or cross-pairing matrix is one
-integer product rows * G * cols^T over a common denominator (`gram_of`);
+matrix G, stored as the integer matrix den * G with den in {1, 2}.
+Vectors are row tuples of coordinates in the lattice basis, with integer
+or rational entries.  Every Gram or cross-pairing matrix is one integer
+product rows * (den * G) * cols^T over a common denominator (`gram_of`);
 `Lattice.pair` is the pair-by-pair reference.  Discriminant groups come
 from the Smith normal form U * G * V = D of the integer Gram: the
 generators are the rows U[i] / d_i mod Z^n.  Determinants, signatures
 and solving use the fraction-free integer eliminations of `exactmat`;
-roots come from one symmetric elimination of -G, whose pivots both prove
-negative definiteness and give the exact rational Fincke-Pohst search its
-LDL^T factor.  Even overlattices come from glue data on discriminant
-groups.
+roots come from one symmetric elimination of -den * G, whose pivots both
+prove negative definiteness and give the exact rational Fincke-Pohst
+search its LDL^T factor.  Even overlattices come from glue data on
+discriminant groups.
 
-Gram entries are integers, except that denominator 2 is tolerated in
-intermediate lattices produced while building code overlattices; the
-even-lattice constructor rejects non-integral input.
+Every lattice the package builds is integral (code overlattices from
+`mod4_overlattice` included); denominator 2 comes only from outside
+input, such as a lattice file.  The even-lattice constructor rejects
+non-integral input.
 """
 
 import random
@@ -25,7 +27,7 @@ from math import isqrt, prod
 
 from .exactmat import (
     common_denominator,
-    det_fraction,
+    det_bareiss,
     hnf_basis,
     identity,
     integer_scaled,
@@ -42,32 +44,33 @@ class LatticeError(ValueError):
     pass
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class Lattice:
-    """A finitely generated symmetric bilinear form over Z (or (1/2)Z)."""
+    """A finitely generated symmetric bilinear form over Z (or (1/2)Z).
+
+    `gram` holds den * G as tuples of ints, where den in {1, 2} is the
+    common denominator of the entries of G (ints or Fractions).
+    """
 
     def __init__(self, gram, labels=None):
         n = len(gram)
-        g = tuple(tuple(_frac(x) for x in row) for row in gram)
-        for row in g:
-            if len(row) != n:
-                raise LatticeError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise LatticeError("gram matrix must be symmetric")
-                if g[i][j].denominator not in (1, 2):
-                    raise LatticeError("gram entries must have denominator 1 or 2")
-        self.gram = g
+        if any(len(row) != n for row in gram):
+            raise LatticeError("gram matrix must be square")
+        den, (g,) = integer_scaled([gram])
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+            raise LatticeError("gram matrix must be symmetric")
+        if den not in (1, 2):
+            raise LatticeError("gram entries must have denominator 1 or 2")
+        if labels is not None and len(labels) != n:
+            raise LatticeError(f"{len(labels)} labels for a rank-{n} lattice; "
+                               f"expected one label per row")
+        self.gram = tuple(map(tuple, g))
+        self.den = den
         self.rank = n
         self.labels = list(labels) if labels is not None else None
 
     @property
     def is_integral(self):
-        return all(x.denominator == 1 for row in self.gram for x in row)
+        return self.den == 1
 
     @property
     def is_even(self):
@@ -75,8 +78,8 @@ class Lattice:
 
     def pair(self, v, w):
         g = self.gram
-        return sum(_frac(v[i]) * sum(g[i][j] * w[j] for j in range(self.rank))
-                   for i in range(self.rank))
+        return Fraction(sum(v[i] * sum(g[i][j] * w[j] for j in range(self.rank))
+                            for i in range(self.rank)), self.den)
 
     def norm(self, v):
         return self.pair(v, v)
@@ -84,7 +87,7 @@ class Lattice:
     def gram_int(self):
         if not self.is_integral:
             raise LatticeError("lattice is not integral")
-        return [[int(x) for x in row] for row in self.gram]
+        return [list(row) for row in self.gram]
 
     def __repr__(self):
         return f"Lattice(rank={self.rank})"
@@ -102,13 +105,8 @@ def even_lattice(gram, labels=None):
 
 def direct_sum(l1, l2):
     n1, n2 = l1.rank, l2.rank
-    gram = [[Fraction(0)] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            gram[i][j] = l1.gram[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            gram[n1 + i][n1 + j] = l2.gram[i][j]
+    gram = ([[Fraction(x, l1.den) for x in row] + [0] * n2 for row in l1.gram]
+            + [[0] * n1 + [Fraction(x, l2.den) for x in row] for row in l2.gram])
     labels = None
     if l1.labels is not None and l2.labels is not None:
         labels = l1.labels + l2.labels
@@ -118,16 +116,16 @@ def direct_sum(l1, l2):
 def gram_of(lat, rows, cols=None):
     """The pairing matrix rows * G * cols^T (cols defaults to rows).
 
-    Rows, cols and the Gram matrix are scaled to integers over one common
-    denominator and multiplied as integers.  Entries are ints when that
-    denominator is 1, else Fractions.
+    Rows and cols are scaled to integers over one common denominator d
+    and multiplied as integers with den * G.  Entries are ints when
+    d^2 * den is 1, else Fractions.
     """
-    den, (rs, cs, g) = integer_scaled([rows, rows if cols is None else cols, lat.gram])
-    out = mat_mul(mat_mul(rs, g), [list(c) for c in zip(*cs)])
+    d, (rs, cs) = integer_scaled([rows, rows if cols is None else cols])
+    out = mat_mul(mat_mul(rs, lat.gram), [list(c) for c in zip(*cs)])
+    den = d * d * lat.den
     if den == 1:
         return out
-    den3 = den ** 3
-    return [[Fraction(x, den3) for x in row] for row in out]
+    return [[Fraction(x, den) for x in row] for row in out]
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +168,15 @@ def ade_lattice(kind, n):
 
 def discriminant(lat):
     """det of the Gram matrix, exact; error on degenerate lattices."""
-    d = det_fraction([list(row) for row in lat.gram])
+    d = Fraction(det_bareiss(lat.gram), lat.den ** lat.rank)
     if d == 0:
         raise LatticeError("degenerate lattice")
-    if d.denominator == 1:
-        return int(d)
-    return d
+    return int(d) if d.denominator == 1 else d
 
 
 def signature(lat):
     """(r, s) = numbers of positive and negative squares."""
-    diag = symmetric_diagonalize([list(row) for row in lat.gram])
+    diag = symmetric_diagonalize(lat.gram)
     if any(d == 0 for d in diag):
         raise LatticeError("degenerate lattice")
     r = sum(1 for d in diag if d > 0)
@@ -209,20 +205,9 @@ class DiscriminantGroup:
             n *= d
         return n
 
-    def element(self, coeffs):
-        """The dual-vector representative of sum coeffs_i * generators_i."""
-        n = len(self.generators[0]) if self.generators else 0
-        out = [Fraction(0)] * n
-        for c, g in zip(coeffs, self.generators):
-            for i in range(n):
-                out[i] += c * g[i]
-        return out
-
 
 def _qmod2(x):
-    x = _frac(x)
-    two = Fraction(2)
-    return x - (x / two).__floor__() * two
+    return Fraction(x) % 2
 
 
 def discriminant_group(lat):
@@ -242,70 +227,34 @@ def discriminant_group(lat):
 
 
 def is_two_elementary_type2(lat):
-    """(2-elementary?, type 2?) by enumerating the discriminant group."""
+    """(2-elementary?, type 2?): is A = L^vee/L killed by 2, is q integral on A.
+
+    On a 2-elementary A, 2b(x, y) = b(2x, y) is an integer, so
+    q(x + y) = q(x) + q(y) + 2b(x, y) is integral whenever q(x) and q(y)
+    are: q is integral on A exactly when it is on the SNF generators.
+    """
     dg = discriminant_group(lat)
-    elementary = all(o == 2 for o in dg.orders)
-    if not elementary:
+    if not all(o == 2 for o in dg.orders):
         return (False, False)
-    k = len(dg.orders)
-    # Gray-code walk over all 2^k classes, tracking q and pairings exactly.
-    qcur = Fraction(0)
-    dots = [Fraction(0)] * k
-    state = [0] * k
-    type2 = True
-    for step in range(1, 1 << k):
-        t = (step & -step).bit_length() - 1
-        sgn = 1 if state[t] == 0 else -1
-        qcur = qcur + dg.qvalues[t] + 2 * sgn * dots[t]
-        for j in range(k):
-            dots[j] += sgn * dg.pairings[t][j]
-        state[t] ^= 1
-        if _qmod2(qcur).denominator != 1:
-            type2 = False
-            break
-    return (elementary, type2)
+    return (True, all(q.denominator == 1 for q in dg.qvalues))
 
 
 # ---------------------------------------------------------------------------
 # roots
 
 
-def _upper_end(c, bound):
-    """floor(sqrt(bound) - c) when some integer x has (x+c)^2 <= bound, else None."""
-    a, b = c.numerator, c.denominator
-    p, q = bound.numerator, bound.denominator
-    pb2 = p * b * b
-
-    def valid(x):
-        t = x * b + a
-        return t * t * q <= pb2
-
-    m = isqrt(pb2 // q)
-    x0 = (m - a) // b
-    if valid(x0):
-        hi = x0
-    elif valid(x0 + 1):
-        hi = x0 + 1
-    else:
-        return None
-    while valid(hi + 1):
-        hi += 1
-    return hi
-
-
 def _interval(c, bound):
-    """Integers x with (x + c)^2 <= bound, for Fractions c, bound; (1, 0) if none."""
-    bound = _frac(bound)
-    c = _frac(c)
+    """(lo, hi): the integers x with (x + c)^2 <= bound are lo..hi (none if lo > hi).
+
+    For rationals c = a/b and bound = p/q >= 0, (x + c)^2 <= bound exactly
+    when the integer |x*b + a| is at most sqrt(b^2 p / q), that is, at
+    most s = isqrt(b^2 p // q).
+    """
     if bound < 0:
         return 1, 0
-    hi = _upper_end(c, bound)
-    if hi is None:
-        return 1, 0
-    lo_neg = _upper_end(-c, bound)
-    if lo_neg is None:
-        return 1, 0
-    return -lo_neg, hi
+    a, b = c.numerator, c.denominator
+    s = isqrt(b * b * bound.numerator // bound.denominator)
+    return -((s + a) // b), (s - a) // b
 
 
 def short_vectors(d, u, norm_bound, target=None):
@@ -316,7 +265,7 @@ def short_vectors(d, u, norm_bound, target=None):
     with the first nonzero coordinate positive, sorted lexicographically.
     """
     n = len(d)
-    bound = _frac(norm_bound)
+    bound = Fraction(norm_bound)
     found = []
     x = [0] * n
 
@@ -349,17 +298,18 @@ def short_vectors(d, u, norm_bound, target=None):
 def roots(lat):
     """All v with v^2 = -2, one representative per +-pair.
 
-    One elimination of -G: all pivots positive means -G is positive
-    definite (Sylvester), and then -v^2 = sum_i d_i (v_i + sum_j u_ij v_j)^2.
+    One elimination of the integer matrix -den * G: all pivots positive
+    means it is positive definite (Sylvester), and then
+    -den * v^2 = sum_i d_i (v_i + sum_j u_ij v_j)^2 must equal 2 * den.
     """
-    den, pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
+    _, pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
     if len(pivots) != lat.rank:
         raise LatticeError("degenerate lattice")
     if any(p < 0 for p in pivots):
         raise LatticeError("root enumeration requires a negative definite lattice")
-    d = [Fraction(p, q * den) for p, q in zip(pivots, [1] + pivots)]
+    d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
     u = [[Fraction(x, p) for x in row[1:]] for p, row in zip(pivots, rows)]
-    return short_vectors(d, u, 2, target=Fraction(2))
+    return short_vectors(d, u, 2 * lat.den, target=2 * lat.den)
 
 
 def reflect(lat, v, x):
@@ -367,7 +317,7 @@ def reflect(lat, v, x):
     if lat.norm(v) != -2:
         raise LatticeError("not a root")
     pv = lat.pair(x, v)
-    return [_frac(xj) + pv * vj for xj, vj in zip(x, v)]
+    return [xj + pv * vj for xj, vj in zip(x, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +455,7 @@ class SaturationResult:
 def saturation(gens, lat):
     """Saturation of the sublattice spanned by integer rows `gens` inside lat."""
     for row in gens:
-        if len(row) != lat.rank or any(_frac(x).denominator != 1 for x in row):
+        if len(row) != lat.rank or any(x.denominator != 1 for x in row):
             raise LatticeError("generators not in L")
     rows = [[int(x) for x in row] for row in gens]
     basis, index = saturation_basis(rows, lat.rank)
@@ -514,7 +464,7 @@ def saturation(gens, lat):
 
 def class_order(lat, vec):
     """Order of vec + L in L^vee/L (vec in basis coordinates)."""
-    return common_denominator(_frac(x) for x in vec)
+    return common_denominator(vec)
 
 
 @dataclass
@@ -584,7 +534,7 @@ def glue(l1, l2, gd):
         raise LatticeError("glued lattice is not even")
     # index over the direct sum
     m1_order = prod(orders)
-    idx = Fraction(abs(det_fraction(amb.gram)), abs(det_fraction(gram)))
+    idx = Fraction(abs(discriminant(amb)), abs(discriminant(glued)))
     idx_sqrt = isqrt(idx.numerator) if idx.denominator == 1 else None
     if idx_sqrt is None or idx_sqrt * idx_sqrt != idx.numerator:
         raise LatticeError("glued index is not integral")
@@ -619,6 +569,6 @@ def lattice_to_json(lat):
 
 
 def lattice_from_json(obj):
-    gram = obj["gram"]
-    labels = obj.get("labels")
-    return Lattice(gram, labels)
+    """A Lattice from {"gram": rows of ints or rational strings, "labels": [...]}."""
+    gram = [[Fraction(x) for x in row] for row in obj["gram"]]
+    return Lattice(gram, obj.get("labels"))

@@ -148,7 +148,7 @@ def campaign_golay():
 _SIGMA_BOUNDS = {"16A1": 5, "4D4": 4, "2D8": 3, "1D16": 2, "2E8": 2}
 
 
-def campaign_embeddings(extended=False):
+def campaign_embeddings():
     claims = []
     results = {}
     for sym, bound in _SIGMA_BOUNDS.items():
@@ -184,20 +184,6 @@ def campaign_embeddings(extended=False):
             f"embed.reject.{sym}.s{bad}",
             f"no saturated embedding of K({sym}) at Artin invariant {bad}",
             ok))
-    if extended:
-        for sym, comp_sigmas in (("16A1", (2, 3, 4)), ("4D4", (1, 2, 3)),
-                                 ("2D8", (1, 2))):
-            for sigma in comp_sigmas:
-                res = embed_kummer(sym, sigma, "Q2", extended=True)
-                key = f"{sym}.s{sigma}.Q2"
-                results[key] = {
-                    "glue_count": res.glue_count,
-                    "checks": {k: bool(v) for k, v in sorted(res.checks.items())},
-                    "glue_info": res.glue_info,
-                }
-                claims.append(claim(
-                    f"embed.{key}", f"extended Q_2 recipe works for {sym}, "
-                    f"sigma {sigma}", all(res.checks.values())))
     return results, claims, []
 
 

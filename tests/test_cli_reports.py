@@ -98,6 +98,11 @@ BAD_INPUTS = [
     pytest.param(["lattice", "roots", "--in"], {"gram": [[2]]},
                  "root enumeration requires a negative definite lattice",
                  id="roots-positive-definite"),
+    pytest.param(["lattice", "info", "--in"], {"gram": [[-2]], "labels": [1, 2, 3]},
+                 "one label per row", id="labels-not-one-per-row"),
+    pytest.param(["lattice", "info", "--in"],
+                 {"gram": [[-2 * (i == j) for j in range(33)] for i in range(33)]},
+                 "rank 33 exceeds the limit of 32", id="gram-rank-above-cap"),
     pytest.param(["verify", "table1", "--jobs", "0"], None,
                  "--jobs must be at least 1", id="verify-jobs-zero"),
     pytest.param(["codes", "search", "--m", "8", "--budget", "0"], None,

@@ -1,9 +1,11 @@
-"""Every module-level definition in the package is named somewhere else.
+"""Every module-level definition and method in the package is named somewhere else.
 
 A function, class or constant defined at the top of a module under
 src/kummerlab counts as used when some file in src/ or tests/ names it
 (as a variable, an attribute, or through an `import ... as` alias)
-outside its own definition, or when a package `__all__` lists it.
+outside its own definition, or when a package `__all__` lists it.  A
+method of such a class, dunders aside, counts as used when some file in
+src/ or tests/ accesses it as an attribute `.name` outside its own body.
 """
 
 import ast
@@ -77,6 +79,31 @@ def test_no_dead_module_level_definitions():
             if name not in exported and total[name] - own <= 0:
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not dead, "definitions nothing names:\n" + "\n".join(dead)
+
+
+def _attributes(node):
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _methods(tree):
+    """(class name, method node) for each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item
+
+
+def test_no_dead_methods():
+    trees = {p: _parse(p) for d in ("src", "tests")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    total = sum((_attributes(t) for t in trees.values()), Counter())
+    dead = [f"{path.relative_to(ROOT)}:{node.lineno} {cls}.{node.name}"
+            for path, tree in trees.items() if PACKAGE in path.parents
+            for cls, node in _methods(tree)
+            if total[node.name] - _attributes(node)[node.name] <= 0]
+    assert not dead, "methods nothing accesses:\n" + "\n".join(dead)
 
 
 def _imported_names(tree):

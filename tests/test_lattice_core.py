@@ -10,6 +10,7 @@ from kummerlab.lattice_core import (
     GlueData,
     Lattice,
     LatticeError,
+    _interval,
     ade_gram,
     ade_lattice,
     ade_type,
@@ -68,6 +69,24 @@ def test_even_constructor_rejects_bad_gram():
         even_lattice([[Fraction(1, 2)]])
     with pytest.raises(LatticeError):
         Lattice([[0, 1], [2, 0]])  # not symmetric
+    with pytest.raises(LatticeError, match="denominator 1 or 2"):
+        Lattice([[Fraction(-2, 3)]])
+    with pytest.raises(LatticeError, match="one label per row"):
+        Lattice([[-2]], labels=[1, 2, 3])
+
+
+def test_half_integral_gram_pinned():
+    lat = lattice_from_json({"gram": [["-3/2", "1/2"], ["1/2", -2]]})
+    assert (lat.den, lat.gram) == (2, ((-3, 1), (1, -4)))
+    assert not lat.is_integral and not lat.is_even
+    with pytest.raises(LatticeError):
+        lat.gram_int()
+    assert roots(lat) == [[0, 1]]
+    assert signature(lat) == (0, 2)
+    assert discriminant(lat) == Fraction(11, 4)
+    assert lat.pair([1, 0], [0, 1]) == Fraction(1, 2)
+    assert lat.pair([1, 1], [1, 1]) == Fraction(-5, 2)
+    assert lat.pair([Fraction(1, 3), 2], [1, -1]) == Fraction(13, 3)
 
 
 def test_discriminant_group_a1():
@@ -237,6 +256,11 @@ def test_glue_rejects_incompatible_q():
         glue(a1, a1, GlueData([half], [half]))
 
 
+def test_glue_rejects_degenerate_factor():
+    with pytest.raises(LatticeError, match="degenerate lattice"):
+        glue(Lattice([[0]]), ade_lattice("A", 1), GlueData([], []))
+
+
 def test_glue_rejects_order_mismatch():
     a1 = ade_lattice("A", 1)
     a3 = ade_lattice("A", 3)
@@ -306,6 +330,29 @@ def test_discriminant_group_properties(lat):
             unit = [int(i == j) for i in range(lat.rank)]
             assert Fraction(lat.pair(x, unit)).denominator == 1
         assert class_order(lat, x) == order
+
+
+@PROPERTY
+@given(even_lattices())
+def test_type2_matches_brute_force(lat):
+    assert is_two_elementary_type2(lat) == brute_force_type2(lat)
+
+
+def fractions(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 12))
+
+
+@PROPERTY
+@given(st.data())
+def test_interval_matches_integer_scan(data):
+    r = data.draw(fractions(0, 60))
+    shift = data.draw(st.integers(-20, 20))
+    # c = shift + r with bound r^2 puts both ends exactly on the boundary
+    c = data.draw(st.one_of(fractions(-60, 60), st.integers(-5, 5), st.just(shift + r)))
+    bound = data.draw(st.one_of(fractions(-10, 400), st.just(r * r)))
+    lo, hi = _interval(c, bound)
+    assert list(range(lo, hi + 1)) == [x for x in range(-200, 201)
+                                       if (x + c) ** 2 <= bound]
 
 
 @PROPERTY
