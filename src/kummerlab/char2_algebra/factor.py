@@ -113,13 +113,6 @@ def distinct_degree(a, f):
     return out
 
 
-def _total_degree_of_field(f):
-    deg = getattr(f, "degree", None)
-    if deg is not None:
-        return deg
-    return f.base.degree * f.rel_degree
-
-
 def equal_degree_split(a, d, f, rng):
     """All monic irreducible factors of a (product of degree-d irreducibles)."""
     n = len(a) - 1
@@ -139,7 +132,7 @@ def equal_degree_split(a, d, f, rng):
             if len(r) <= 0:
                 continue
             if f.char == 2:
-                e_total = _total_degree_of_field(f) * d
+                e_total = f.degree * d
                 t = r[:]
                 acc = r[:]
                 for _ in range(e_total - 1):

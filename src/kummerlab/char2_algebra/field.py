@@ -294,6 +294,7 @@ class ExtField:
         self.base = base
         self.modulus = tuple(modulus)
         self.rel_degree = len(modulus) - 1
+        self.degree = base.degree * self.rel_degree  # over F_p, as BaseField
         self.char = base.char
         self.order = base.order ** self.rel_degree
         self.zero = (base.zero,) * self.rel_degree
@@ -361,8 +362,7 @@ class ExtField:
         return self.embed(self.base.scalar(n))
 
     def proot(self, a):
-        total_deg = self.base.degree * self.rel_degree
-        return self.pow_elem(a, self.char ** (total_deg - 1))
+        return self.pow_elem(a, self.char ** (self.degree - 1))
 
     def rand(self, rng):
         return tuple(self.base.rand(rng) for _ in range(self.rel_degree))

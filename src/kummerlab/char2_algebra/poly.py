@@ -3,9 +3,9 @@
 Terms are a dict from exponent tuples to nonzero field elements.  The
 variable list is fixed per polynomial; binary operations require equal
 variable tuples.  Printing and hashing use graded lexicographic term
-order.  Univariate gcd/division, subresultant-based multivariate gcd, and
-bivariate resultants (fraction-free Bareiss over a univariate coefficient
-ring) live here too.
+order.  Univariate gcd/division live here too, and so do the multivariate
+gcd and the resultant with respect to one variable: both come from one
+subresultant pseudo-remainder sequence over the other variables.
 """
 
 
@@ -106,8 +106,9 @@ class FqPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def degree(self, var=None):
@@ -128,7 +129,7 @@ class FqPoly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            coef = f.mul(c, _scalar(f, e[i]))
+            coef = f.mul(c, f.scalar(e[i]))
             if coef == f.zero:
                 continue
             ne = list(e)
@@ -217,7 +218,7 @@ class FqPoly:
     def leading(self):
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        return max(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def monic(self):
         if self.is_zero():
@@ -245,10 +246,6 @@ class FqPoly:
         enc = getattr(self.field, "encode", None)
         return [[list(e), enc(c) if enc else str(c)] for e, c in
                 sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
-
-
-def _scalar(field, n):
-    return field.scalar(n) if hasattr(field, "scalar") else n % field.char
 
 
 def _coef_str(field, c):
@@ -315,7 +312,7 @@ def dense_gcd(a, b, f):
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd via contents and subresultant PRS
+# exact division; multivariate gcd and resultant from one subresultant PRS
 
 
 def poly_divexact(f_poly, g_poly):
@@ -323,10 +320,12 @@ def poly_divexact(f_poly, g_poly):
     f = f_poly.field
     if g_poly.is_zero():
         raise PolyError("division by zero polynomial")
-    rem = f_poly
-    out = {}
     ge, gc = g_poly.leading()
     ginv = f.inv(gc)
+    if len(g_poly.terms) == 1 and not any(ge):  # a constant divisor
+        return f_poly.scale(ginv)
+    rem = f_poly
+    out = {}
     guard = 0
     while not rem.is_zero():
         guard += 1
@@ -381,9 +380,8 @@ def poly_gcd_multivariate(a, b):
     ca = _content_wrt(a, var)
     cb = _content_wrt(b, var)
     cg = poly_gcd_multivariate(ca, cb)
-    pa = poly_divexact(a, ca)
-    pb = poly_divexact(b, cb)
-    prim = _prs_gcd(pa, pb, var)
+    last, _res = _subresultant_prs(poly_divexact(a, ca), poly_divexact(b, cb), var)
+    prim = poly_divexact(last, _content_wrt(last, var))
     return (cg * prim).monic()
 
 
@@ -395,90 +393,60 @@ def _content_wrt(poly, var):
     return g
 
 
-def _prs_gcd(a, b, var):
-    """gcd of primitive polynomials via a pseudo-remainder sequence."""
-    if a.degree(var) < b.degree(var):
-        a, b = b, a
-    while True:
-        if b.is_zero():
-            return poly_divexact(a, _content_wrt(a, var))
-        r = _pseudo_rem(a, b, var)
-        if r.is_zero():
-            b_prim = poly_divexact(b, _content_wrt(b, var))
-            return b_prim
-        r = poly_divexact(r, _content_wrt(r, var))
-        a, b = b, r
-
-
-def _pseudo_rem(a, b, var):
-    """lc(b)^(da-db+1) * a mod b with respect to var."""
-    da, db = a.degree(var), b.degree(var)
-    if db < 0:
-        raise PolyError("pseudo-division by zero")
+def _prem(a, b, var):
+    """lc(b)^(da-db+1) * a mod b with respect to var, for da >= db >= 0."""
     f = a.field
-    lcb = _coeffs_in_var(b, var).get(db)
-    rem = a
+    db = b.degree(var)
+    lcb = _coeffs_in_var(b, var)[db]
     i = a.vars.index(var)
-    while not rem.is_zero():
+    rem, steps = a, a.degree(var) - db + 1
+    while rem.degree(var) >= db:
         dr = rem.degree(var)
-        if dr < db:
-            break
-        lcr = _coeffs_in_var(rem, var).get(dr)
         shift = [0] * len(a.vars)
         shift[i] = dr - db
         mono = FqPoly(f, a.vars, {tuple(shift): f.one})
-        rem = rem * lcb - b * mono * lcr
-    return rem
+        rem = rem * lcb - b * mono * _coeffs_in_var(rem, var)[dr]
+        steps -= 1
+    return rem * lcb.pow_int(steps)
 
 
-# ---------------------------------------------------------------------------
-# bivariate resultant by fraction-free elimination over k[other]
+def _subresultant_prs(a, b, var):
+    """(last nonzero remainder, Res_var(a, b)) for nonzero a, b in k[others][var].
+
+    The subresultant PRS (Brown-Traub, J. ACM 18, 1971; Cohen, GTM 138,
+    Alg. 3.3.7): every division below is exact, and the last nonzero
+    remainder is an associate of gcd(a, b) over k(others)[var].  The
+    resultant follows the Sylvester-matrix sign convention.
+    """
+    sign = 1
+    if a.degree(var) < b.degree(var):
+        a, b = b, a
+        if a.degree(var) % 2 and b.degree(var) % 2:
+            sign = -1
+    g = h = FqPoly.const(a.field, a.vars, a.field.one)
+    while b.degree(var) > 0:
+        da, db = a.degree(var), b.degree(var)
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _prem(a, b, var)
+        a, b = b, poly_divexact(r, g * h.pow_int(delta))
+        g = _coeffs_in_var(a, var)[db]
+        if delta:
+            h = poly_divexact(g.pow_int(delta), h.pow_int(delta - 1))
+    if b.is_zero():
+        return a, b
+    da = a.degree(var)
+    res = poly_divexact(b.pow_int(da), h.pow_int(da - 1))
+    return b, (-res if sign < 0 else res)
 
 
 def resultant(a, b, var):
-    """Res_var(a, b) for bivariate polynomials; result has var-degree 0."""
+    """Res_var(a, b) over the other variables; result has var-degree 0."""
     a._check(b)
-    f = a.field
     da, db = a.degree(var), b.degree(var)
     if da < 0 or db < 0:
-        return FqPoly.zero(f, a.vars)
+        return FqPoly.zero(a.field, a.vars)
     if da == 0 and db == 0:
         raise PolyError("resultant needs positive degree in the variable")
-    ca = _coeffs_in_var(a, var)
-    cb = _coeffs_in_var(b, var)
-    n = da + db
-    zero = FqPoly.zero(f, a.vars)
-    rows = []
-    for i in range(db):
-        row = [zero] * n
-        for k, c in ca.items():
-            row[i + (da - k)] = c
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * n
-        for k, c in cb.items():
-            row[i + (db - k)] = c
-        rows.append(row)
-    # fraction-free Bareiss over the polynomial ring
-    sign = 1
-    prev = FqPoly.const(f, a.vars, f.one)
-    m = rows
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return FqPoly.zero(f, a.vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = poly_divexact(num, prev) if not num.is_zero() else num
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
+    return _subresultant_prs(a, b, var)[1]

@@ -122,17 +122,22 @@ def _cmd_lattice(args):
     results = {}
     claims = []
     if args.action == "info":
-        dg = discriminant_group(lat)
-        elem, type2 = is_two_elementary_type2(lat)
+        disc = discriminant(lat)
         results = {
-            "discriminant": discriminant(lat),
+            "discriminant": disc if isinstance(disc, int) else str(disc),
             "signature": list(signature(lat)),
-            "discriminant_group_orders": dg.orders,
-            "q_values": [str(v) for v in dg.qvalues],
-            "two_elementary": elem,
-            "type2": type2,
+            "discriminant_group_orders": None,
+            "q_values": None,
+            "two_elementary": None,
+            "type2": None,
             "even": lat.is_even,
         }
+        if lat.is_even:  # the discriminant form needs an even lattice
+            dg = discriminant_group(lat)
+            elem, type2 = is_two_elementary_type2(lat)
+            results.update(discriminant_group_orders=dg.orders,
+                           q_values=[str(v) for v in dg.qvalues],
+                           two_elementary=elem, type2=type2)
         claims.append(claim("lattice.nondegenerate", "lattice is nondegenerate",
                             True))
     elif args.action == "roots":

@@ -296,7 +296,7 @@ def solve_left_fraction(b, vs):
     return out
 
 
-def saturation_basis(gens, n):
+def saturation_basis(gens):
     """Basis of the saturation of the row module of `gens` inside Z^n.
 
     Returns (basis_rows, index) where index = [saturation : module].

@@ -458,13 +458,8 @@ def saturation(gens, lat):
         if len(row) != lat.rank or any(x.denominator != 1 for x in row):
             raise LatticeError("generators not in L")
     rows = [[int(x) for x in row] for row in gens]
-    basis, index = saturation_basis(rows, lat.rank)
+    basis, index = saturation_basis(rows)
     return SaturationResult(Lattice(gram_of(lat, basis)), basis, index)
-
-
-def class_order(lat, vec):
-    """Order of vec + L in L^vee/L (vec in basis coordinates)."""
-    return common_denominator(vec)
 
 
 @dataclass
@@ -507,7 +502,8 @@ def glue(l1, l2, gd):
     n1, n2 = l1.rank, l2.rank
     orders = []
     for v1, v2 in zip(gd.m1, gd.m2):
-        o1, o2 = class_order(l1, v1), class_order(l2, v2)
+        # the order of v + L in L^vee/L is the common denominator of v
+        o1, o2 = common_denominator(v1), common_denominator(v2)
         if o1 != o2:
             raise LatticeError("glue map does not respect group orders")
         orders.append(o1)

@@ -135,7 +135,7 @@ def _f4_elements(field):
     return [a for a in field.elements() if field.pow_elem(a, 4) == a]
 
 
-def _condition_i(f_poly, g_poly, field, variables):
+def _condition_i(f_poly, g_poly, variables):
     v1, v2 = variables
     fx, fy = f_poly.partial(v1), f_poly.partial(v2)
     gx, gy = g_poly.partial(v1), g_poly.partial(v2)
@@ -230,7 +230,7 @@ def classify_derivations(family, f_poly, g_poly):
     variables = f_poly.vars
     verdict = {"i": False, "ii": False, "iii": False, "iv": False,
                "c": None, "hamiltonian": None}
-    ok_i, c = _condition_i(f_poly, g_poly, field, variables)
+    ok_i, c = _condition_i(f_poly, g_poly, variables)
     verdict["i"] = ok_i
     if ok_i:
         verdict["c"] = c
@@ -286,6 +286,8 @@ def _rational_common_zero(f_poly, g_poly, field, variables):
             g1u = g1.restrict_vars((v2,))
         except Exception:
             continue
+        if f1u.is_zero() and g1u.is_zero():
+            return (root, field.zero)  # the whole line v1 = root is common
         roots2 = poly_roots(f1u) if not f1u.is_zero() else poly_roots(g1u)
         for r2, _mm in roots2:
             if f_poly.evaluate({v1: root, v2: r2}) == field.zero and \

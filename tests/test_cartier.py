@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummerlab.char2_algebra import (
     AmbientSpan,
@@ -22,6 +23,8 @@ from kummerlab.char2_algebra import (
 
 V4 = ("x", "y")
 V2 = ("x", "t")
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def class4_H(field, h30, h21, h12, h03, h11, extra=None):
@@ -127,6 +130,39 @@ def test_cartier_additive_semilinear():
         c = f.rand(rng)
         scaled = cartier_p2(a.scale(f.mul(c, c)), h)
         assert scaled.a == ra.a.scale(c) and scaled.b == ra.b.scale(c)
+
+
+@st.composite
+def cartier_triples(draw):
+    """(f, g, H) over F_2^e, F_3 or F_5: f is nonzero, g has a nonzero
+    (p-1, p-1) term, and H a term of y-degree 1, so eta_0 is defined."""
+    field = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 1), (5, 1)])))
+    coef = st.integers(1, field.order - 1)
+
+    def poly(dmax, extra):
+        expo = st.tuples(st.integers(0, dmax), st.integers(0, dmax))
+        terms = draw(st.dictionaries(expo, coef, max_size=3))
+        terms[extra] = draw(coef)
+        return FqPoly(field, V4, terms)
+
+    p = field.char
+    return (poly(2, (draw(st.integers(0, 2)), draw(st.integers(0, 2)))),
+            poly(2 * p, (p - 1, p - 1)),
+            poly(p, (draw(st.integers(0, p)), 1)))
+
+
+@PROPERTY
+@given(cartier_triples())
+def test_cartier_semilinear_over_polynomials(triple):
+    """C(f^p g eta_0) = f C(g eta_0) for a polynomial f."""
+    f_poly, g_poly, h = triple
+    p = f_poly.field.char
+
+    def cartier(g):
+        return cartier_p2(g, h) if p == 2 else cartier_general(g, h)
+
+    left = cartier(f_poly.pow_int(p) * g_poly)
+    assert left.wcoeffs == tuple(f_poly * c for c in cartier(g_poly).wcoeffs)
 
 
 def test_cartier_general_specializes():

@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kummerlab.char2_algebra import (
     BaseField,
@@ -61,6 +62,7 @@ def test_tower_field():
     c = next(c for c in f.elements()
              if all(f.add(f.mul(a, a), a) != c for a in f.elements()))
     ext = ExtField(f, [c, f.one, f.one])   # u^2 + u + c irreducible
+    assert ext.degree == 8
     rng = random.Random(17)
     for _ in range(300):
         a, b = ext.rand(rng), ext.rand(rng)
@@ -195,6 +197,124 @@ def test_resultant_zero_iff_common_y_factor(pair):
     a, b = pair
     vanishes = resultant(a, b, "y").is_zero()
     assert vanishes == (poly_gcd_multivariate(a, b).degree("y") > 0)
+
+
+V2 = ("x", "y")
+V3 = ("x", "y", "z")
+
+
+def sylvester_det(a, b, var):
+    """The Leibniz sum of the Sylvester determinant of a and b in var.
+
+    The permutations are grouped by the columns their first rows take:
+    minor(mask) expands the rows from popcount(mask) on along the first
+    of them, over the columns not in mask, so degrees 5 + 4 stay cheap.
+    """
+    f, i = a.field, a.vars.index(var)
+    da, db = a.degree(var), b.degree(var)
+    n = da + db
+    zero = FqPoly.zero(f, a.vars)
+
+    def coeffs(poly, d):
+        """[c_d, ..., c_0]: the coefficients of var^d, ..., var^0."""
+        out = [{} for _ in range(d + 1)]
+        for e, c in poly.terms.items():
+            out[d - e[i]][e[:i] + (0,) + e[i + 1:]] = c
+        return [FqPoly(f, poly.vars, t) for t in out]
+
+    rows = [[zero] * r + coeffs(a, da) + [zero] * (db - 1 - r) for r in range(db)]
+    rows += [[zero] * r + coeffs(b, db) + [zero] * (da - 1 - r) for r in range(da)]
+
+    @functools.lru_cache(maxsize=None)
+    def minor(mask):
+        r = bin(mask).count("1")
+        if r == n:
+            return FqPoly.const(f, a.vars, f.one)
+        total = zero
+        free = [c for c in range(n) if not mask >> c & 1]
+        for k, c in enumerate(free):
+            if not rows[r][c].is_zero():
+                term = rows[r][c] * minor(mask | 1 << c)
+                total = total - term if k % 2 else total + term
+        return total
+
+    return minor(0)
+
+
+@st.composite
+def resultant_cases(draw):
+    """(a, b, var) in k[x, y] over F_2^e, F_3 or F_5 with var-degrees
+    da + db <= 6; var-degree -1 draws the zero polynomial."""
+    f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 1), (5, 1)])))
+    var = draw(st.sampled_from(V2))
+    coef = st.integers(1, f.order - 1)
+
+    def poly(d):
+        if d < 0:
+            return FqPoly.zero(f, V2)
+        pairs = st.tuples(st.integers(0, d), st.integers(0, 2))
+        terms = {(k, m) if var == "x" else (m, k): c for (k, m), c in
+                 draw(st.dictionaries(pairs, coef, max_size=4)).items()}
+        m = draw(st.integers(0, 2))
+        terms[(d, m) if var == "x" else (m, d)] = draw(coef)
+        return FqPoly(f, V2, terms)
+
+    da = draw(st.integers(-1, 6))
+    db = draw(st.integers(-1, 6 - max(da, 0)))
+    return poly(da), poly(db), var
+
+
+def _case(p, a_terms, b_terms):
+    f = get_field(p, 1)
+    return FqPoly(f, V2, a_terms), FqPoly(f, V2, b_terms), "y"
+
+
+@settings(PROPERTY, max_examples=150)
+@given(resultant_cases())
+# pseudo-division steps that drop the degree by two
+@example(_case(3, {(0, 3): 1, (1, 0): 1}, {(1, 2): 1, (0, 0): 1}))
+@example(_case(5, {(0, 4): 1, (0, 1): 2, (1, 0): 1}, {(1, 2): 3, (0, 0): 1}))
+# odd degrees on both sides in odd characteristic
+@example(_case(3, {(0, 3): 1, (1, 1): 1, (0, 0): 2}, {(1, 1): 1, (0, 0): 1}))
+# remainder degrees 5, 4, 2, 1, 0: h after the step with delta = 2 is used
+@example(_case(3, {(0, 5): 1, (0, 3): 2, (1, 0): 2, (0, 0): 1},
+               {(1, 4): 1, (1, 3): 2, (0, 1): 2, (0, 0): 1}))
+def test_resultant_is_the_sylvester_determinant(case):
+    a, b, var = case
+    for x, y in ((a, b), (b, a)):
+        if x.is_zero() or y.is_zero():
+            assert resultant(x, y, var).is_zero()
+        elif x.degree(var) == 0 and y.degree(var) == 0:
+            with pytest.raises(PolyError):
+                resultant(x, y, var)
+        else:
+            assert resultant(x, y, var) == sylvester_det(x, y, var)
+
+
+@st.composite
+def gcd_triples(draw):
+    """Nonzero (a, b, c) in 2 or 3 variables over F_2, F_4 or F_3."""
+    f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (3, 1)])))
+    variables = draw(st.sampled_from([V2, V3]))
+    expo = st.tuples(*(st.integers(0, 2) for _ in variables))
+    coef = st.integers(1, f.order - 1)
+
+    def poly():
+        terms = draw(st.dictionaries(expo, coef, max_size=3))
+        terms[draw(expo)] = draw(coef)
+        return FqPoly(f, variables, terms)
+
+    return poly(), poly(), poly()
+
+
+@PROPERTY
+@given(gcd_triples())
+def test_gcd_divides_both_and_contains_the_common_factor(triple):
+    a, b, c = triple
+    g = poly_gcd_multivariate(a * c, b * c)
+    for x in (a * c, b * c):
+        assert poly_divexact(x, g) * g == x
+    assert poly_divexact(g, c.monic()) * c.monic() == g
 
 
 def test_poly_roots():

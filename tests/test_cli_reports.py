@@ -60,6 +60,27 @@ def test_schema_validates_all_subcommands():
         validate_report(json.loads(out))
 
 
+NOT_EVEN_LATTICES = [
+    pytest.param({"gram": [[1]]}, 1, [1, 0], id="odd"),
+    pytest.param({"gram": [["-3/2", "1/2"], ["1/2", -2]]}, "11/4", [0, 2],
+                 id="half-integral"),
+]
+
+
+@pytest.mark.parametrize("lattice,disc,sig", NOT_EVEN_LATTICES)
+def test_lattice_info_on_lattices_that_are_not_even(lattice, disc, sig, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lattice))
+    rc, out = run_cli(["lattice", "info", "--in", str(path)])
+    assert rc == 0
+    report = json.loads(out)
+    validate_report(report)
+    assert report["results"] == {
+        "discriminant": disc, "signature": sig, "even": False,
+        "discriminant_group_orders": None, "q_values": None,
+        "two_elementary": None, "type2": None}
+
+
 def test_exit_codes():
     # claim failure: expected branch mismatch
     rc, _ = run_cli(["surface", "classify", "--family", "class4", "--field",

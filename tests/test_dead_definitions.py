@@ -6,6 +6,9 @@ src/kummerlab counts as used when some file in src/ or tests/ names it
 outside its own definition, or when a package `__all__` lists it.  A
 method of such a class, dunders aside, counts as used when some file in
 src/ or tests/ accesses it as an attribute `.name` outside its own body.
+Every parameter of a `def` in the package, apart from `self`, `cls` and
+`_`-prefixed names, is named in its body; lambdas (such as the entries of
+a dispatch table) are not checked.
 """
 
 import ast
@@ -129,3 +132,25 @@ def test_no_unused_imports():
             unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                        for name, line in _imported_names(tree) if name not in used]
     assert not unused, "imports nothing uses:\n" + "\n".join(unused)
+
+
+def _unused_parameters(tree):
+    """(line, function, parameter) for each parameter its function never names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            named = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name)}
+            for p in params:
+                if p.arg not in ("self", "cls") and not p.arg.startswith("_") \
+                        and p.arg not in named:
+                    yield node.lineno, node.name, p.arg
+
+
+def test_no_unused_parameters():
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}({param})"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for line, name, param in _unused_parameters(_parse(path))]
+    assert not unused, "parameters nothing reads:\n" + "\n".join(unused)

@@ -76,10 +76,10 @@ def test_snf_transforms_and_divisibility():
 
 
 def test_saturation_basis_index():
-    basis, index = saturation_basis([[2, 0], [0, 3]], 2)
+    basis, index = saturation_basis([[2, 0], [0, 3]])
     assert index == 6
     assert hnf_basis(basis) == [[1, 0], [0, 1]]
-    basis, index = saturation_basis([[2, 4]], 2)
+    basis, index = saturation_basis([[2, 4]])
     assert index == 2
     assert basis == [[1, 2]]
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kummerlab.exactmat import det_bareiss, hnf_basis, identity, mat_mul, solve_left_fraction
+from kummerlab.exactmat import (
+    common_denominator,
+    det_bareiss,
+    hnf_basis,
+    identity,
+    mat_mul,
+    solve_left_fraction,
+)
 from kummerlab.lattice_core import (
     GlueData,
     Lattice,
@@ -14,7 +21,6 @@ from kummerlab.lattice_core import (
     ade_gram,
     ade_lattice,
     ade_type,
-    class_order,
     direct_sum,
     discriminant,
     discriminant_group,
@@ -329,7 +335,7 @@ def test_discriminant_group_properties(lat):
         for j in range(lat.rank):
             unit = [int(i == j) for i in range(lat.rank)]
             assert Fraction(lat.pair(x, unit)).denominator == 1
-        assert class_order(lat, x) == order
+        assert common_denominator(x) == order
 
 
 @PROPERTY

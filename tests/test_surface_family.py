@@ -21,6 +21,7 @@ from kummerlab.surface_family import (
     translate_to_origin,
     z1z2_parametrization_check,
 )
+from kummerlab.surface_family.derivations import _rational_common_zero
 from kummerlab.surface_family.points import (
     COLENGTH_CAP,
     _NonIsolated,
@@ -360,6 +361,19 @@ def test_classify_derivations_examples():
     bad = d.f + FqPoly(f, d.vars, {(2, 2): f.rand_nonzero(rng)})
     v = classify_derivations("class4", bad, d.g)
     assert not v["ii"]
+
+
+def test_classify_derivations_common_factor_in_first_variable():
+    # f and g share x + 1 only: at the rational root x = 1 of the resultant
+    # both specializations vanish, so the whole line x = 1 is common
+    f = get_field(2, 4)
+    V = ("x", "y")
+    x, y = FqPoly.variable(f, V, "x"), FqPoly.variable(f, V, "y")
+    one = FqPoly.const(f, V, f.one)
+    f_poly, g_poly = (x + one) * (y + one), (x + one) * (y * y + x)
+    assert _rational_common_zero(f_poly, g_poly, f, V) == (f.one, f.zero)
+    v = classify_derivations("class4", f_poly, g_poly)
+    assert not (v["i"] or v["ii"] or v["iii"] or v["iv"])
 
 
 def test_surface_spec_validation():
