@@ -95,13 +95,9 @@ def cartier_p2(g_poly, h_poly):
     return FormElement((a, b))
 
 
-def cartier_general(g_poly, h_poly, p=None):
+def cartier_general(g_poly, h_poly):
     """C(g eta_0) = sum_a w^(p-1-a) ((g H^a)_{(p-1,p-1)})^{1/p} eta_0."""
-    f = g_poly.field
-    if p is None:
-        p = f.char
-    if p != f.char or p not in (2, 3, 5):
-        raise CartierError("supported characteristics are 2, 3 and 5")
+    p = g_poly.field.char
     g_poly._check(h_poly)
     if all(k % p == 0 for e in h_poly.terms for k in e):
         raise CartierError("eta_0 undefined: H lies in k[x^p, y^p]")
@@ -114,13 +110,9 @@ def cartier_general(g_poly, h_poly, p=None):
     return FormElement(tuple(coeffs))
 
 
-def check_p1_derivative(f_poly, p=None):
+def check_p1_derivative(f_poly):
     """Check (d/dt)^(p-1)(F_t F^a) = 0 for a <= p-2 and = -F_t^p for a = p-1."""
-    f = f_poly.field
-    if p is None:
-        p = f.char
-    if p != f.char:
-        raise CartierError("characteristic mismatch")
+    p = f_poly.field.char
     if len(f_poly.vars) != 1:
         raise CartierError("univariate polynomial expected")
     t = f_poly.vars[0]

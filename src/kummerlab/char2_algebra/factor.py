@@ -8,8 +8,8 @@ generator is supplied by the caller so runs are reproducible.
 
 import random
 
-from .poly import (FqPoly, PolyError, dense_divmod, dense_gcd, dense_mul,
-                   dense_sub, dense_trim)
+from .poly import (FqPoly, PolyError, dense_divmod, dense_gcd, dense_mulmod,
+                   dense_sub, dense_trim, power)
 
 
 def _derivative(a, f):
@@ -81,14 +81,9 @@ def squarefree_decomposition(a, f):
 
 
 def _pow_mod(base, n, mod, f):
-    r = [f.one]
-    base = dense_divmod(base, mod, f)[1]
-    while n:
-        if n & 1:
-            r = dense_divmod(dense_mul(r, base, f), mod, f)[1]
-        base = dense_divmod(dense_mul(base, base, f), mod, f)[1]
-        n >>= 1
-    return r
+    """base^n modulo the monic `mod`."""
+    return power(dense_divmod(base, mod, f)[1], n,
+                 lambda a, b: dense_mulmod(a, b, mod, f), [f.one])
 
 
 def distinct_degree(a, f):
@@ -136,7 +131,7 @@ def equal_degree_split(a, d, f, rng):
                 t = r[:]
                 acc = r[:]
                 for _ in range(e_total - 1):
-                    acc = dense_divmod(dense_mul(acc, acc, f), poly, f)[1]
+                    acc = dense_mulmod(acc, acc, poly, f)
                     t = dense_sub(t, [f.neg(c) for c in acc], f)  # t += acc
                 g = dense_gcd(poly, t, f)
             else:

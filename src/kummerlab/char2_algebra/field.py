@@ -3,10 +3,12 @@
 Base fields encode elements as integers 0..p^e-1 (digit vectors of the
 modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
-2^16.  Towers K[u]/(h) over a base field keep elements as coefficient
-tuples; they exist to host algebraic points found during factorization
-and are never serialized.  `row_reduce` is the Gaussian elimination over
-any of these field objects.
+2^16; the tables come from the quotient ring ExtField(F_p, modulus) on
+digit tuples.  Towers K[u]/(h) over a base field or another tower keep
+elements as coefficient tuples and multiply through `poly.dense_mulmod`;
+they exist to host algebraic points found during factorization and are
+never serialized.  `row_reduce` is the Gaussian elimination over any of
+these field objects.
 
 Moduli come from a fixed built-in table; construction proves each one
 irreducible by finding an element of multiplicative order p^e - 1.
@@ -14,7 +16,8 @@ irreducible by finding an element of multiplicative order p^e - 1.
 
 from dataclasses import dataclass
 
-from .poly import dense_divmod, dense_mul, dense_sub, dense_trim
+from .poly import (dense_divmod, dense_mul, dense_mulmod, dense_sub,
+                   dense_trim, power)
 
 
 class FieldError(ValueError):
@@ -54,26 +57,6 @@ _MODULI = {
         3: [1, 1, 0, 1],
     },
 }
-
-
-def _fp_poly_mulmod(a, b, mod, p):
-    """Product of dense F_p coefficient lists, reduced mod `mod` (monic)."""
-    deg = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(len(res) - 1, deg - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(deg):
-                res[i - deg + j] = (res[i - deg + j] - c * mod[j]) % p
-    out = res[:deg]
-    while len(out) < deg:
-        out.append(0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,35 +111,33 @@ class BaseField:
         return val
 
     def _build_tables(self):
-        p, e, q = self.char, self.degree, self.order
-        mod = list(self.spec.modulus)
-        # find a multiplicative generator
-        def raw_mul(a, b):
-            da, db = self._digits(a), self._digits(b)
-            prod = _fp_poly_mulmod(da, db, mod, p)
-            return self._undigits(prod)
-
+        p, q = self.char, self.order
+        # the exp table is computed in F_p[x]/(modulus) on digit tuples;
+        # F_p itself, which that ring is built over, multiplies ints mod p
+        if self.degree == 1:
+            one, mul, to_int = 1, lambda a, b: a * b % p, int
+            elements = range(1, q)
+        else:
+            ring = ExtField(get_field(p, 1), self.spec.modulus)
+            one, mul, to_int = ring.one, ring.mul, self._undigits
+            elements = (tuple(self._digits(a)) for a in range(1, q))
+        # a reducible modulus leaves fewer than q - 1 units, so no element
+        # has order q - 1: the generator search doubles as the proof
         fact = _prime_factors(q - 1)
-        gen = None
-        if q == 2:
-            gen = 1
-        for cand in range(2, q):
-            if gen is not None:
-                break
-            if all(_pow_raw(cand, (q - 1) // f, raw_mul) != 1 for f in fact) \
-                    and _pow_raw(cand, q - 1, raw_mul) == 1:
-                gen = cand
+        gen = next((a for a in elements
+                    if all(power(a, (q - 1) // f, mul, one) != one for f in fact)
+                    and power(a, q - 1, mul, one) == one), None)
         if gen is None:
-            # a reducible modulus leaves fewer than q - 1 units, so no
-            # element has order q - 1: the search doubles as the proof
             raise FieldError(f"modulus {self.spec.modulus} is reducible "
                              f"over F_{p}")
-        self.generator = gen
+        self.generator = to_int(gen)
         exp = [1] * (q - 1)
-        cur = 1
+        cur = one
         for i in range(1, q - 1):
-            cur = raw_mul(cur, gen)
-            exp[i] = cur
+            # the sparse gen goes first: dense_mul skips zeros of its first
+            # argument only
+            cur = mul(gen, cur)
+            exp[i] = to_int(cur)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -259,16 +240,6 @@ def _prime_factors(n):
     return out
 
 
-def _pow_raw(a, n, mul):
-    r = 1
-    while n:
-        if n & 1:
-            r = mul(r, a)
-        a = mul(a, a)
-        n >>= 1
-    return r
-
-
 _FIELD_CACHE = {}
 
 
@@ -313,21 +284,8 @@ class ExtField:
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        bf = self.base
-        d = self.rel_degree
-        res = [bf.zero] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai != bf.zero:
-                for j, bj in enumerate(b):
-                    if bj != bf.zero:
-                        res[i + j] = bf.add(res[i + j], bf.mul(ai, bj))
-        for i in range(2 * d - 2, d - 1, -1):
-            c = res[i]
-            if c != bf.zero:
-                res[i] = bf.zero
-                for j in range(d):
-                    res[i - d + j] = bf.sub(res[i - d + j], bf.mul(c, self.modulus[j]))
-        return tuple(res[:d])
+        out = dense_mulmod(a, b, self.modulus, self.base)
+        return tuple(out) + self.zero[len(out):]
 
     def inv(self, a):
         if a == self.zero:
@@ -350,13 +308,7 @@ class ExtField:
     def pow_elem(self, a, n):
         if n < 0:
             return self.pow_elem(self.inv(a), -n)
-        r = self.one
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return power(a, n, self.mul, self.one)
 
     def scalar(self, n):
         return self.embed(self.base.scalar(n))

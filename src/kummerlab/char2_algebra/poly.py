@@ -3,9 +3,12 @@
 Terms are a dict from exponent tuples to nonzero field elements.  The
 variable list is fixed per polynomial; binary operations require equal
 variable tuples.  Printing and hashing use graded lexicographic term
-order.  Univariate gcd/division live here too, and so do the multivariate
-gcd and the resultant with respect to one variable: both come from one
-subresultant pseudo-remainder sequence over the other variables.
+order.  The dense univariate helpers live here too: division, gcd, the
+product modulo a monic polynomial that every quotient ring F_p[x]/(m)
+and tower K[u]/(h) multiplies with, and `power`, the package's one
+square-and-multiply.  So do the multivariate gcd and the resultant with
+respect to one variable: both come from one subresultant
+pseudo-remainder sequence over the other variables.
 """
 
 
@@ -101,15 +104,8 @@ class FqPoly:
         return FqPoly(f, self.vars, {e: f.mul(c, v) for e, v in self.terms.items()})
 
     def pow_int(self, n):
-        result = FqPoly.const(self.field, self.vars, self.field.one)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, FqPoly.__mul__,
+                     FqPoly.const(self.field, self.vars, self.field.one))
 
     def degree(self, var=None):
         if not self.terms:
@@ -254,8 +250,21 @@ def _coef_str(field, c):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over a field object: the package's only copy,
-# used by the factorization and by ExtField.inv
+# dense univariate helpers over a field object: the package's only copy of
+# coefficient-list arithmetic, used by the factorization and by ExtField
+# (products through dense_mulmod, inverses through dense_divmod)
+
+
+def power(a, n, mul, one):
+    """a^n for an integer n >= 0 by square-and-multiply over `mul`."""
+    r = one
+    while n:
+        if n & 1:
+            r = mul(r, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return r
 
 
 def dense_trim(a, f):
@@ -298,6 +307,22 @@ def dense_mul(a, b, f):
             for j, bj in enumerate(b):
                 out[i + j] = f.add(out[i + j], f.mul(ai, bj))
     return out
+
+
+def dense_mulmod(a, b, mod, f):
+    """a * b reduced modulo the monic `mod`, trimmed.
+
+    Monic means no field inverse is needed, so a tower over a tower never
+    inverts in its base.
+    """
+    res = dense_mul(a, b, f)
+    d = len(mod) - 1
+    for i in range(len(res) - 1, d - 1, -1):
+        c = res[i]
+        if c != f.zero:
+            for j in range(d):
+                res[i - d + j] = f.sub(res[i - d + j], f.mul(c, mod[j]))
+    return dense_trim(res[:d], f)
 
 
 def dense_gcd(a, b, f):

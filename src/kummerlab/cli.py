@@ -134,7 +134,7 @@ def _cmd_lattice(args):
         }
         if lat.is_even:  # the discriminant form needs an even lattice
             dg = discriminant_group(lat)
-            elem, type2 = is_two_elementary_type2(lat)
+            elem, type2 = is_two_elementary_type2(dg)
             results.update(discriminant_group_orders=dg.orders,
                            q_values=[str(v) for v in dg.qvalues],
                            two_elementary=elem, type2=type2)

@@ -155,7 +155,7 @@ def build_kummer(type_symbol):
     checks["index_over_16a1"] = det16 == 1 << kt.log2_index_over_16a1
     dg = discriminant_group(lat)
     checks["discriminant_group"] = dg.orders == [2] * kt.a
-    elem, type2 = is_two_elementary_type2(lat)
+    elem, type2 = is_two_elementary_type2(dg)
     checks["two_elementary_type2"] = elem and type2
     if not all(checks.values()):
         failed = sorted(k for k, v in checks.items() if not v)
@@ -195,7 +195,7 @@ def build_q(which):
     expected = [2, 2, 2, 2] if which == "Q4" else [2, 2]
     if dg.orders != expected:
         raise KummerError(f"{which} has wrong discriminant group {dg.orders}")
-    elem, type2 = is_two_elementary_type2(lat)
+    elem, type2 = is_two_elementary_type2(dg)
     if not (elem and type2):
         raise KummerError(f"{which} is not 2-elementary of type 2")
     return lat
@@ -338,7 +338,7 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
     }
     dg = discriminant_group(lat)
     checks[f"disc_group_(Z/2)^{2 * sigma}"] = dg.orders == [2] * (2 * sigma)
-    elem, type2 = is_two_elementary_type2(lat)
+    elem, type2 = is_two_elementary_type2(dg)
     checks["two_elementary"] = elem
     checks["type2"] = type2
     checks["kummer_saturated"] = saturation(res.sub1, lat).index == 1
@@ -357,12 +357,10 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
                        n_glue, checks, glue_info)
 
 
-def admissible_sigmas(type_symbol, complement="Q4", extended=True):
+def admissible_sigmas(type_symbol, complement="Q4"):
     kt = KUMMER_TYPES[type_symbol]
     b = 4 if complement == "Q4" else 2
     depth = _GLUE_DEPTH[complement][type_symbol]
-    if not extended and complement == "Q2":
-        depth = 0
     top = (kt.a + b) // 2
     return list(range(top - depth, top + 1))
 

@@ -226,14 +226,14 @@ def discriminant_group(lat):
     return DiscriminantGroup(generators, orders, qvalues, pairings)
 
 
-def is_two_elementary_type2(lat):
-    """(2-elementary?, type 2?): is A = L^vee/L killed by 2, is q integral on A.
+def is_two_elementary_type2(dg):
+    """(2-elementary?, type 2?) for a discriminant group dg = (A, q).
 
-    On a 2-elementary A, 2b(x, y) = b(2x, y) is an integer, so
-    q(x + y) = q(x) + q(y) + 2b(x, y) is integral whenever q(x) and q(y)
-    are: q is integral on A exactly when it is on the SNF generators.
+    Is A = L^vee/L killed by 2, is q integral on A?  On a 2-elementary A,
+    2b(x, y) = b(2x, y) is an integer, so q(x + y) = q(x) + q(y) + 2b(x, y)
+    is integral whenever q(x) and q(y) are: q is integral on A exactly
+    when it is on the SNF generators.
     """
-    dg = discriminant_group(lat)
     if not all(o == 2 for o in dg.orders):
         return (False, False)
     return (True, all(q.denominator == 1 for q in dg.qvalues))
@@ -257,31 +257,28 @@ def _interval(c, bound):
     return -((s + a) // b), (s - a) // b
 
 
-def short_vectors(d, u, norm_bound, target=None):
-    """All x != 0 with 0 < Q(x) <= norm_bound (or Q(x) == target), up to sign.
+def short_vectors(d, u, norm):
+    """All x with Q(x) = norm > 0, up to sign.
 
     Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with every d_i > 0, where
     u[i] holds u_ij for j > i.  One representative per +-pair is returned,
     with the first nonzero coordinate positive, sorted lexicographically.
     """
     n = len(d)
-    bound = Fraction(norm_bound)
     found = []
     x = [0] * n
 
     def rec(i, rem):
         if i < 0:
-            if any(x):
-                val = bound - rem
-                if target is None or val == target:
-                    v = tuple(x)
-                    for c in v:
-                        if c > 0:
-                            found.append(v)
-                            break
-                        if c < 0:
-                            found.append(tuple(-y for y in v))
-                            break
+            if rem == 0:  # Q(x) = norm > 0, so x != 0
+                v = tuple(x)
+                for c in v:
+                    if c > 0:
+                        found.append(v)
+                        break
+                    if c < 0:
+                        found.append(tuple(-y for y in v))
+                        break
             return
         c = sum(uij * xj for uij, xj in zip(u[i], x[i + 1:]))
         lo, hi = _interval(c, rem / d[i])
@@ -290,7 +287,7 @@ def short_vectors(d, u, norm_bound, target=None):
             rec(i - 1, rem - d[i] * (xi + c) * (xi + c))
         x[i] = 0
 
-    rec(n - 1, bound)
+    rec(n - 1, Fraction(norm))
     uniq = sorted(set(found))
     return [list(v) for v in uniq]
 
@@ -309,7 +306,7 @@ def roots(lat):
         raise LatticeError("root enumeration requires a negative definite lattice")
     d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
     u = [[Fraction(x, p) for x in row[1:]] for p, row in zip(pivots, rows)]
-    return short_vectors(d, u, 2 * lat.den, target=2 * lat.den)
+    return short_vectors(d, u, 2 * lat.den)
 
 
 def reflect(lat, v, x):

@@ -153,7 +153,7 @@ def _f4_subfield(f):
     return out
 
 
-def z1z2_parametrization_check(field16=None):
+def z1z2_parametrization_check():
     """Verify the cubic-curve parametrization of the branch intersection.
 
     Every (c a^3, c a^2 b, c a b^2, c b^3) with a, b in F_4 satisfies all
@@ -161,7 +161,7 @@ def z1z2_parametrization_check(field16=None):
     the five equations arises this way.
     """
     from ..char2_algebra.field import get_field
-    f = field16 if field16 is not None else get_field(2, 4)
+    f = get_field(2, 4)
     f4 = _f4_subfield(f)
 
     def eqs(u):

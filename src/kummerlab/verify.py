@@ -31,6 +31,7 @@ from .char2_algebra import (
     z_filtration_dims,
 )
 from .kummer_lattices import (
+    KUMMER_TYPES,
     KummerError,
     admissible_sigmas,
     build_kummer,
@@ -38,6 +39,7 @@ from .kummer_lattices import (
 )
 from .lattice_core import LatticeError, roots
 from .rdp_invariants import (
+    KUMMER_CONFIGS,
     RdpCollection,
     RdpError,
     RdpType,
@@ -56,28 +58,16 @@ from .surface_family import (
     sample_branch_spec,
 )
 
-_TABLE1 = {
-    # symbol: (ade, log2 index over roots, log2 index over K(16A1), disc exponent)
-    "16A1": ((("A", 1),) * 16, 5, 0, 6),
-    "4D4": ((("D", 4),) * 4, 2, 1, 4),
-    "2D8": ((("D", 8),) * 2, 1, 2, 2),
-    "1D16": ((("D", 16),), 1, 3, 0),
-    "2E8": ((("E", 8),) * 2, 0, 3, 0),
-}
-
-_ROOT_COUNTS = {"16A1": 32, "4D4": 96, "2D8": 224, "1D16": 480, "2E8": 480}
-
-
 def campaign_table1():
     claims = []
     rows = {}
-    for sym, (ade, lroots, l16, a) in _TABLE1.items():
+    for sym, kt in KUMMER_TYPES.items():
         kl = build_kummer(sym)
         rows[sym] = {
-            "ade": ["%s%d" % k for k in sorted(ade)],
-            "index_over_roots": 1 << lroots,
-            "index_over_16A1": 1 << l16,
-            "disc_group_exponent": a,
+            "ade": ["%s%d" % k for k in sorted(kt.ade)],
+            "index_over_roots": 1 << kt.log2_index_over_roots,
+            "index_over_16A1": 1 << kt.log2_index_over_16a1,
+            "disc_group_exponent": kt.a,
             "checks": {k: bool(v) for k, v in sorted(kl.checks.items())},
         }
         claims.append(claim(
@@ -90,7 +80,8 @@ def campaign_table1():
 def campaign_root_counts():
     claims = []
     counts = {}
-    for sym, expected in _ROOT_COUNTS.items():
+    for sym, kt in KUMMER_TYPES.items():
+        expected = kt.root_count
         kl = build_kummer(sym)
         pairs = roots(kl.lattice)
         counts[sym] = 2 * len(pairs)
@@ -145,18 +136,14 @@ def campaign_golay():
     return {"weight_enumerator": {str(k): v for k, v in enum.items()}}, claims, []
 
 
-_SIGMA_BOUNDS = {"16A1": 5, "4D4": 4, "2D8": 3, "1D16": 2, "2E8": 2}
-
-
 def campaign_embeddings():
     claims = []
     results = {}
-    for sym, bound in _SIGMA_BOUNDS.items():
+    for sym in KUMMER_TYPES:
+        q4_sigmas = admissible_sigmas(sym, "Q4")
+        bound = max(q4_sigmas)
         for sigma in range(1, bound + 1):
-            if sigma in admissible_sigmas(sym, "Q4"):
-                comp = "Q4"
-            else:
-                comp = "Q2"
+            comp = "Q4" if sigma in q4_sigmas else "Q2"
             res = embed_kummer(sym, sigma, comp)
             key = f"{sym}.s{sigma}.{comp}"
             results[key] = {
@@ -242,7 +229,7 @@ def campaign_cartier(seed, count=500, count_p3=100):
                         {(rng.randrange(4), rng.randrange(4)):
                          field.rand(rng) for _ in range(4)})
         f2form = cartier_p2(g_poly, h_poly)
-        gform = cartier_general(g_poly, h_poly, 2)
+        gform = cartier_general(g_poly, h_poly)
         if gform.wcoeffs != f2form.wcoeffs:
             agree = False
     # p = 3 cross-check on the general formula
@@ -258,9 +245,9 @@ def campaign_cartier(seed, count=500, count_p3=100):
         f1, f2 = partials(fv)
         h1, h2 = partials(h3)
         df = f1 * h2 - f2 * h1
-        if not cartier_general(df, h3, 3).is_zero():
+        if not cartier_general(df, h3).is_zero():
             fails3 += 1
-        form = cartier_general(fv * fv * df, h3, 3)
+        form = cartier_general(fv * fv * df, h3)
         if not (form.wcoeffs[0] == df and form.wcoeffs[1].is_zero()
                 and form.wcoeffs[2].is_zero()):
             fails3 += 1
@@ -288,7 +275,7 @@ def campaign_p1(seed, count=500):
         for _ in range(count):
             poly = FqPoly(field, ("t",),
                           {(rng.randrange(7),): field.rand(rng) for _ in range(4)})
-            if not check_p1_derivative(poly, p):
+            if not check_p1_derivative(poly):
                 fails += 1
         results[f"p{p}"] = {"samples": count, "failures": fails}
         claims.append(claim(
@@ -431,8 +418,7 @@ def campaign_subgroup(seed, count=100):
 
 def campaign_leq5():
     best, cases, enumerated = verify_leq5(16)
-    expected = sorted(["+".join(["A1"] * 16), "+".join(["D4r0"] * 4),
-                       "+".join(["D8r0"] * 2), "D16r0", "+".join(["E8r0"] * 2)])
+    expected = sorted("+".join(syms) for syms in KUMMER_CONFIGS)
     got = sorted(str(c) for c in cases)
     claims = [
         claim("leq5.max", "max of f(m) + b - n_B over index <= 16 is 5",
@@ -469,8 +455,7 @@ def campaign_table2():
         "D_N^r levels are non-decreasing and constant from the stabilization "
         "index on, for all N <= 20", mono_ok))
     consistency = all(
-        RdpCollection.of(*syms).i == 16 for syms in
-        (["A1"] * 16, ["D4r0"] * 4, ["D8r0"] * 2, ["D16r0"], ["E8r0"] * 2))
+        RdpCollection.of(*syms).i == 16 for syms in KUMMER_CONFIGS)
     claims.append(claim(
         "table2.kummer_indices", "the five configurations have total index 16",
         consistency))

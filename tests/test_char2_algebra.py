@@ -17,6 +17,7 @@ from kummerlab.char2_algebra import (
     poly_roots,
     resultant,
 )
+from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import dense_gcd, poly_divexact
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -74,6 +75,89 @@ def test_tower_field():
     for _ in range(50):
         a, b = f.rand(rng), f.rand(rng)
         assert ext.embed(f.mul(a, b)) == ext.mul(ext.embed(a), ext.embed(b))
+
+
+def _schoolbook_mulmod(a, b, mod, add, sub, mul, zero):
+    """Reference: product of coefficient lists, reduced by the monic mod."""
+    d = len(mod) - 1
+    res = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            res[i + j] = add(res[i + j], mul(ai, bj))
+    for k in range(len(res) - 1, d - 1, -1):
+        c, res[k] = res[k], zero
+        for j in range(d):
+            res[k - d + j] = sub(res[k - d + j], mul(c, mod[j]))
+    return res[:d]
+
+
+SMALL_BUILTIN_FIELDS = [(p, e) for p, moduli in sorted(_MODULI.items())
+                        for e in sorted(moduli) if p ** e <= 1 << 10]
+
+
+@pytest.mark.parametrize("p,e", SMALL_BUILTIN_FIELDS)
+def test_base_field_mul_is_the_product_mod_the_modulus(p, e):
+    f = get_field(p, e)
+    mod = FieldSpec.standard(p, e).modulus
+
+    def digits(a):
+        return [a // p ** i % p for i in range(e)]
+
+    def reference(a, b):
+        prod = _schoolbook_mulmod(digits(a), digits(b), mod,
+                                  lambda x, y: (x + y) % p,
+                                  lambda x, y: (x - y) % p,
+                                  lambda x, y: x * y % p, 0)
+        return sum(c * p ** i for i, c in enumerate(prod))
+
+    if f.order <= 32:
+        pairs = [(a, b) for a in f.elements() for b in f.elements()]
+    else:
+        rng = random.Random(p ** e)
+        pairs = [(f.rand(rng), f.rand(rng)) for _ in range(300)]
+    for a, b in pairs:
+        assert f.mul(a, b) == reference(a, b)
+
+
+def _reference_ops(field):
+    """(add, sub, mul, zero) of a field, towers by schoolbook over the base."""
+    if isinstance(field, BaseField):
+        return field.add, field.sub, field.mul, field.zero
+    add, sub, mul, zero = _reference_ops(field.base)
+
+    def tower_mul(a, b):
+        return tuple(_schoolbook_mulmod(a, b, field.modulus, add, sub, mul, zero))
+
+    return (lambda a, b: tuple(add(x, y) for x, y in zip(a, b)),
+            lambda a, b: tuple(sub(x, y) for x, y in zip(a, b)),
+            tower_mul, (zero,) * field.rel_degree)
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2)])
+def test_tower_over_tower_mul_and_pow(p, e):
+    f = get_field(p, e)
+    # u^2 + u + c (p = 2) or u^2 - c (odd p) over F_q, then v^3 - v - d over
+    # that: each is irreducible because it has no root in the field below
+    lin = f.one if p == 2 else f.zero
+    values = {f.add(f.mul(a, a), f.mul(lin, a)) for a in f.elements()}
+    c = next(c for c in f.elements() if c not in values)
+    inner = ExtField(f, [f.neg(c), lin, f.one])
+    inner_elements = [(x, y) for x in f.elements() for y in f.elements()]
+    values = {inner.sub(inner.pow_elem(a, 3), a) for a in inner_elements}
+    d = next(d for d in inner_elements if d not in values)
+    outer = ExtField(inner, [inner.neg(d), inner.neg(inner.one), inner.zero,
+                             inner.one])
+    rng = random.Random(29)
+    _add, _sub, ref_mul, _zero = _reference_ops(outer)
+    for _ in range(40):
+        a, b = outer.rand_nonzero(rng), outer.rand(rng)
+        assert outer.mul(a, b) == ref_mul(a, b)
+        powers = [outer.one]
+        for _ in range(17):
+            powers.append(ref_mul(powers[-1], a))
+        for n in (0, 1, 2, 17):
+            assert outer.pow_elem(a, n) == powers[n]
+        assert ref_mul(outer.pow_elem(a, -3), powers[3]) == outer.one
 
 
 def _rand_poly(field, rng, variables=("x", "y"), nterms=5, dmax=4):

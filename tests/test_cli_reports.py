@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -16,6 +17,7 @@ from kummerlab.reports import claim, validate_report
 from kummerlab.verify import campaign_singularities
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def run_cli(argv):
@@ -41,6 +43,21 @@ def test_golden_reports(argv, golden, monkeypatch):
     expected = (GOLDEN / golden).read_text()
     assert out == expected
     validate_report(json.loads(out))
+
+
+# seeded reports the benchmark's reference pins by hash, cheap enough for
+# tier-1; a byte change in any of them fails here before the benchmark runs
+REFERENCE_HASHED = ["verify-cartier", "verify-p1", "verify-zfilt",
+                    "verify-subgroup", "lattice-roots"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_HASHED)
+def test_report_matches_the_benchmark_reference(name, monkeypatch):
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())[name]
+    monkeypatch.chdir(ROOT)
+    rc, out = run_cli(ref["argv"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
 
 
 def test_schema_validates_all_subcommands():

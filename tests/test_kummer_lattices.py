@@ -63,7 +63,7 @@ def test_q_lattices():
     for lat, orders in ((q4, [2] * 4), (q2, [2] * 2)):
         assert signature(lat) == (1, 5)
         assert discriminant_group(lat).orders == orders
-        assert is_two_elementary_type2(lat) == (True, True)
+        assert is_two_elementary_type2(discriminant_group(lat)) == (True, True)
 
 
 def test_q_glue_values_table():
@@ -181,4 +181,4 @@ def test_complement_is_two_elementary_type2(sym, sigma, comp):
     res = embed_kummer(sym, sigma, comp)
     comp_lat = complement_of_kummer(res)
     assert comp_lat.rank == 6
-    assert is_two_elementary_type2(comp_lat) == (True, True)
+    assert is_two_elementary_type2(discriminant_group(comp_lat)) == (True, True)

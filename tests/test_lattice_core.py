@@ -137,13 +137,14 @@ def brute_force_type2(lat):
 
 def test_two_elementary_type2():
     a1 = ade_lattice("A", 1)
-    assert is_two_elementary_type2(a1) == (True, False)
+    assert is_two_elementary_type2(discriminant_group(a1)) == (True, False)
     d4 = ade_lattice("D", 4)
-    assert is_two_elementary_type2(d4) == (True, True)
+    assert is_two_elementary_type2(discriminant_group(d4)) == (True, True)
     a3 = ade_lattice("A", 3)       # Z/4: not 2-elementary
-    assert is_two_elementary_type2(a3) == (False, False)
+    assert is_two_elementary_type2(discriminant_group(a3)) == (False, False)
     for lat in (a1, d4, ade_lattice("D", 6), ade_lattice("D", 8), a1_sum(6)):
-        assert is_two_elementary_type2(lat) == brute_force_type2(lat)
+        assert (is_two_elementary_type2(discriminant_group(lat))
+                == brute_force_type2(lat))
 
 
 def brute_force_roots(lat, box=3):
@@ -341,7 +342,7 @@ def test_discriminant_group_properties(lat):
 @PROPERTY
 @given(even_lattices())
 def test_type2_matches_brute_force(lat):
-    assert is_two_elementary_type2(lat) == brute_force_type2(lat)
+    assert is_two_elementary_type2(discriminant_group(lat)) == brute_force_type2(lat)
 
 
 def fractions(lo, hi):
