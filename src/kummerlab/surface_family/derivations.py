@@ -8,15 +8,20 @@ coordinate t standing for the class-2 parameter as well), where c1
 normalizes D^2 = D in the multiplicative case h11 != 0 and is 1 in the
 additive case.  Its fixed locus is cut out by additive polynomials
 exactly when every generator monomial is a single variable raised to a
-power of 2; the group-scheme order is the total colength of the
-generator ideal.
+power of 2.  Such a pair is a 2x2 matrix over the twisted polynomial ring
+k{tau} (tau a = a^2 tau, c v^(2^k) read as c tau^k), and the group-scheme
+order is 2 to the degree of its Dieudonne determinant: `additive_order`
+triangularizes the matrix by Ore's left Euclid (Ore, Trans. AMS 35,
+1933; Goss, Basic Structures of Function Field Arithmetic, ch. 1).
+Non-additive generators fall back to `_system_order`, the total colength
+of the generator ideal over its closed points.
 """
 
 from dataclasses import dataclass
 
 from ..char2_algebra.cartier import sqrt_poly
 from ..char2_algebra.factor import poly_roots
-from ..char2_algebra.poly import FqPoly, poly_gcd_multivariate
+from ..char2_algebra.poly import FqPoly, dense_trim, poly_gcd_multivariate
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import SurfaceError, _COEFF_SLOTS, _FIXED_TERMS
 from .points import _NonIsolated, _colength_at, closed_points
@@ -90,8 +95,11 @@ def fixed_locus_subgroup_check(d):
 
     The fixed locus of D is cut out by the two generators; it is a
     subgroup scheme of the coordinate plane iff both are additive
-    polynomials.  The order is the total colength of the generator ideal,
-    summed over closed points.
+    polynomials.  The order is then `additive_order`, the Ore reduction
+    in k{tau}; for non-additive generators it is `_system_order`, the
+    total colength of the generator ideal summed over closed points.
+    Either raises SurfaceError when the fixed locus is not
+    zero-dimensional.
     """
     gens = (d.f, d.g)
     witness = None
@@ -101,8 +109,55 @@ def fixed_locus_subgroup_check(d):
             witness = w
             break
     additive = witness is None
-    order = _system_order(gens, d.vars)
+    if additive:
+        order = additive_order(gens, d.field)
+    else:
+        order = _system_order(gens, d.vars)
     return gens, additive, order, witness
+
+
+def _tau_parts(poly, field):
+    """(first-variable part, second-variable part) of an additive poly, each
+    the dense coefficient list in tau of sum c_k v^(2^k)."""
+    parts = ([], [])
+    for e, c in poly.terms.items():
+        i = 0 if e[0] else 1
+        k = e[i].bit_length() - 1
+        part = parts[i]
+        part.extend([field.zero] * (k + 1 - len(part)))
+        part[k] = c
+    return parts
+
+
+def _tau_submul(a, c, j, b, field):
+    """a - (c tau^j) b in k{tau}, trimmed (characteristic 2: minus is plus)."""
+    out = a + [field.zero] * (len(b) + j - len(a))
+    q = 1 << j
+    for k, bk in enumerate(b):
+        out[k + j] = field.add(out[k + j], field.mul(c, field.pow_elem(bk, q)))
+    return dense_trim(out, field)
+
+
+def additive_order(gens, field):
+    """Order of the group scheme cut out by two additive generators.
+
+    The rows (A_i, B_i) of g_i = A_i(s) + B_i(t) are reduced by Euclid on
+    the first column with left quotients c tau^j, c = lead(A_1) /
+    lead(A_2)^(2^j); left composition keeps the ideal (g1, g2), and no
+    p-th root is taken.  The result [[d1, *], [0, d2]] has order
+    2^(deg d1 + deg d2); a zero diagonal entry raises SurfaceError.
+    """
+    (a1, b1), (a2, b2) = (_tau_parts(g, field) for g in gens)
+    while a2:
+        while len(a1) >= len(a2):
+            j = len(a1) - len(a2)
+            c = field.mul(a1[-1], field.inv(field.pow_elem(a2[-1], 1 << j)))
+            a1 = _tau_submul(a1, c, j, a2, field)
+            b1 = _tau_submul(b1, c, j, b2, field)
+        (a1, b1), (a2, b2) = (a2, b2), (a1, b1)
+    if not a1 or not b2:
+        raise SurfaceError("fixed locus is not zero-dimensional")
+    return 1 << (len(a1) + len(b2) - 2)
 
 
 def _system_order(gens, variables):

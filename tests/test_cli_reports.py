@@ -32,6 +32,14 @@ GOLDEN_CASES = [
     (["kummer", "build", "--type", "4D4"], "kummer_build_4d4.json"),
     (["lattice", "info", "--in", "tests/golden/d4_lattice.json"],
      "lattice_info_d4.json"),
+    # fixed_locus_order: the Ore order for additive generators (class 4,
+    # class 2 with h07 = 0), the closed-point order for h07 != 0
+    (["surface", "derivation-check", "--family", "class4", "--field", "e=4",
+      "--coeffs", "h11=1"], "derivation_check_class4_h11.json"),
+    (["surface", "derivation-check", "--family", "class2", "--field", "e=4",
+      "--coeffs", "h11=1,h03=0011"], "derivation_check_class2_h07_zero.json"),
+    (["surface", "derivation-check", "--family", "class2", "--field", "e=4",
+      "--coeffs", "h11=1,h07=0101"], "derivation_check_class2_h07_nonzero.json"),
 ]
 
 

@@ -21,7 +21,11 @@ from kummerlab.surface_family import (
     translate_to_origin,
     z1z2_parametrization_check,
 )
-from kummerlab.surface_family.derivations import _rational_common_zero
+from kummerlab.surface_family.derivations import (
+    _rational_common_zero,
+    _system_order,
+    additive_order,
+)
 from kummerlab.surface_family.points import (
     COLENGTH_CAP,
     _NonIsolated,
@@ -336,6 +340,66 @@ def test_fixed_points_closed_under_addition():
     for (a1, b1) in pts:
         for (a2, b2) in pts:
             assert (f.add(a1, a2), f.add(b1, b2)) in ptset
+
+
+def _additive_poly(f, s_coeffs, t_coeffs):
+    """sum a_k s^(2^k) + sum b_k t^(2^k)."""
+    terms = {(1 << k, 0): c for k, c in enumerate(s_coeffs)}
+    terms.update({(0, 1 << k): c for k, c in enumerate(t_coeffs)})
+    return FqPoly(f, ("s", "t"), terms)
+
+
+def _order_or_none(order_fn):
+    try:
+        return order_fn()
+    except SurfaceError as exc:
+        assert "fixed locus is not zero-dimensional" in str(exc)
+        return None
+
+
+ADDITIVE_KINDS = ["random", "triangular", "composed", "equal", "free_of_s"]
+DEGENERATE_KINDS = {"composed", "equal", "free_of_s"}
+
+
+@PROPERTY
+@given(e=st.sampled_from([4, 6]), kind=st.sampled_from(ADDITIVE_KINDS),
+       digits=st.lists(st.integers(-21, 63), min_size=14, max_size=14))
+def test_additive_order_matches_the_closed_point_order(e, kind, digits):
+    # tau-degree <= 2 in each entry keeps the order <= 16 <= COLENGTH_CAP,
+    # where the closed-point total colength is exact; a draw d <= 0 is a
+    # zero coefficient, so every tau-degree from 0 to 2 occurs
+    f = get_field(2, e)
+    els = f.elements()
+    c = [els[d % len(els)] if d > 0 else f.zero for d in digits]
+    a1, b1, a2, b2, q = c[0:3], c[3:6], c[6:9], c[9:12], c[12:14]
+    if kind == "triangular":
+        b1 = []                    # g1 free of t
+    if kind == "free_of_s":
+        a1 = a2 = []
+    g1 = _additive_poly(f, a1, b1)
+    if kind == "composed":         # g2 = Q(g1) with Q = q0 tau^0 + q1 tau^1
+        g2 = g1.scale(q[0]) + (g1 * g1).scale(q[1])
+    elif kind == "equal":
+        g2 = g1
+    else:
+        g2 = _additive_poly(f, a2, b2)
+    ore = _order_or_none(lambda: additive_order((g1, g2), f))
+    closed = _order_or_none(lambda: _system_order((g1, g2), ("s", "t")))
+    assert ore == closed
+    if kind in DEGENERATE_KINDS:
+        assert ore is None
+
+
+def test_additive_order_above_the_colength_cap():
+    # (s^8, t^4) has order 2^(3 + 2) = 32: the Ore reduction has no cap,
+    # while the closed-point path counts a local colength above
+    # COLENGTH_CAP as non-isolated, so the two methods part here
+    f = get_field(2, 4)
+    s_var, t_var = (FqPoly.variable(f, ("s", "t"), v) for v in ("s", "t"))
+    gens = (s_var.pow_int(8), t_var.pow_int(4))
+    assert additive_order(gens, f) == 32 > COLENGTH_CAP
+    with pytest.raises(SurfaceError, match="fixed locus is not zero-dimensional"):
+        _system_order(gens, ("s", "t"))
 
 
 def test_classify_derivations_examples():
