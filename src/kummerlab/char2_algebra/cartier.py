@@ -138,9 +138,7 @@ def check_p1_derivative(f_poly):
 def _reduce_against(vec, echelon, pivots, field):
     vec = list(vec)
     for row, c in zip(echelon, pivots):
-        if vec[c] != field.zero:
-            f = vec[c]
-            vec = [field.sub(x, field.mul(f, y)) for x, y in zip(vec, row)]
+        field.addmul_row(vec, 0, field.neg(vec[c]), row)
     return vec
 
 
@@ -258,9 +256,7 @@ def z_filtration(h_poly, ambient, depth):
         for c in null:
             v = [f.zero] * len(monos)
             for k, ck in enumerate(c):
-                ck2 = f.mul(ck, ck)
-                if ck2 != f.zero:
-                    v = [f.add(x, f.mul(ck2, y)) for x, y in zip(v, current[k])]
+                f.addmul_row(v, 0, f.mul(ck, ck), current[k])
             new_basis.append(v)
         current, _p = row_reduce(new_basis, f)
         out.append((len(current), [list(v) for v in current]))

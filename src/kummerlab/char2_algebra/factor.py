@@ -128,11 +128,12 @@ def equal_degree_split(a, d, f, rng):
                 continue
             if f.char == 2:
                 e_total = f.degree * d
-                t = r[:]
+                # t = r + r^2 + r^4 + ..., padded to deg poly for the row hook
+                t = r + [f.zero] * (len(poly) - 1 - len(r))
                 acc = r[:]
                 for _ in range(e_total - 1):
                     acc = dense_mulmod(acc, acc, poly, f)
-                    t = dense_sub(t, [f.neg(c) for c in acc], f)  # t += acc
+                    f.addmul_row(t, 0, f.one, acc)
                 g = dense_gcd(poly, t, f)
             else:
                 e = (q ** d - 1) // 2

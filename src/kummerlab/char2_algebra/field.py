@@ -10,10 +10,23 @@ they exist to host algebraic points found during factorization and are
 never serialized.  `row_reduce` is the Gaussian elimination over any of
 these field objects.
 
+Every field object has one row operation, `addmul_row(dst, off, c, src)`:
+dst[off + j] += c * src[j] in place.  It is the only inner loop of the
+package's dense arithmetic: `poly.dense_mul`, `dense_mulmod` and
+`dense_divmod`, the trace sum of the char-2 factorization, `row_reduce`,
+the Cartier-module reductions and the Ore reduction in k{tau}.  A
+characteristic-2 base field runs it on its log tables: log c once per
+row, a doubled exp table indexed by log c + log s without a reduction,
+zeros of src skipped, XOR to accumulate.  Odd-p base fields and towers
+run it on their own add and mul.  In characteristic 2 a base field also
+binds add and sub to XOR and neg to the identity at construction, so no
+call tests the characteristic.
+
 Moduli come from a fixed built-in table; construction proves each one
 irreducible by finding an element of multiplicative order p^e - 1.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .poly import (dense_divmod, dense_mul, dense_mulmod, dense_sub,
@@ -77,6 +90,18 @@ class FieldSpec:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
 
+def _addmul_row(field, dst, off, c, src):
+    """dst[off + j] += c * src[j] for every j, in place, on the field's own
+    add and mul; zeros of c and src are skipped."""
+    zero = field.zero
+    if c == zero:
+        return
+    add, mul = field.add, field.mul
+    for j, s in enumerate(src, off):
+        if s != zero:
+            dst[j] = add(dst[j], mul(c, s))
+
+
 class BaseField:
     """F_{p^e} with exp/log multiplication tables."""
 
@@ -93,6 +118,11 @@ class BaseField:
         if self.order > 1 << 16:
             raise FieldError("field too large for table arithmetic")
         self._build_tables()
+        if p == 2:
+            # + and - are XOR and -a = a; the class methods serve odd p
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+            self.addmul_row = self._addmul_row_log
 
     # -- encoding ---------------------------------------------------------
     def _digits(self, a):
@@ -134,45 +164,49 @@ class BaseField:
         exp = [1] * (q - 1)
         cur = one
         for i in range(1, q - 1):
-            # the sparse gen goes first: dense_mul skips zeros of its first
-            # argument only
             cur = mul(gen, cur)
             exp[i] = to_int(cur)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp
+        # doubled, so log a + log b < 2(q - 1) indexes it with no reduction
+        self._exp = exp + exp
         self._log = log
-        if p == 2:
-            self._add_table = None
-        else:
-            self._add_table = [
-                [self._undigits([(x + y) % p for x, y in
-                                 zip(self._digits(a), self._digits(b))])
-                 for b in range(q)] for a in range(q)]
+        if p != 2:
+            digits = [self._digits(a) for a in range(q)]
+            self._add_table = [[self._undigits([x + y for x, y in zip(da, db)])
+                                for db in digits] for da in digits]
+            self._neg_table = [self._undigits([-x for x in da]) for da in digits]
 
     # -- arithmetic --------------------------------------------------------
     zero = 0
     one = 1
 
     def add(self, a, b):
-        if self.char == 2:
-            return a ^ b
         return self._add_table[a][b]
 
     def neg(self, a):
-        if self.char == 2:
-            return a
-        p = self.char
-        return self._undigits([(-x) % p for x in self._digits(a)])
+        return self._neg_table[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._add_table[a][self._neg_table[b]]
 
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+        return self._exp[self._log[a] + self._log[b]]
+
+    addmul_row = _addmul_row
+
+    def _addmul_row_log(self, dst, off, c, src):
+        """addmul_row in characteristic 2, on the log tables."""
+        if c == 0:
+            return
+        exp, log = self._exp, self._log
+        lc = log[c]
+        for j, s in enumerate(src, off):
+            if s:
+                dst[j] ^= exp[lc + log[s]]
 
     def inv(self, a):
         if a == 0:
@@ -287,6 +321,8 @@ class ExtField:
         out = dense_mulmod(a, b, self.modulus, self.base)
         return tuple(out) + self.zero[len(out):]
 
+    addmul_row = _addmul_row
+
     def inv(self, a):
         if a == self.zero:
             raise FieldError("division by zero")
@@ -359,10 +395,8 @@ def row_reduce(rows, field):
         inv = field.inv(rows[r][c])
         rows[r] = [field.mul(inv, x) for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+            if i != r:
+                field.addmul_row(rows[i], 0, field.neg(rows[i][c]), rows[r])
         pivots.append(c)
         r += 1
         if r == len(rows):

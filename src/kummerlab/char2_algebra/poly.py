@@ -6,8 +6,12 @@ variable tuples.  Printing and hashing use graded lexicographic term
 order.  The dense univariate helpers live here too: division, gcd, the
 product modulo a monic polynomial that every quotient ring F_p[x]/(m)
 and tower K[u]/(h) multiplies with, and `power`, the package's one
-square-and-multiply.  So do the multivariate gcd and the resultant with
-respect to one variable: both come from one subresultant
+square-and-multiply.  The only inner loop of `dense_mul`, `dense_mulmod`
+and `dense_divmod` is the field's row hook `addmul_row(dst, off, c, src)`
+(dst[off + j] += c * src[j]), called once per row: characteristic-2 base
+fields run it on their log tables, odd-p base fields and towers on their
+add and mul (see field.py).  So do the multivariate gcd and the resultant
+with respect to one variable: both come from one subresultant
 pseudo-remainder sequence over the other variables.
 """
 
@@ -30,6 +34,16 @@ class FqPoly:
                 if coef != field.zero:
                     clean[tuple(int(x) for x in expo)] = coef
         self.terms = clean
+
+    @classmethod
+    def _clean(cls, field, variables, terms):
+        """A polynomial on clean terms: int-tuple exponents of the arity of
+        the variable tuple and nonzero coefficients, taken as they are."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.vars = variables
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -73,11 +87,12 @@ class FqPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return FqPoly(f, self.vars, terms)
+        return FqPoly._clean(f, self.vars, terms)
 
     def __neg__(self):
         f = self.field
-        return FqPoly(f, self.vars, {e: f.neg(c) for e, c in self.terms.items()})
+        return FqPoly._clean(f, self.vars,
+                             {e: f.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,13 +110,14 @@ class FqPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return FqPoly(f, self.vars, out)
+        return FqPoly._clean(f, self.vars, out)
 
     def scale(self, c):
         f = self.field
         if c == f.zero:
             return FqPoly.zero(f, self.vars)
-        return FqPoly(f, self.vars, {e: f.mul(c, v) for e, v in self.terms.items()})
+        return FqPoly._clean(f, self.vars,
+                             {e: f.mul(c, v) for e, v in self.terms.items()})
 
     def pow_int(self, n):
         return power(self, n, FqPoly.__mul__,
@@ -252,7 +268,9 @@ def _coef_str(field, c):
 # ---------------------------------------------------------------------------
 # dense univariate helpers over a field object: the package's only copy of
 # coefficient-list arithmetic, used by the factorization and by ExtField
-# (products through dense_mulmod, inverses through dense_divmod)
+# (products through dense_mulmod, inverses through dense_divmod).  Their
+# one inner loop is the field's row operation f.addmul_row(dst, off, c, src),
+# dst[off + j] += c * src[j], called once per row.
 
 
 def power(a, n, mul, one):
@@ -285,8 +303,7 @@ def dense_divmod(a, b, f):
         c = f.mul(a[-1], inv)
         shift = len(a) - len(b)
         q[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = f.sub(a[shift + j], f.mul(c, b[j]))
+        f.addmul_row(a, shift, f.neg(c), b)
         dense_trim(a, f)
     return q, a
 
@@ -303,9 +320,7 @@ def dense_mul(a, b, f):
         return []
     out = [f.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai != f.zero:
-            for j, bj in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+        f.addmul_row(out, i, ai, b)
     return out
 
 
@@ -317,11 +332,9 @@ def dense_mulmod(a, b, mod, f):
     """
     res = dense_mul(a, b, f)
     d = len(mod) - 1
+    low = mod[:d]
     for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c != f.zero:
-            for j in range(d):
-                res[i - d + j] = f.sub(res[i - d + j], f.mul(c, mod[j]))
+        f.addmul_row(res, i - d, f.neg(res[i]), low)
     return dense_trim(res[:d], f)
 
 

@@ -30,6 +30,7 @@ from .lattice_core import (
 from .rdp_invariants import RdpError, RdpType, b_index, dim_b_bar
 from .reports import claim, emit, make_report
 from .surface_family import (
+    BRANCHES,
     SurfaceError,
     SurfaceSpec,
     classify_derivations,
@@ -42,6 +43,11 @@ from .verify import CAMPAIGN_NAMES, run_campaign
 
 class UsageError(ValueError):
     pass
+
+
+def _usage_error(message):
+    """The parsers' error hook: one error line instead of usage and exit."""
+    raise UsageError(message)
 
 
 # largest Gram matrix a lattice file may hold; the package's own lattices
@@ -339,7 +345,7 @@ def build_parser():
     p_surf.add_argument("--family", required=True, choices=["class4", "class2"])
     p_surf.add_argument("--field", default="e=4")
     p_surf.add_argument("--coeffs", default="")
-    p_surf.add_argument("--expect", default=None)
+    p_surf.add_argument("--expect", default=None, choices=list(BRANCHES))
     p_surf.add_argument("--report", dest="out", default=None)
     p_surf.add_argument("--out", dest="out", default=None)
 
@@ -357,6 +363,8 @@ def build_parser():
     p_ver.add_argument("--verbose", action="store_true")
     p_ver.add_argument("--out", default=None)
 
+    for p in (parser, p_lat, p_codes, p_kum, p_surf, p_rdp, p_ver):
+        p.error = _usage_error
     return parser
 
 
@@ -371,12 +379,8 @@ _HANDLERS = {
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             inputs, results, claims, seeds, degrees = _cmd_verify(args)
         else:
@@ -385,6 +389,8 @@ def main(argv=None):
         report = make_report(["kummerlab"] + argv, inputs, results, claims,
                              seeds=seeds, field_extensions=degrees)
         return emit(report, getattr(args, "out", None))
+    except SystemExit as exc:   # --help
+        return 2 if exc.code else 0
     except (UsageError, FieldError, OSError, KeyError, json.JSONDecodeError,
             LatticeError, KummerError, CodeError, SurfaceError, RdpError) as exc:
         print(f"kummerlab: error: {exc}", file=sys.stderr)

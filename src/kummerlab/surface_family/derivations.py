@@ -132,9 +132,7 @@ def _tau_parts(poly, field):
 def _tau_submul(a, c, j, b, field):
     """a - (c tau^j) b in k{tau}, trimmed (characteristic 2: minus is plus)."""
     out = a + [field.zero] * (len(b) + j - len(a))
-    q = 1 << j
-    for k, bk in enumerate(b):
-        out[k + j] = field.add(out[k + j], field.mul(c, field.pow_elem(bk, q)))
+    field.addmul_row(out, j, c, [field.pow_elem(bk, 1 << j) for bk in b])
     return dense_trim(out, field)
 
 

@@ -18,7 +18,8 @@ from kummerlab.char2_algebra import (
     resultant,
 )
 from kummerlab.char2_algebra.field import _MODULI
-from kummerlab.char2_algebra.poly import dense_gcd, poly_divexact
+from kummerlab.char2_algebra.poly import (dense_divmod, dense_gcd, dense_mul,
+                                          dense_mulmod, poly_divexact)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -60,9 +61,7 @@ def test_encode_decode_round_trip():
 
 def test_tower_field():
     f = get_field(2, 4)
-    c = next(c for c in f.elements()
-             if all(f.add(f.mul(a, a), a) != c for a in f.elements()))
-    ext = ExtField(f, [c, f.one, f.one])   # u^2 + u + c irreducible
+    ext = _quadratic_tower(f)
     assert ext.degree == 8
     rng = random.Random(17)
     for _ in range(300):
@@ -77,13 +76,21 @@ def test_tower_field():
         assert ext.embed(f.mul(a, b)) == ext.mul(ext.embed(a), ext.embed(b))
 
 
-def _schoolbook_mulmod(a, b, mod, add, sub, mul, zero):
-    """Reference: product of coefficient lists, reduced by the monic mod."""
-    d = len(mod) - 1
+def _schoolbook_mul(a, b, add, mul, zero):
+    """Reference: product of coefficient lists, every pair multiplied."""
+    if not a or not b:
+        return []
     res = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             res[i + j] = add(res[i + j], mul(ai, bj))
+    return res
+
+
+def _schoolbook_mulmod(a, b, mod, add, sub, mul, zero):
+    """Reference: product of coefficient lists, reduced by the monic mod."""
+    d = len(mod) - 1
+    res = _schoolbook_mul(a, b, add, mul, zero)
     for k in range(len(res) - 1, d - 1, -1):
         c, res[k] = res[k], zero
         for j in range(d):
@@ -158,6 +165,134 @@ def test_tower_over_tower_mul_and_pow(p, e):
         for n in (0, 1, 2, 17):
             assert outer.pow_elem(a, n) == powers[n]
         assert ref_mul(outer.pow_elem(a, -3), powers[3]) == outer.one
+
+
+def _quadratic_tower(f):
+    """F_q[u]/(u^2 + u + c) for a c that is no value of a^2 + a (p = 2)."""
+    values = {f.add(f.mul(a, a), a) for a in f.elements()}
+    return ExtField(f, [next(c for c in f.elements() if c not in values),
+                        f.one, f.one])
+
+
+ROW_FIELDS = ["F_2^1", "F_2^4", "F_2^8", "F_2^13", "F_3^2", "F_5^2",
+              "F_2^4[u]/deg2"]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_field(name):
+    """The field of a ROW_FIELDS name, built on first use."""
+    p, e = (int(x) for x in name[2:].split("[")[0].split("^"))
+    return _quadratic_tower(get_field(p, e)) if "[" in name else get_field(p, e)
+
+
+def _elements(field):
+    """Field elements with zero drawn about as often as all others."""
+    if isinstance(field, BaseField):
+        nonzero = st.integers(1, field.order - 1)
+    else:
+        nonzero = st.tuples(*[_elements(field.base)] * field.rel_degree).filter(
+            lambda a: a != field.zero)
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+def _trim(a, zero):
+    a = list(a)
+    while a and a[-1] == zero:
+        a.pop()
+    return a
+
+
+@st.composite
+def row_cases(draw):
+    """(field name, dst, off, c, src) with len(dst) >= off + len(src)."""
+    name = draw(st.sampled_from(ROW_FIELDS))
+    elem = _elements(_row_field(name))
+    src = draw(st.lists(elem, max_size=8))
+    off = draw(st.integers(0, 3))
+    dst = draw(st.lists(elem, min_size=off + len(src), max_size=off + len(src) + 2))
+    return name, dst, off, draw(elem), src
+
+
+@settings(PROPERTY, max_examples=150)
+@given(row_cases())
+@example(("F_2^8", [3, 0, 7], 0, 0, [5, 9, 1]))                    # c = 0
+@example(("F_2^13", [1, 2, 3, 4, 5], 2, 4095, [8191 - 1, 0, 17]))  # off > 0
+@example(("F_3^2", [0, 1, 2, 3], 1, 5, [0, 8, 0]))                 # zeros in src
+@example(("F_2^4[u]/deg2", [(1, 0), (0, 0), (2, 3)], 1, (0, 1), [(0, 0), (5, 7)]))
+def test_addmul_row_is_the_elementwise_add_multiply(case):
+    name, dst, off, c, src = case
+    field = _row_field(name)
+    add, _sub, mul, _zero = _reference_ops(field)
+    expect = list(dst)
+    for j, s in enumerate(src):
+        expect[off + j] = add(expect[off + j], mul(c, s))
+    got = list(dst)
+    assert field.addmul_row(got, off, c, src) is None
+    assert got == expect
+
+
+@st.composite
+def dense_cases(draw):
+    """(field name, a, b, monic modulus): b has a nonzero leading
+    coefficient and a is mostly at least as long as b."""
+    name = draw(st.sampled_from(ROW_FIELDS))
+    field = _row_field(name)
+    elem = _elements(field)
+    b = draw(st.lists(elem, max_size=4)) + [draw(elem.filter(lambda x: x != field.zero))]
+    a = draw(st.lists(elem, min_size=max(len(b) - 2, 0), max_size=len(b) + 4))
+    mod = draw(st.lists(elem, min_size=1, max_size=5)) + [field.one]
+    return name, a, b, mod
+
+
+@settings(PROPERTY, max_examples=150)
+@given(dense_cases())
+@example(("F_3^2", [1, 2, 3, 4, 0, 7], [1, 5], [2, 0, 1]))
+@example(("F_5^2", [0, 0, 24, 3, 11], [6, 0, 13], [1, 1, 0, 1]))
+def test_dense_kernels_match_the_schoolbook(case):
+    name, a, b, mod = case
+    field = _row_field(name)
+    add, sub, mul, zero = _reference_ops(field)
+    assert dense_mul(a, b, field) == _schoolbook_mul(a, b, add, mul, zero)
+    assert dense_mulmod(a, b, mod, field) == _trim(
+        _schoolbook_mulmod(a, b, mod, add, sub, mul, zero), zero)
+    # q, r are the unique pair with a = q b + r and deg r < deg b
+    q, r = dense_divmod(a, b, field)
+    assert len(r) < len(b) and _trim(r, zero) == r
+    qb = _schoolbook_mul(q, b, add, mul, zero)
+    total = [zero] * max(len(qb), len(r))
+    for i, x in enumerate(qb):
+        total[i] = add(total[i], x)
+    for i, x in enumerate(r):
+        total[i] = add(total[i], x)
+    assert _trim(total, zero) == _trim(a, zero)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in k[x, y] built through the public constructor from
+    a variable list and terms with zero coefficients, and a scalar."""
+    f = get_field(*draw(st.sampled_from([(2, 1), (2, 4), (3, 2)])))
+    coef = st.integers(0, f.order - 1)
+    expo = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+
+    def poly():
+        terms = {tuple(e): c for e, c in draw(st.lists(st.tuples(expo, coef),
+                                                        max_size=5))}
+        return FqPoly(f, ["x", "y"], terms)
+
+    return poly(), poly(), draw(coef)
+
+
+@PROPERTY
+@given(poly_pairs())
+def test_internal_constructor_equals_the_public_one(case):
+    a, b, c = case
+    for got in (a + b, a - b, -a, a * b, a.scale(c)):
+        public = FqPoly(got.field, got.vars, got.terms)
+        assert got == public and hash(got) == hash(public)
+        assert isinstance(got.vars, tuple)
+        assert all(type(x) is int for e in got.terms for x in e)
+        assert got.field.zero not in got.terms.values()
 
 
 def _rand_poly(field, rng, variables=("x", "y"), nterms=5, dmax=4):

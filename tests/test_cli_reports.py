@@ -157,6 +157,15 @@ BAD_INPUTS = [
                   "p=3,e=1"], None, "defined over F_2^e", id="derivation-check-char3"),
     pytest.param(["surface", "classify", "--family", "class4", "--field",
                   "p=3,e=2"], None, "defined over F_2^e", id="classify-char3"),
+    pytest.param(["kummer", "build", "--type", "X"], None, "invalid choice",
+                 id="argparse-kummer-type"),
+    pytest.param(["verify", "nope"], None, "invalid choice",
+                 id="argparse-verify-campaign"),
+    pytest.param(["codes", "search", "--m", "abc"], None, "invalid int value",
+                 id="argparse-codes-m-not-integer"),
+    pytest.param(["surface", "classify", "--family", "class2", "--field", "e=4",
+                  "--expect", "bogus"], None, "argument --expect",
+                 id="surface-expect-unknown-branch"),
 ]
 
 
