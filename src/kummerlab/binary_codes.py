@@ -332,8 +332,6 @@ class SearchResult:
     witnesses: list
     exhaustive: bool
     class_counts: dict = field(default_factory=dict)
-    lower: int = 0
-    upper: int = 0
     nodes: int = 0
 
 
@@ -343,8 +341,9 @@ def max_admissible_dim(m, budget=None, exhaustive=None):
     Exhaustive mode (default for m <= 17) explores all codes up to
     coordinate-permutation equivalence level by level and returns the exact
     maximum with all maximum-dimension codes up to equivalence.  Witness
-    mode (m > 17, or forced) returns a shortened-Golay witness together
-    with the chain bounds g(m) >= g(m+1) - 1 and g(m) <= g(m+1).
+    mode (m > 17, or forced) returns one witness code (shortened Golay for
+    m >= 17), whose dimension is only a lower bound for the maximum; so is
+    the last complete level of a search cut by `budget`.
     """
     if not 0 <= m <= MAX_GROUND:
         raise CodeError(f"ground size {m} out of range 0..{MAX_GROUND}")
@@ -354,8 +353,7 @@ def max_admissible_dim(m, budget=None, exhaustive=None):
         raise CodeError(f"exhaustive search supported only for m <= {EXHAUSTIVE_LIMIT}")
     if not exhaustive:
         witness = shortened_golay(m) if m >= 17 else build_subcode_best(m)
-        return SearchResult(m=m, dim=witness.dim, witnesses=[witness], exhaustive=False,
-                            lower=witness.dim, upper=f_bound(m + 1) if m < 24 else 12)
+        return SearchResult(m=m, dim=witness.dim, witnesses=[witness], exhaustive=False)
     level = [tuple([m])]
     class_counts = {0: 1}
     nodes = 0
@@ -379,8 +377,7 @@ def max_admissible_dim(m, budget=None, exhaustive=None):
         if truncated:
             witnesses = [code_from_profile(m, p) for p in level]
             return SearchResult(m=m, dim=dim, witnesses=witnesses, exhaustive=False,
-                                class_counts=class_counts, lower=dim, upper=f_bound(m),
-                                nodes=nodes)
+                                class_counts=class_counts, nodes=nodes)
         if not nxt:
             break
         dim += 1
@@ -388,7 +385,7 @@ def max_admissible_dim(m, budget=None, exhaustive=None):
         level = nxt
     witnesses = [code_from_profile(m, p) for p in sorted(level)]
     return SearchResult(m=m, dim=dim, witnesses=witnesses, exhaustive=True,
-                        class_counts=class_counts, lower=dim, upper=dim, nodes=nodes)
+                        class_counts=class_counts, nodes=nodes)
 
 
 def build_subcode_best(m):

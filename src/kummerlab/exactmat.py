@@ -7,8 +7,9 @@ only for the results.  Two fraction-free (Bareiss) loops do all the
 elimination besides the Hermite and Smith forms: `_bareiss` (Gauss-Jordan;
 determinants, solving, inverses) and `symmetric_bareiss` (congruence;
 signatures and the positive-definite factor for root enumeration).  These
-back the lattice layer: determinants, Hermite/Smith normal forms with
-transforms, saturation, membership solving and symmetric diagonalization.
+back the lattice layer: determinants, Hermite/Smith normal forms with the
+row transform U, saturation, membership solving and symmetric
+diagonalization.
 """
 
 from fractions import Fraction
@@ -87,17 +88,15 @@ def det_fraction(a):
     return Fraction(det_bareiss(m), den ** len(m))
 
 
-def hnf_rows(a):
-    """Row-style Hermite normal form of an integer matrix.
+def hnf_basis(a):
+    """Nonzero rows of the row-style Hermite normal form of an integer matrix.
 
-    Returns (H, U) with U unimodular, U*a == H, H upper-staircase with
-    positive pivots and reduced entries above each pivot.  Zero rows of H
-    are trailing.
+    They are a Z-basis of the row module of a, in upper-staircase form with
+    positive pivots and reduced entries above each pivot.
     """
     m = mat_copy(a)
     rows = len(m)
     cols = len(m[0]) if m else 0
-    u = identity(rows)
     r = 0
     for c in range(cols):
         piv = None
@@ -108,38 +107,26 @@ def hnf_rows(a):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        u[r], u[piv] = u[piv], u[r]
         # clear below via gcd steps
         for i in range(r + 1, rows):
             while m[i][c] != 0:
                 q = m[r][c] // m[i][c]
                 m[r] = [x - q * y for x, y in zip(m[r], m[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
                 if m[r][c] == 0:
                     m[r], m[i] = m[i], m[r]
-                    u[r], u[i] = u[i], u[r]
                     break
                 q = m[i][c] // m[r][c]
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         if m[r][c] < 0:
             m[r] = [-x for x in m[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == rows:
             break
-    return m, u
-
-
-def hnf_basis(a):
-    """Nonzero rows of the HNF of a: a Z-basis of the row module."""
-    h, _ = hnf_rows(a)
-    return [row for row in h if any(row)]
+    return m[:r]
 
 
 def _xgcd(a, b):
@@ -156,17 +143,17 @@ def _xgcd(a, b):
 
 
 def snf(a):
-    """Smith normal form with transforms.
+    """Smith normal form with the row transform.
 
-    Returns (d, U, V) with U*a*V = D, D diagonal (d = its diagonal,
-    padded with zeros), d[i] >= 0 and d[i] | d[i+1]; U, V unimodular.
+    Returns (d, U) with U*a*V = D for some unimodular V, D diagonal (d = its
+    diagonal, padded with zeros), d[i] >= 0 and d[i] | d[i+1]; U unimodular.
+    So row i of U*a is divisible by d[i], and it is zero where d[i] = 0.
     Elimination uses Bezout 2x2 transforms to keep entries small.
     """
     m = mat_copy(a)
     rows = len(m)
     cols = len(m[0]) if m else 0
     u = identity(rows)
-    v = identity(cols)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -174,8 +161,6 @@ def snf(a):
 
     def swap_cols(i, j):
         for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def bezout_rows(t, i):
@@ -195,10 +180,6 @@ def snf(a):
             at, aj = row[t], row[j]
             row[t] = x * at + y * aj
             row[j] = -q * at + p * aj
-        for row in v:
-            at, aj = row[t], row[j]
-            row[t] = x * at + y * aj
-            row[j] = -q * at + p * aj
 
     def addmul_row(dst, src, q):
         m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
@@ -206,8 +187,6 @@ def snf(a):
 
     def addmul_col(dst, src, q):
         for row in m:
-            row[dst] += q * row[src]
-        for row in v:
             row[dst] += q * row[src]
 
     t = 0
@@ -260,7 +239,7 @@ def snf(a):
         t += 1
     d = [m[i][i] if i < cols else 0 for i in range(min(rows, cols))]
     d += [0] * (min(rows, cols) - len(d))
-    return d, u, v
+    return d, u
 
 
 def mat_inverse_fraction(a):
@@ -304,7 +283,7 @@ def saturation_basis(gens):
     work = [row for row in gens if any(row)]
     if not work:
         return [], 1
-    d, u, _v = snf(work)
+    d, u = snf(work)
     r = sum(1 for x in d if x != 0)
     # U*A*V = D, so row i < r of V^-1 (a saturated basis) is (U*A)[i] / d_i
     sat = [[x // d[i] for x in row]
@@ -317,7 +296,7 @@ def saturation_basis(gens):
 
 def left_kernel_basis(a):
     """Basis of {x in Z^rows : x * a = 0} for an integer matrix a."""
-    d, u, _v = snf(a)
+    d, u = snf(a)
     r = sum(1 for x in d if x != 0)
     return [u[i][:] for i in range(r, len(a))]
 

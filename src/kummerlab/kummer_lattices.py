@@ -302,21 +302,21 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
     """Glue a Kummer lattice with Q_4/Q_2 into a rank-22 lattice of the
     supersingular Picard shape with the requested Artin invariant.
 
-    Raises when no saturated embedding exists for the triple, or when the
-    nontrivial Q_2 recipes are requested without extended=True.
+    Raises when no saturated embedding exists for the triple, when the
+    nontrivial Q_2 recipes are requested without extended=True, or when a
+    check on the glued lattice fails; the saturation of both factors is
+    verified here and nowhere else.
     """
     if type_symbol not in KUMMER_TYPES:
         raise KummerError(f"unknown Kummer type {type_symbol!r}")
     if complement not in ("Q4", "Q2"):
         raise KummerError(f"unknown complement {complement!r}; expected Q4 or Q2")
-    kt = KUMMER_TYPES[type_symbol]
-    b = 4 if complement == "Q4" else 2
-    n_glue = (kt.a + b) // 2 - sigma
-    depth = _GLUE_DEPTH[complement][type_symbol]
-    if not 0 <= n_glue <= depth:
+    sigmas = admissible_sigmas(type_symbol, complement)
+    if sigma not in sigmas:
         raise KummerError(
             f"no saturated embedding exists for these parameters: "
             f"type {type_symbol}, sigma {sigma}, complement {complement}")
+    n_glue = max(sigmas) - sigma
     if complement == "Q2" and n_glue > 0 and not extended:
         raise KummerError("nontrivial Q_2 glue recipes require extended=True")
     kl = build_kummer(type_symbol)
@@ -341,8 +341,8 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
     elem, type2 = is_two_elementary_type2(dg)
     checks["two_elementary"] = elem
     checks["type2"] = type2
-    checks["kummer_saturated"] = saturation(res.sub1, lat).index == 1
-    checks["complement_saturated"] = saturation(res.sub2, lat).index == 1
+    checks["kummer_saturated"] = saturation(res.sub1, lat) == 1
+    checks["complement_saturated"] = saturation(res.sub2, lat) == 1
     if not all(checks.values()):
         failed = sorted(k for k, v in checks.items() if not v)
         raise KummerError(f"embedding verification failure: {failed}")
@@ -353,7 +353,7 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
         "t_q_by_count": {m: [str(v) for v in vals] for m, vals in tq.items()},
         "u_q_by_count": {m: [str(v) for v in vals] for m, vals in uq.items()},
     }
-    return EmbedResult(kt, sigma, complement, lat, res.basis, res.sub1, res.sub2,
+    return EmbedResult(kl.type, sigma, complement, lat, res.basis, res.sub1, res.sub2,
                        n_glue, checks, glue_info)
 
 

@@ -12,7 +12,9 @@ and solving use the fraction-free integer eliminations of `exactmat`;
 roots come from one symmetric elimination of -den * G, whose pivots both
 prove negative definiteness and give the exact rational Fincke-Pohst
 search its LDL^T factor.  Even overlattices come from glue data on
-discriminant groups.
+discriminant groups; `saturation` gives the index of a sublattice in its
+saturation, and `embed_kummer` is where saturation of the glued factors is
+verified.
 
 Every lattice the package builds is integral (code overlattices from
 `mod4_overlattice` included); denominator 2 comes only from outside
@@ -21,7 +23,7 @@ non-integral input.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -196,7 +198,6 @@ class DiscriminantGroup:
     generators: list
     orders: list
     qvalues: list
-    pairings: list = field(default_factory=list)
 
     @property
     def order(self):
@@ -213,7 +214,7 @@ def _qmod2(x):
 def discriminant_group(lat):
     if not lat.is_even:
         raise LatticeError("discriminant group requires an even lattice")
-    d, u, _v = snf(lat.gram_int())
+    d, u = snf(lat.gram_int())
     if 0 in d:
         raise LatticeError("degenerate lattice")
     # U G V = D gives G^-1 = V D^-1 U, so the dual classes are U[i] / d_i
@@ -221,9 +222,8 @@ def discriminant_group(lat):
                   for i, di in enumerate(d) if di != 1)
     generators = [list(vec) for _, vec in gens]
     orders = [o for o, _ in gens]
-    pairings = gram_of(lat, generators)
-    qvalues = [_qmod2(row[i]) for i, row in enumerate(pairings)]
-    return DiscriminantGroup(generators, orders, qvalues, pairings)
+    qvalues = [_qmod2(row[i]) for i, row in enumerate(gram_of(lat, generators))]
+    return DiscriminantGroup(generators, orders, qvalues)
 
 
 def is_two_elementary_type2(dg):
@@ -442,21 +442,14 @@ def _arm_lengths(sp, branch):
 # sublattices, saturation, glue
 
 
-@dataclass
-class SaturationResult:
-    lattice: Lattice
-    basis: list
-    index: int
-
-
 def saturation(gens, lat):
-    """Saturation of the sublattice spanned by integer rows `gens` inside lat."""
+    """Index of the sublattice spanned by integer rows `gens` in its saturation
+    inside lat; it is 1 exactly when the sublattice is primitive."""
     for row in gens:
         if len(row) != lat.rank or any(x.denominator != 1 for x in row):
             raise LatticeError("generators not in L")
     rows = [[int(x) for x in row] for row in gens]
-    basis, index = saturation_basis(rows)
-    return SaturationResult(Lattice(gram_of(lat, basis)), basis, index)
+    return saturation_basis(rows)[1]
 
 
 @dataclass
@@ -493,8 +486,9 @@ def glue(l1, l2, gd):
 
     Verifies the glue-compatibility q1(x) + q2(psi(x)) = 0 in Q/2Z on the
     whole generated subgroup, builds the overlattice, and checks that the
-    result is even, has index |M1| over the direct sum, and contains both
-    factors saturated.
+    result is even and integral, has index |M1| over the direct sum, and
+    contains both factors.  Whether the factors are saturated in it is left
+    to the caller (`saturation` on sub1 and sub2).
     """
     n1, n2 = l1.rank, l2.rank
     orders = []
@@ -540,12 +534,7 @@ def glue(l1, l2, gd):
         if c is None or any(x.denominator != 1 for x in c):
             raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
     coords = [[int(x) for x in c] for c in coords]
-    sub1, sub2 = coords[:n1], coords[n1:]
-    for sub in (sub1, sub2):
-        sat = saturation(sub, glued)
-        if sat.index != 1:
-            raise LatticeError("glued factor is not saturated")
-    return GlueResult(glued, basis, idx_sqrt, sub1, sub2)
+    return GlueResult(glued, basis, idx_sqrt, coords[:n1], coords[n1:])
 
 
 # ---------------------------------------------------------------------------

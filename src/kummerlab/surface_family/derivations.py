@@ -23,7 +23,7 @@ from ..char2_algebra.cartier import sqrt_poly
 from ..char2_algebra.factor import poly_roots
 from ..char2_algebra.poly import FqPoly, dense_trim, poly_gcd_multivariate
 from ..char2_algebra.poly import resultant as poly_resultant
-from .spec import SurfaceError, _COEFF_SLOTS, _FIXED_TERMS
+from .spec import SurfaceError, _FIXED_TERMS, _spec_from_H
 from .points import _NonIsolated, _colength_at, closed_points
 
 
@@ -253,22 +253,14 @@ def _reconstruct_potential(f_poly, g_poly, field, variables):
 def _potential_in_family(h_poly, family, field):
     """(scalar, coefficient dict) if h is a scalar multiple of a family
     potential, else None."""
-    lead = _FIXED_TERMS[family]
-    lam = h_poly.coefficient(lead[0])
-    if lam == field.zero or h_poly.coefficient(lead[1]) != lam:
+    lam = h_poly.coefficient(_FIXED_TERMS[family][0])
+    if lam == field.zero:
         return None
-    scaled = h_poly.scale(field.inv(lam))
-    slots = _COEFF_SLOTS[family]
-    by_expo = {e: n for n, e in slots.items()}
-    coeffs = {}
-    for e, c in scaled.terms.items():
-        if e in lead:
-            continue
-        name = by_expo.get(e)
-        if name is None:
-            return None
-        coeffs[name] = c
-    return lam, coeffs
+    try:
+        spec = _spec_from_H(family, field, h_poly.scale(field.inv(lam)))
+    except SurfaceError:
+        return None
+    return lam, spec.coeffs
 
 
 def classify_derivations(family, f_poly, g_poly):
@@ -287,23 +279,20 @@ def classify_derivations(family, f_poly, g_poly):
     verdict["i"] = ok_i
     if ok_i:
         verdict["c"] = c
+    h_poly = _reconstruct_potential(f_poly, g_poly, field, variables)
+    fam = None if h_poly is None else _potential_in_family(h_poly, family, field)
     if family == "class4":
         verdict["ii"] = _condition_ii_class4(f_poly, g_poly, field, variables)
     else:
-        h_poly = _reconstruct_potential(f_poly, g_poly, field, variables)
-        verdict["ii"] = h_poly is not None and \
-            _potential_in_family(h_poly, family, field) is not None
+        verdict["ii"] = fam is not None
     verdict["iii"] = _condition_iii(f_poly, g_poly)
-    h_poly = _reconstruct_potential(f_poly, g_poly, field, variables)
-    if h_poly is not None:
-        fam = _potential_in_family(h_poly, family, field)
-        if fam is not None:
-            lam, coeffs = fam
-            enc = getattr(field, "encode", str)
-            verdict["hamiltonian"] = {
-                "scalar": enc(lam),
-                "coeffs": {n: enc(v) for n, v in sorted(coeffs.items())},
-            }
+    if fam is not None:
+        lam, coeffs = fam
+        enc = getattr(field, "encode", str)
+        verdict["hamiltonian"] = {
+            "scalar": enc(lam),
+            "coeffs": {n: enc(v) for n, v in sorted(coeffs.items())},
+        }
     # (iv): translate a rational fixed point to the origin, then test the
     # additive-generator criterion
     ft, gt = f_poly, g_poly

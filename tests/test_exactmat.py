@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import prod
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +10,6 @@ from kummerlab.exactmat import (
     det_bareiss,
     det_fraction,
     hnf_basis,
-    hnf_rows,
     identity,
     left_kernel_basis,
     mat_inverse_fraction,
@@ -47,32 +46,60 @@ def test_det_agrees_with_leibniz():
         assert det_fraction(q) == leibniz_det(q)
 
 
+def minors_gcd(a, k, cols=None):
+    """gcd of the k x k minors of a (over the given columns only, if any)."""
+    cols = range(len(a[0])) if cols is None else cols
+    return gcd(*(leibniz_det([[a[i][j] for j in cs] for i in rs])
+                 for rs in combinations(range(len(a)), k)
+                 for cs in combinations(cols, k)))
+
+
 def test_hnf_row_space_preserved():
     rng = random.Random(2)
     for _ in range(100):
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-        a = rand_matrix(rng, rows, cols)
-        h, u = hnf_rows(a)
-        assert mat_mul(u, a) == h
-        assert abs(det_bareiss(u)) == 1
+        a = rand_matrix(rng, rows, cols, lim=rng.choice([1, 12]))
+        h = hnf_basis(a)
+        # staircase: positive pivots in increasing columns, reduced above
+        pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(h, pivots)):
+            assert row[c] > 0
+            assert all(0 <= h[k][c] < row[c] for k in range(i))
+        # every row of a is an integer combination of the rows of h
+        for v in a:
+            v = v[:]
+            for row, c in zip(h, pivots):
+                q, rem = divmod(v[c], row[c])
+                assert rem == 0
+                v = [x - q * y for x, y in zip(v, row)]
+            assert not any(v)
+        # and the rows of a generate all of it: with a = C * h, the r x r
+        # minors of a on the pivot columns are det(C_rows) * prod(pivots)
+        r = len(h)
+        assert minors_gcd(a, r, pivots) == prod(row[c] for row, c in zip(h, pivots))
 
 
 def test_snf_transforms_and_divisibility():
     rng = random.Random(3)
     for _ in range(300):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-        a = rand_matrix(rng, rows, cols)
-        d, u, v = snf(a)
-        prod = mat_mul(mat_mul(u, a), v)
-        for i in range(rows):
-            for j in range(cols):
-                expect = d[i] if i == j and i < len(d) else 0
-                assert prod[i][j] == expect
+        a = rand_matrix(rng, rows, cols, lim=rng.choice([1, 12]))
+        d, u = snf(a)
+        assert len(d) == min(rows, cols)
         assert abs(det_bareiss(u)) == 1
-        assert abs(det_bareiss(v)) == 1
-        nz = [x for x in d if x]
-        for x, y in zip(nz, nz[1:]):
+        r = sum(1 for x in d if x)
+        assert all(x > 0 for x in d[:r]) and not any(d[r:])
+        for x, y in zip(d[:r], d[1:r]):
             assert y % x == 0
+        ua = mat_mul(u, a)
+        for i, row in enumerate(ua):
+            if i < r:
+                assert all(x % d[i] == 0 for x in row)
+            else:
+                assert not any(row)
+        for k in range(1, len(d) + 1):
+            assert prod(d[:k]) == minors_gcd(a, k)
 
 
 def test_saturation_basis_index():
@@ -93,7 +120,7 @@ def test_left_kernel():
         for x in kern:
             assert all(sum(x[i] * a[i][j] for i in range(rows)) == 0
                        for j in range(cols))
-        d, _, _ = snf(a)
+        d, _ = snf(a)
         rank = sum(1 for x in d if x)
         assert len(kern) == rows - rank
 

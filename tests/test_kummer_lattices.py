@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kummerlab import kummer_lattices
 from kummerlab.kummer_lattices import (
     KUMMER_TYPES,
     KummerError,
@@ -157,8 +158,17 @@ def test_inadmissible_embeddings_rejected():
     for sym, sigma, comp in (("16A1", 6, "Q4"), ("16A1", 1, "Q2"),
                              ("4D4", 5, "Q4"), ("2D8", 4, "Q4"),
                              ("1D16", 3, "Q4"), ("2E8", 3, "Q2")):
-        with pytest.raises(KummerError):
+        with pytest.raises(KummerError, match="no saturated embedding exists"):
             embed_kummer(sym, sigma, comp, extended=True)
+
+
+def test_unsaturated_factor_fails_verification(monkeypatch):
+    # glue no longer checks saturation; embed_kummer's own check is the one that fires
+    monkeypatch.setattr(kummer_lattices, "saturation",
+                        lambda gens, lat: 2 if len(gens) == 16 else 1)
+    with pytest.raises(KummerError,
+                       match=r"embedding verification failure: \['kummer_saturated'\]"):
+        embed_kummer("16A1", 4, "Q4")
 
 
 @pytest.mark.parametrize("sym,sigma,comp,extended", [

@@ -10,6 +10,7 @@ from kummerlab.exactmat import (
     det_bareiss,
     hnf_basis,
     identity,
+    integer_scaled,
     mat_mul,
     solve_left_fraction,
 )
@@ -210,10 +211,10 @@ def test_ade_type_rejects_non_root_configuration():
 
 def test_saturation_examples():
     a1 = ade_lattice("A", 1)
-    res = saturation([[2]], a1)
-    assert res.index == 2
-    assert res.basis == [[1]]
-    assert res.lattice.gram_int() == [[-2]]
+    assert saturation([[2]], a1) == 2
+    assert saturation([[1]], a1) == 1
+    # 2 e1 and e1 + e2 span an index-2 sublattice of the saturated span <e1, e2>
+    assert saturation([[2, 0, 0], [1, 1, 0]], a1_sum(3)) == 2
     with pytest.raises(LatticeError):
         saturation([[Fraction(1, 2)]], a1)
 
@@ -241,19 +242,58 @@ def test_reflect_involution_isometry():
         reflect(d4, [1, 0, 1, 0], [1, 0, 0, 0])  # square -4, not a root
 
 
+def index_from_basis(res):
+    """[glued : L1 (+) L2] = 1 / |det basis|, with no discriminants."""
+    den, (scaled,) = integer_scaled([res.basis])
+    return Fraction(den ** len(scaled), abs(det_bareiss(scaled)))
+
+
 def test_glue_trivial_and_nontrivial():
     a1 = ade_lattice("A", 1)
     res = glue(a1, a1, GlueData([], []))
     assert res.lattice.gram_int() == [[-2, 0], [0, -2]]
-    assert res.index == 1
+    assert res.index == 1 == index_from_basis(res)
     d4 = ade_lattice("D", 4)
     dg = discriminant_group(d4)
     res = glue(d4, d4, GlueData([dg.generators[0]], [dg.generators[0]]))
-    assert res.index == 2
+    assert res.index == 2 == index_from_basis(res)
     assert res.lattice.is_even
     assert abs(discriminant(res.lattice)) == 4
     for sub in (res.sub1, res.sub2):
-        assert saturation(sub, res.lattice).index == 1
+        assert saturation(sub, res.lattice) == 1
+
+
+def test_glue_index_over_all_d4_pairings():
+    d4 = ade_lattice("D", 4)
+    g0, g1 = discriminant_group(d4).generators
+    classes = [g0, g1, [(x + y) % 1 for x, y in zip(g0, g1)]]
+    cases = [([x], [y]) for x in classes for y in classes]
+    cases += [([g0, g1], [y0, y1]) for y0 in classes for y1 in classes]
+    glued = 0
+    for m1, m2 in cases:
+        try:
+            res = glue(d4, d4, GlueData(m1, m2))
+        except LatticeError as err:
+            assert "q1 + q2" in str(err)
+            continue
+        glued += 1
+        assert res.index == 2 ** len(m1) == index_from_basis(res)
+    # every nonzero class has q = 1, and exactly the 6 isomorphisms on (Z/2)^2
+    assert glued == 9 + 6
+
+
+def test_glue_leaves_saturation_to_the_caller():
+    # A_1^4 glued to 2 I_2: the glue vectors differ by ((e1 + e2 - e3 - e4) / 2, 0),
+    # so the A_1^4 factor has index 2 in its saturation; the 2 I_2 factor is primitive
+    a1_4 = a1_sum(4)
+    pos = even_lattice([[2, 0], [0, 2]])
+    half = Fraction(1, 2)
+    m1 = [[half, half, 0, 0], [0, 0, half, half]]
+    m2 = [[half, half], [half, half]]
+    res = glue(a1_4, pos, GlueData(m1, m2))
+    assert res.index == 4 == index_from_basis(res)
+    assert saturation(res.sub1, res.lattice) == 2
+    assert saturation(res.sub2, res.lattice) == 1
 
 
 def test_glue_rejects_incompatible_q():
