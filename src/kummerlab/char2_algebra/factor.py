@@ -3,7 +3,10 @@
 Squarefree decomposition (with the char-p perfect-power descent), then
 distinct-degree splitting, then equal-degree splitting: trace-based for
 characteristic 2, exponent-based Cantor-Zassenhaus for odd p.  The random
-generator is supplied by the caller so runs are reproducible.
+generator is supplied by the caller so runs are reproducible.  A linear
+polynomial is returned as it stands, and a polynomial coprime to its
+derivative is its own squarefree part; neither shortcut draws from the
+generator.
 """
 
 import random
@@ -63,6 +66,9 @@ def squarefree_decomposition(a, f):
             recurse(_pth_root_dense(poly, f), mult * f.char)
             return
         c = dense_gcd(poly, d, f)
+        if len(c) == 1:                    # poly is squarefree
+            add(poly, mult)
+            return
         w, _ = dense_divmod(poly, c, f)
         i = 1
         while len(w) > 1:
@@ -161,6 +167,8 @@ def factor_univariate(poly, seed=0):
     if not dense:
         raise PolyError("cannot factor the zero polynomial")
     unit = dense[-1]
+    if len(dense) == 2:                    # linear: irreducible as it stands
+        return unit, [(FqPoly.from_dense(f, var, _monic(dense, f)), 1)]
     rng = random.Random(f"kummerlab.factor.{seed}")
     result = []
     for sqf, mult in squarefree_decomposition(dense, f):

@@ -38,6 +38,7 @@ from .surface_family import (
     covering_derivation,
     fixed_locus_subgroup_check,
 )
+from .surface_family.derivations import _system_order
 from .verify import CAMPAIGN_NAMES, run_campaign
 
 
@@ -255,6 +256,9 @@ def _cmd_surface(args):
     # derivation-check
     deriv = covering_derivation(spec)
     gens, additive, order, witness = fixed_locus_subgroup_check(deriv)
+    if not additive:
+        # no subgroup scheme: report the total colength of the fixed locus
+        order = _system_order(gens, deriv.vars)
     verdict = classify_derivations(args.family, deriv.f, deriv.g)
     enc = field.encode
     results = {

@@ -13,15 +13,19 @@ k{tau} (tau a = a^2 tau, c v^(2^k) read as c tau^k), and the group-scheme
 order is 2 to the degree of its Dieudonne determinant: `additive_order`
 triangularizes the matrix by Ore's left Euclid (Ore, Trans. AMS 35,
 1933; Goss, Basic Structures of Function Field Arithmetic, ch. 1).
-Non-additive generators fall back to `_system_order`, the total colength
-of the generator ideal over its closed points.
+Non-additive generators cut out no subgroup scheme, so no order is
+computed for them; their fixed locus is zero-dimensional exactly when the
+two generators are coprime.  `_system_order`, the total colength of the
+generator ideal over its closed points, serves the callers that read a
+non-additive order or cross-check the Ore order.
 """
 
 from dataclasses import dataclass
 
 from ..char2_algebra.cartier import sqrt_poly
 from ..char2_algebra.factor import poly_roots
-from ..char2_algebra.poly import FqPoly, dense_trim, poly_gcd_multivariate
+from ..char2_algebra.poly import (FqPoly, PolyError, dense_trim,
+                                  poly_gcd_multivariate)
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import SurfaceError, _FIXED_TERMS, _spec_from_H
 from .points import _NonIsolated, _colength_at, closed_points
@@ -96,10 +100,11 @@ def fixed_locus_subgroup_check(d):
     The fixed locus of D is cut out by the two generators; it is a
     subgroup scheme of the coordinate plane iff both are additive
     polynomials.  The order is then `additive_order`, the Ore reduction
-    in k{tau}; for non-additive generators it is `_system_order`, the
-    total colength of the generator ideal summed over closed points.
-    Either raises SurfaceError when the fixed locus is not
-    zero-dimensional.
+    in k{tau}; non-additive generators get order None and the first
+    non-additive monomial as witness.  Raises SurfaceError when the fixed
+    locus is not zero-dimensional: for additive generators when the Ore
+    reduction leaves a zero diagonal entry, otherwise when a generator is
+    zero or the two share a factor of positive degree (`_condition_iii`).
     """
     gens = (d.f, d.g)
     witness = None
@@ -108,12 +113,11 @@ def fixed_locus_subgroup_check(d):
         if w is not None:
             witness = w
             break
-    additive = witness is None
-    if additive:
-        order = additive_order(gens, d.field)
-    else:
-        order = _system_order(gens, d.vars)
-    return gens, additive, order, witness
+    if witness is None:
+        return gens, True, additive_order(gens, d.field), None
+    if not _condition_iii(*gens):
+        raise SurfaceError("fixed locus is not zero-dimensional")
+    return gens, False, None, witness
 
 
 def _tau_parts(poly, field):
@@ -316,7 +320,7 @@ def _rational_common_zero(f_poly, g_poly, field, variables):
         res = f_poly if f_poly.degree(v2) == 0 else g_poly
     try:
         res_uni = res.restrict_vars((v1,))
-    except Exception:
+    except PolyError:
         return None
     if res_uni.is_zero():
         return None
@@ -326,7 +330,7 @@ def _rational_common_zero(f_poly, g_poly, field, variables):
         try:
             f1u = f1.restrict_vars((v2,))
             g1u = g1.restrict_vars((v2,))
-        except Exception:
+        except PolyError:
             continue
         if f1u.is_zero() and g1u.is_zero():
             return (root, field.zero)  # the whole line v1 = root is common

@@ -13,10 +13,12 @@ runs unchanged over base fields and towers; a colength above
 COLENGTH_CAP counts as non-isolated.  Two callers share it:
 `singular_points` solves the partials (H_x, H_y) of a family member, and
 `derivations._system_order` sums deg * colength over the fixed-locus
-generators of the covering derivation.  That sum is the fixed-locus order
-only for non-additive generators (h07 != 0 in class 2) and in
-`verify.campaign_subgroup`'s cross-check; additive generators get their
-order from `derivations.additive_order`, which has no cap.
+generators of the covering derivation.  That sum is read in two places:
+`surface derivation-check` prints it for non-additive generators (h07 != 0
+in class 2), and `verify.campaign_subgroup` cross-checks the additive
+order with it.  `derivations.fixed_locus_subgroup_check` never calls it:
+additive generators get their order from `derivations.additive_order`,
+which has no cap, and non-additive ones get none.
 """
 
 from dataclasses import dataclass

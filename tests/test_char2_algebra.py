@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kummerlab.char2_algebra import (
     BaseField,
@@ -17,6 +17,7 @@ from kummerlab.char2_algebra import (
     poly_roots,
     resultant,
 )
+from kummerlab.char2_algebra.factor import squarefree_decomposition
 from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import (dense_divmod, dense_gcd, dense_mul,
                                           dense_mulmod, poly_divexact)
@@ -366,15 +367,15 @@ def test_factor_odd_characteristic():
 
 
 @st.composite
-def univariate_products(draw):
+def univariate_products(draw, min_factors=0, max_mult=3):
     """(unit * prod of monic polynomials, its field) over F_2^e or F_3^2."""
     f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])))
     coef = st.integers(0, f.order - 1)
     target = FqPoly.const(f, ("t",), draw(st.integers(1, f.order - 1)))
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(min_factors, 3))):
         low = draw(st.lists(coef, min_size=1, max_size=3))
         factor = FqPoly.from_dense(f, "t", low + [f.one])
-        target = target * factor.pow_int(draw(st.integers(1, 3)))
+        target = target * factor.pow_int(draw(st.integers(1, max_mult)))
     return target
 
 
@@ -389,6 +390,35 @@ def test_factor_multiplies_back(target):
         prod = prod * irr.pow_int(mult)
     assert prod == target
     assert len({irr for irr, _m in factors}) == len(factors)
+
+
+@pytest.mark.parametrize("name", ["F_2^1", "F_2^4", "F_2^8", "F_2^4[u]/deg2",
+                                  "F_3^2"])
+def test_factor_linear_is_the_unit_times_its_monic(name):
+    f = _row_field(name)
+    rng = random.Random(31)
+    for _ in range(20):
+        c0, c1 = f.rand(rng), f.rand_nonzero(rng)
+        unit, factors = factor_univariate(FqPoly.from_dense(f, "t", [c0, c1]))
+        assert unit == c1
+        monic = FqPoly.from_dense(f, "t", [f.mul(c0, f.inv(c1)), f.one])
+        assert factors == [(monic, 1)]
+
+
+@PROPERTY
+@given(univariate_products(min_factors=1, max_mult=1))
+def test_squarefree_input_has_multiplicity_one_factors(target):
+    f = target.field
+    dense = target.dense_univariate()
+    assume(dense_gcd(dense, target.partial("t").dense_univariate(), f) == [f.one])
+    monic = target.monic()
+    assert squarefree_decomposition(dense, f) == [(monic.dense_univariate(), 1)]
+    _unit, factors = factor_univariate(target)
+    prod = FqPoly.const(f, ("t",), f.one)
+    for irr, mult in factors:
+        assert mult == 1
+        prod = prod * irr
+    assert prod == monic
 
 
 @st.composite

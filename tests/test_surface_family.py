@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kummerlab.char2_algebra import ExtField, FqPoly, get_field, poly_gcd_multivariate
 from kummerlab.surface_family import (
@@ -21,7 +21,9 @@ from kummerlab.surface_family import (
     translate_to_origin,
     z1z2_parametrization_check,
 )
+from kummerlab.surface_family import derivations
 from kummerlab.surface_family.derivations import (
+    _additive_witness,
     _rational_common_zero,
     _system_order,
     additive_order,
@@ -340,6 +342,70 @@ def test_fixed_points_closed_under_addition():
     for (a1, b1) in pts:
         for (a2, b2) in pts:
             assert (f.add(a1, a2), f.add(b1, b2)) in ptset
+
+
+def _no_system_order(gens, variables):
+    raise AssertionError("fixed_locus_subgroup_check ran the closed-point solver")
+
+
+def test_fixed_locus_h07_nonzero_has_no_order():
+    # the check never runs the closed-point solver, which still finds
+    # colength 16 on the non-additive generators
+    f = get_field(2, 6)
+    rng = random.Random(17)
+    for _ in range(25):
+        base = sample_branch_spec("class2", "16A1", f, rng)
+        spec = SurfaceSpec("class2", f, dict(base.coeffs, h07=f.rand_nonzero(rng)))
+        d = covering_derivation(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(derivations, "_system_order", _no_system_order)
+            gens, additive, order, witness = fixed_locus_subgroup_check(d)
+        assert not additive and order is None and witness is not None
+        assert _system_order(gens, d.vars) == 16
+
+
+@st.composite
+def non_additive_pairs(draw):
+    """(field, g1, g2) of total degree <= 4 in (s, t), not both additive.
+
+    "common" multiplies both by one factor of positive degree and "free_of_t"
+    keeps both in s alone, so common factors occur often."""
+    f = get_field(2, draw(st.sampled_from([4, 6])))
+    kind = draw(st.sampled_from(["random", "common", "free_of_t"]))
+    coef = st.integers(1, f.order - 1)
+
+    def poly(max_deg, max_t):
+        expo = st.tuples(st.integers(0, max_deg), st.integers(0, max_t)).filter(
+            lambda e: sum(e) <= max_deg)
+        return FqPoly(f, ("s", "t"),
+                      draw(st.dictionaries(expo, coef, min_size=1, max_size=5)))
+
+    max_t = 0 if kind == "free_of_t" else 4
+    if kind == "common":
+        k = draw(st.integers(1, 2))
+        common = poly(k, k)
+        assume(common.degree() > 0)
+        g1, g2 = common * poly(4 - k, 4 - k), common * poly(4 - k, 4 - k)
+    else:
+        g1, g2 = poly(4, max_t), poly(4, max_t)
+    assume(_additive_witness(g1) is not None or _additive_witness(g2) is not None)
+    return f, g1, g2
+
+
+@PROPERTY
+@given(non_additive_pairs())
+def test_coprime_generators_iff_the_closed_points_are_isolated(case):
+    # Bezout bounds every colength by 4 * 4 = 16 < COLENGTH_CAP, so the
+    # closed-point solver raises exactly on a common factor or a zero
+    # generator, and the coprimality test must agree with it
+    f, g1, g2 = case
+    d = DerivationSpec("class4", f, ("s", "t"), g1, g2, f.zero)
+    checked = _order_or_none(lambda: fixed_locus_subgroup_check(d))
+    closed = _order_or_none(lambda: _system_order((g1, g2), ("s", "t")))
+    assert (checked is None) == (closed is None)
+    if checked is not None:
+        _gens, additive, order, witness = checked
+        assert not additive and order is None and witness is not None
 
 
 def _additive_poly(f, s_coeffs, t_coeffs):
