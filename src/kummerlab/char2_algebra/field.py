@@ -11,16 +11,23 @@ never serialized.  `row_reduce` is the Gaussian elimination over any of
 these field objects.
 
 Every field object has one row operation, `addmul_row(dst, off, c, src)`:
-dst[off + j] += c * src[j] in place.  It is the only inner loop of the
-package's dense arithmetic: `poly.dense_mul`, `dense_mulmod` and
-`dense_divmod`, the trace sum of the char-2 factorization, `row_reduce`,
-the Cartier-module reductions and the Ore reduction in k{tau}.  A
+dst[off + j] += c * src[j] in place.  `row_reduce`, the Cartier-module
+reductions, the Ore reduction in k{tau}, the trace sum of the char-2
+factorization and the dense polynomial kernels of poly.py call it.  A
 characteristic-2 base field runs it on its log tables: log c once per
 row, a doubled exp table indexed by log c + log s without a reduction,
 zeros of src skipped, XOR to accumulate.  Odd-p base fields and towers
 run it on their own add and mul.  In characteristic 2 a base field also
 binds add and sub to XOR and neg to the identity at construction, so no
 call tests the characteristic.
+
+A characteristic-2 base field with q <= 256 also carries `byte_tables`:
+one 256-byte `bytes.translate` table per constant c (s -> c*s) and one
+squaring table, cut from the exp/log tables at construction.  With them
+`poly.dense_mul`, `dense_mulmod` and `dense_divmod` run on polynomials
+packed one coefficient per byte into a Python int, and towers over such
+a field inherit that through `ExtField.mul`.  Every other field object
+has `byte_tables = None`, and the dense kernels use `addmul_row`.
 
 Moduli come from a fixed built-in table; construction proves each one
 irreducible by finding an element of multiplicative order p^e - 1.
@@ -123,6 +130,8 @@ class BaseField:
             self.add = self.sub = operator.xor
             self.neg = operator.pos
             self.addmul_row = self._addmul_row_log
+            if self.order <= 256:
+                self.byte_tables = self._build_byte_tables()
 
     # -- encoding ---------------------------------------------------------
     def _digits(self, a):
@@ -178,9 +187,29 @@ class BaseField:
                                 for db in digits] for da in digits]
             self._neg_table = [self._undigits([-x for x in da]) for da in digits]
 
+    def _build_byte_tables(self):
+        """(mul, square) for the packed dense kernels of poly.py: mul[c] is
+        the 256-byte `bytes.translate` table s -> c*s and square the table
+        s -> s*s.  Each row is a slice of the doubled exp table, read
+        through the log table by one translate."""
+        q = self.order
+        exp = bytes(self._exp)
+        logs = bytes(self._log[1:])
+
+        def table(by_log):
+            """s -> by_log[log s] for s != 0, and 0 -> 0."""
+            return (b"\0" + logs.translate(by_log + bytes(257 - q))
+                    + bytes(256 - q))
+
+        mul = (bytes(256),) + tuple(table(exp[self._log[c]:self._log[c] + q - 1])
+                                    for c in range(1, q))
+        return mul, table(exp[::2])
+
     # -- arithmetic --------------------------------------------------------
     zero = 0
     one = 1
+    # (mul, square) byte tables on characteristic-2 fields with q <= 256
+    byte_tables = None
 
     def add(self, a, b):
         return self._add_table[a][b]
@@ -322,6 +351,7 @@ class ExtField:
         return tuple(out) + self.zero[len(out):]
 
     addmul_row = _addmul_row
+    byte_tables = None
 
     def inv(self, a):
         if a == self.zero:

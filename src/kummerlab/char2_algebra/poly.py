@@ -3,15 +3,17 @@
 Terms are a dict from exponent tuples to nonzero field elements.  The
 variable list is fixed per polynomial; binary operations require equal
 variable tuples.  Printing and hashing use graded lexicographic term
-order.  The dense univariate helpers live here too: division, gcd, the
-product modulo a monic polynomial that every quotient ring F_p[x]/(m)
-and tower K[u]/(h) multiplies with, and `power`, the package's one
-square-and-multiply.  The only inner loop of `dense_mul`, `dense_mulmod`
-and `dense_divmod` is the field's row hook `addmul_row(dst, off, c, src)`
-(dst[off + j] += c * src[j]), called once per row: characteristic-2 base
-fields run it on their log tables, odd-p base fields and towers on their
-add and mul (see field.py).  So do the multivariate gcd and the resultant
-with respect to one variable: both come from one subresultant
+order.  `shift` translates variables by a dense Taylor shift per
+variable.  The dense univariate helpers live here too: division, gcd,
+the product modulo a monic polynomial that every quotient ring
+F_p[x]/(m) and tower K[u]/(h) multiplies with, and `power`, the
+package's one square-and-multiply.  `dense_mul`, `dense_mulmod` and
+`dense_divmod` have two inner loops, picked by the field: on a field
+with byte tables (characteristic 2, q <= 256; see field.py) a packed
+polynomial takes one `bytes.translate` row per step, and on every other
+field the row hook `addmul_row(dst, off, c, src)` (dst[off + j] +=
+c * src[j]) runs once per row.  So do the multivariate gcd and the
+resultant with respect to one variable: both come from one subresultant
 pseudo-remainder sequence over the other variables.
 """
 
@@ -180,15 +182,32 @@ class FqPoly:
         return out
 
     def shift(self, offsets):
-        """Translate variables: x_i -> x_i + offsets[name] (field constants)."""
-        out = self
+        """Translate variables: x_i -> x_i + offsets[name] (field constants).
+
+        One variable at a time, the terms are grouped by their other
+        exponents and each group's dense coefficient list in x_i gets the
+        Taylor shift by Horner's rule, a[k] += c * a[k + 1], O(d^2)."""
         f = self.field
+        add, mul, zero = f.add, f.mul, f.zero
+        terms = self.terms
         for name, c in offsets.items():
-            if c == f.zero:
+            if c == zero:
                 continue
-            repl = FqPoly.variable(f, self.vars, name) + FqPoly.const(f, self.vars, c)
-            out = out.substitute(name, repl)
-        return out
+            i = self.vars.index(name)
+            groups = {}
+            for e, v in terms.items():
+                groups.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = v
+            terms = {}
+            for rest, by_deg in groups.items():
+                d = max(by_deg)
+                a = [by_deg.get(k, zero) for k in range(d + 1)]
+                for low in range(d):
+                    for k in range(d - 1, low - 1, -1):
+                        a[k] = add(a[k], mul(c, a[k + 1]))
+                for k, v in enumerate(a):
+                    if v != zero:
+                        terms[rest[:i] + (k,) + rest[i + 1:]] = v
+        return FqPoly._clean(f, self.vars, terms)
 
     def map_field(self, new_field, conv):
         return FqPoly(new_field, self.vars,
@@ -268,13 +287,21 @@ def _coef_str(field, c):
 # ---------------------------------------------------------------------------
 # dense univariate helpers over a field object: the package's only copy of
 # coefficient-list arithmetic, used by the factorization and by ExtField
-# (products through dense_mulmod, inverses through dense_divmod).  Their
-# one inner loop is the field's row operation f.addmul_row(dst, off, c, src),
-# dst[off + j] += c * src[j], called once per row.
+# (products through dense_mulmod, inverses through dense_divmod).  On a
+# field with byte tables (characteristic 2, q <= 256) the running
+# polynomial is one Python int with a coefficient per byte: a row
+# c * b[j] is one `bytes.translate` XORed in at a byte offset, a leading
+# coefficient is the top byte, and a square spreads the squared
+# coefficients onto the even bytes.  Every other field runs its row
+# operation f.addmul_row(dst, off, c, src), dst[off + j] += c * src[j],
+# once per row.
 
 
 def power(a, n, mul, one):
-    """a^n for an integer n >= 0 by square-and-multiply over `mul`."""
+    """a^n for an integer n >= 0 by square-and-multiply over `mul`.
+
+    Squares are mul(a, a) on one object, which dense_mulmod (and so
+    ExtField.mul) turns into a Frobenius square on byte-table fields."""
     r = one
     while n:
         if n & 1:
@@ -291,14 +318,51 @@ def dense_trim(a, f):
     return a
 
 
+def _packed_mul(a, b, mul):
+    """a * b as a packed int, one translated row of the longer factor per
+    nonzero coefficient of the shorter."""
+    if len(a) > len(b):
+        a, b = b, a
+    row = bytes(b)
+    acc = 0
+    for i, c in enumerate(a):
+        if c:
+            acc ^= int.from_bytes(row.translate(mul[c]), "little") << (i << 3)
+    return acc
+
+
+def _packed_reduce(acc, b, mul, scale, quot=None):
+    """acc modulo the trimmed b, packed: each step cancels the top byte of
+    acc with (top * scale) * b, where scale = 1 / lc(b); the multipliers go
+    to quot[shift] when a quotient list is given."""
+    nb = len(b)
+    row = bytes(b)
+    n = (acc.bit_length() + 7) >> 3
+    while n >= nb:
+        shift = n - nb
+        c = mul[acc >> ((n - 1) << 3)][scale]
+        if quot is not None:
+            quot[shift] = c
+        acc ^= int.from_bytes(row.translate(mul[c]), "little") << (shift << 3)
+        n = (acc.bit_length() + 7) >> 3
+    return acc
+
+
+def _unpacked(acc):
+    """The trimmed coefficient list of a packed polynomial."""
+    return list(acc.to_bytes((acc.bit_length() + 7) >> 3, "little"))
+
+
 def dense_divmod(a, b, f):
-    a = list(a)
     b = dense_trim(list(b), f)
     if not b:
         raise PolyError("polynomial division by zero")
     inv = f.inv(b[-1])
     q = [f.zero] * max(len(a) - len(b) + 1, 0)
-    dense_trim(a, f)
+    if f.byte_tables is not None:
+        acc = int.from_bytes(bytes(a), "little")
+        return q, _unpacked(_packed_reduce(acc, b, f.byte_tables[0], inv, q))
+    a = dense_trim(list(a), f)
     while len(a) >= len(b):
         c = f.mul(a[-1], inv)
         shift = len(a) - len(b)
@@ -318,6 +382,9 @@ def dense_sub(a, b, f):
 def dense_mul(a, b, f):
     if not a or not b:
         return []
+    if f.byte_tables is not None:
+        return list(_packed_mul(a, b, f.byte_tables[0])
+                    .to_bytes(len(a) + len(b) - 1, "little"))
     out = [f.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         f.addmul_row(out, i, ai, b)
@@ -328,8 +395,20 @@ def dense_mulmod(a, b, mod, f):
     """a * b reduced modulo the monic `mod`, trimmed.
 
     Monic means no field inverse is needed, so a tower over a tower never
-    inverts in its base.
+    inverts in its base.  With a and b one object on a byte-table field the
+    product is a Frobenius square: (sum a_i x^i)^2 = sum a_i^2 x^(2i).
     """
+    if not a or not b:
+        return []
+    if f.byte_tables is not None:
+        mul, square = f.byte_tables
+        if a is b:
+            spread = bytearray(2 * len(a) - 1)
+            spread[::2] = bytes(a).translate(square)
+            acc = int.from_bytes(spread, "little")
+        else:
+            acc = _packed_mul(a, b, mul)
+        return _unpacked(_packed_reduce(acc, mod, mul, 1))
     res = dense_mul(a, b, f)
     d = len(mod) - 1
     low = mod[:d]

@@ -28,7 +28,7 @@ from ..char2_algebra.poly import (FqPoly, PolyError, dense_trim,
                                   poly_gcd_multivariate)
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import SurfaceError, _FIXED_TERMS, _spec_from_H
-from .points import _NonIsolated, _colength_at, closed_points
+from .points import _NonIsolated, _colength_at, _jacobian, closed_points
 
 
 @dataclass
@@ -165,10 +165,11 @@ def additive_order(gens, field):
 def _system_order(gens, variables):
     """Total colength of a zero-dimensional ideal (g1, g2) in the plane."""
     g1, g2 = gens
+    jac = _jacobian(g1, g2)
     total = 0
     try:
         for pt_field, emb, point, deg in closed_points(g1, g2, *variables):
-            total += deg * _colength_at(g1, g2, pt_field, emb, point)
+            total += deg * _colength_at(g1, g2, jac, pt_field, emb, point)
     except _NonIsolated:
         raise SurfaceError("fixed locus is not zero-dimensional") from None
     return total
@@ -327,11 +328,8 @@ def _rational_common_zero(f_poly, g_poly, field, variables):
     for root, _m in poly_roots(res_uni):
         f1 = f_poly.substitute(v1, FqPoly.const(field, variables, root))
         g1 = g_poly.substitute(v1, FqPoly.const(field, variables, root))
-        try:
-            f1u = f1.restrict_vars((v2,))
-            g1u = g1.restrict_vars((v2,))
-        except PolyError:
-            continue
+        f1u = f1.restrict_vars((v2,))
+        g1u = g1.restrict_vars((v2,))
         if f1u.is_zero() and g1u.is_zero():
             return (root, field.zero)  # the whole line v1 = root is common
         roots2 = poly_roots(f1u) if not f1u.is_zero() else poly_roots(g1u)

@@ -5,12 +5,14 @@ Strategy: `closed_points` solves a zero-dimensional plane system
 resultant over the base field, specializes the system at each factor's
 root, factors the gcd of the specializations, and hosts each Galois orbit
 of common zeros in a quotient-ring tower.  `_colength_at` then gives the
-local colength there: 1 at transverse points (nonvanishing Jacobian),
-otherwise the intersection multiplicity of the two curves at the point,
-by Fulton's algorithm (Fulton, Algebraic Curves, 3.3) on the translated
-pair.  That recursion uses only field addition and multiplication, so it
-runs unchanged over base fields and towers; a colength above
-COLENGTH_CAP counts as non-isolated.  Two callers share it:
+local colength there: 1 at transverse points (nonvanishing Jacobian, from
+the four partials that `_jacobian` takes once per system over the base
+field), otherwise the intersection multiplicity of the two curves at the
+point, by Fulton's algorithm (Fulton, Algebraic Curves, 3.3) on the pair
+mapped to the point field and translated there by `FqPoly.shift`, a
+Taylor shift.  That recursion uses only field addition and
+multiplication, so it runs unchanged over base fields and towers; a
+colength above COLENGTH_CAP counts as non-isolated.  Two callers share it:
 `singular_points` solves the partials (H_x, H_y) of a family member, and
 `derivations._system_order` sums deg * colength over the fixed-locus
 generators of the covering derivation.  That sum is read in two places:
@@ -210,17 +212,22 @@ def closed_points(g1, g2, key, elim):
                 fac.degree() * yfac.degree()
 
 
-def _colength_at(g1, g2, field, embed, point):
-    """Local colength of (g1, g2) at a common zero hosted in `field`."""
-    a, b = g1.map_field(field, embed), g2.map_field(field, embed)
-    v1, v2 = a.vars
-    # transversality shortcut: the Jacobian matrix of (a, b)
-    jac = field.sub(
-        field.mul(a.partial(v1).evaluate(point), b.partial(v2).evaluate(point)),
-        field.mul(a.partial(v2).evaluate(point), b.partial(v1).evaluate(point)))
-    if jac != field.zero:
+def _jacobian(g1, g2):
+    """The partials (g1_v1, g1_v2, g2_v1, g2_v2) over the base field, for
+    `_colength_at` at every closed point of the system."""
+    v1, v2 = g1.vars
+    return g1.partial(v1), g1.partial(v2), g2.partial(v1), g2.partial(v2)
+
+
+def _colength_at(g1, g2, jac, field, embed, point):
+    """Local colength of (g1, g2) at a common zero hosted in `field`; jac is
+    `_jacobian(g1, g2)`."""
+    a1, a2, b1, b2 = (d.map_field(field, embed).evaluate(point) for d in jac)
+    # transversality shortcut: the Jacobian determinant at the point
+    if field.sub(field.mul(a1, b2), field.mul(a2, b1)) != field.zero:
         return 1
-    return local_colength([a.shift(point), b.shift(point)], field)
+    return local_colength([g.map_field(field, embed).shift(point)
+                           for g in (g1, g2)], field)
 
 
 def singular_points(spec):
@@ -230,11 +237,12 @@ def singular_points(spec):
     share a factor or a colength exceeds COLENGTH_CAP.
     """
     a_poly, b_poly, key, elim = _elim_data(spec)
+    jac = _jacobian(a_poly, b_poly)
     v1, v2 = spec.vars
     out = []
     try:
         for pt_field, emb, point, deg in closed_points(a_poly, b_poly, key, elim):
-            colength = _colength_at(a_poly, b_poly, pt_field, emb, point)
+            colength = _colength_at(a_poly, b_poly, jac, pt_field, emb, point)
             out.append(PointRecord(pt_field, point[v1], point[v2], deg,
                                    colength, emb))
     except _NonIsolated:

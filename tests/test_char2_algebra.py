@@ -175,8 +175,10 @@ def _quadratic_tower(f):
                         f.one, f.one])
 
 
-ROW_FIELDS = ["F_2^1", "F_2^4", "F_2^8", "F_2^13", "F_3^2", "F_5^2",
-              "F_2^4[u]/deg2"]
+# F_2^1..F_2^8 run the byte-table kernels, F_2^9 and F_2^13 the log-table
+# row operation, F_3^2, F_5^2 and the tower their own add and mul
+ROW_FIELDS = ["F_2^1", "F_2^4", "F_2^5", "F_2^8", "F_2^9", "F_2^13", "F_3^2",
+              "F_5^2", "F_2^4[u]/deg2"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,14 +236,21 @@ def test_addmul_row_is_the_elementwise_add_multiply(case):
 
 @st.composite
 def dense_cases(draw):
-    """(field name, a, b, monic modulus): b has a nonzero leading
-    coefficient and a is mostly at least as long as b."""
+    """(field name, a, b, monic modulus): b has a nonzero coefficient, a
+    and b may end in zeros, and lengths reach 40, so a packed polynomial
+    is wider than 256 bits."""
     name = draw(st.sampled_from(ROW_FIELDS))
     field = _row_field(name)
     elem = _elements(field)
-    b = draw(st.lists(elem, max_size=4)) + [draw(elem.filter(lambda x: x != field.zero))]
-    a = draw(st.lists(elem, min_size=max(len(b) - 2, 0), max_size=len(b) + 4))
-    mod = draw(st.lists(elem, min_size=1, max_size=5)) + [field.one]
+
+    def coeffs(max_len):
+        n = draw(st.integers(0, max_len))
+        return draw(st.lists(elem, min_size=n, max_size=n))
+
+    zeros = st.integers(0, 2).map(lambda k: [field.zero] * k)
+    b = coeffs(12) + [draw(elem.filter(lambda x: x != field.zero))] + draw(zeros)
+    a = coeffs(40) + draw(zeros)
+    mod = draw(st.lists(elem, min_size=1, max_size=40)) + [field.one]
     return name, a, b, mod
 
 
@@ -249,6 +258,10 @@ def dense_cases(draw):
 @given(dense_cases())
 @example(("F_3^2", [1, 2, 3, 4, 0, 7], [1, 5], [2, 0, 1]))
 @example(("F_5^2", [0, 0, 24, 3, 11], [6, 0, 13], [1, 1, 0, 1]))
+@example(("F_2^8", list(range(215, 255)), [7, 0, 0, 255, 0], [3, 0, 9, 1]))
+@example(("F_2^8", [0, 0, 1, 255] * 10, list(range(1, 13)), [5] * 39 + [1]))
+@example(("F_2^9", list(range(470, 510)) + [0, 0], [1, 0, 511], [511] * 5 + [1]))
+@example(("F_2^1", [1, 0, 1] * 13 + [0], [1, 1, 0], [1, 0, 1, 1]))
 def test_dense_kernels_match_the_schoolbook(case):
     name, a, b, mod = case
     field = _row_field(name)
@@ -256,9 +269,15 @@ def test_dense_kernels_match_the_schoolbook(case):
     assert dense_mul(a, b, field) == _schoolbook_mul(a, b, add, mul, zero)
     assert dense_mulmod(a, b, mod, field) == _trim(
         _schoolbook_mulmod(a, b, mod, add, sub, mul, zero), zero)
-    # q, r are the unique pair with a = q b + r and deg r < deg b
+    # one object passed twice: the Frobenius square on byte-table fields
+    assert dense_mulmod(a, a, mod, field) == _trim(
+        _schoolbook_mulmod(a, a, mod, add, sub, mul, zero), zero)
+    # q, r are the unique pair with a = q b + r and deg r < deg b; q is
+    # sized by the untrimmed a
     q, r = dense_divmod(a, b, field)
-    assert len(r) < len(b) and _trim(r, zero) == r
+    b_len = len(_trim(b, zero))
+    assert len(q) == max(len(a) - b_len + 1, 0)
+    assert len(r) < b_len and _trim(r, zero) == r
     qb = _schoolbook_mul(q, b, add, mul, zero)
     total = [zero] * max(len(qb), len(r))
     for i, x in enumerate(qb):
@@ -266,6 +285,55 @@ def test_dense_kernels_match_the_schoolbook(case):
     for i, x in enumerate(r):
         total[i] = add(total[i], x)
     assert _trim(total, zero) == _trim(a, zero)
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_byte_tables_are_the_field_products(e):
+    f = get_field(2, e)
+    mul, square = f.byte_tables
+    assert len(mul) == f.order and all(len(t) == 256 for t in mul + (square,))
+    for c in f.elements():
+        assert [mul[c][s] for s in f.elements()] == [f.mul(c, s) for s in f.elements()]
+    assert [square[a] for a in f.elements()] == [f.mul(a, a) for a in f.elements()]
+
+
+@pytest.mark.parametrize("name", ["F_2^9", "F_2^13", "F_3^2", "F_2^4[u]/deg2"])
+def test_byte_tables_only_on_small_char2_base_fields(name):
+    assert _row_field(name).byte_tables is None
+
+
+def _shift_by_substitution(poly, offsets):
+    """Reference translation x_i -> x_i + c_i: substitute the polynomial
+    x_i + c_i for each variable, powers by repeated products."""
+    f = poly.field
+    for name, c in offsets.items():
+        if c != f.zero:
+            repl = (FqPoly.variable(f, poly.vars, name)
+                    + FqPoly.const(f, poly.vars, c))
+            poly = poly.substitute(name, repl)
+    return poly
+
+
+@st.composite
+def shift_cases(draw):
+    """A polynomial in k[x, y] and offsets for a subset of its variables."""
+    field = _row_field(draw(st.sampled_from(["F_2^4", "F_2^4[u]/deg2", "F_3^2"])))
+    elem = _elements(field)
+    expo = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    terms = draw(st.dictionaries(expo, elem, max_size=8))
+    names = draw(st.lists(st.sampled_from(["x", "y"]), unique=True))
+    return FqPoly(field, ("x", "y"), terms), {n: draw(elem) for n in names}
+
+
+@PROPERTY
+@given(shift_cases())
+def test_taylor_shift_is_the_translation(case):
+    poly, offsets = case
+    f = poly.field
+    got = poly.shift(offsets)
+    assert got == _shift_by_substitution(poly, offsets)
+    assert got == FqPoly(f, got.vars, got.terms)      # clean terms
+    assert got.shift({n: f.neg(c) for n, c in offsets.items()}) == poly
 
 
 @st.composite

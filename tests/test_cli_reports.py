@@ -56,7 +56,7 @@ def test_golden_reports(argv, golden, monkeypatch):
 # seeded reports the benchmark's reference pins by hash, cheap enough for
 # tier-1; a byte change in any of them fails here before the benchmark runs
 REFERENCE_HASHED = ["verify-cartier", "verify-p1", "verify-zfilt",
-                    "verify-subgroup", "lattice-roots"]
+                    "verify-subgroup", "verify-singularities", "lattice-roots"]
 
 
 @pytest.mark.parametrize("name", REFERENCE_HASHED)
