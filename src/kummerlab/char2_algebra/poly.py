@@ -146,11 +146,9 @@ class FqPoly:
             coef = f.mul(c, f.scalar(e[i]))
             if coef == f.zero:
                 continue
-            ne = list(e)
-            ne[i] -= 1
-            ne = tuple(ne)
-            out[ne] = f.add(out.get(ne, f.zero), coef)
-        return FqPoly(f, self.vars, {e: c for e, c in out.items() if c != f.zero})
+            # e -> e - unit_i is injective, so no two terms meet
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = coef
+        return FqPoly._clean(f, self.vars, out)
 
     def evaluate(self, assignment):
         """Evaluate at a full point {varname: field element}."""
@@ -210,8 +208,10 @@ class FqPoly:
         return FqPoly._clean(f, self.vars, terms)
 
     def map_field(self, new_field, conv):
-        return FqPoly(new_field, self.vars,
-                      {e: conv(c) for e, c in self.terms.items()})
+        """The image under a field embedding `conv`, which keeps every
+        coefficient nonzero."""
+        return FqPoly._clean(new_field, self.vars,
+                             {e: conv(c) for e, c in self.terms.items()})
 
     def restrict_vars(self, variables):
         """Reinterpret over a sub/super tuple of variables."""
@@ -240,8 +240,8 @@ class FqPoly:
 
     @classmethod
     def from_dense(cls, field, var, coeffs):
-        return cls(field, (var,), {(i,): c for i, c in enumerate(coeffs)
-                                   if c != field.zero})
+        return cls._clean(field, (var,), {(i,): c for i, c in enumerate(coeffs)
+                                          if c != field.zero})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -463,12 +463,8 @@ def _coeffs_in_var(poly, var):
     i = poly.vars.index(var)
     out = {}
     for e, c in poly.terms.items():
-        k = e[i]
-        ne = list(e)
-        ne[i] = 0
-        sub = out.setdefault(k, {})
-        sub[tuple(ne)] = c
-    return {k: FqPoly(poly.field, poly.vars, terms) for k, terms in out.items()}
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {k: FqPoly._clean(poly.field, poly.vars, terms) for k, terms in out.items()}
 
 
 def poly_gcd_multivariate(a, b):

@@ -144,8 +144,8 @@ def build_kummer(type_symbol):
     for i, row in enumerate(basis_rows):
         det *= row[i]
     checks["index_over_roots"] = det == 1 << kt.log2_index_over_roots
-    k16 = mod4_overlattice(build_v16())
-    sub = solve_left_fraction(ov.basis, k16.basis)
+    k16_basis = ov.basis if type_symbol == "16A1" else build_kummer("16A1").frame_basis
+    sub = solve_left_fraction(ov.basis, k16_basis)
     if any(c is None or any(x.denominator != 1 for x in c) for c in sub):
         raise KummerError("K(16A1) is not contained in the overlattice")
     sub_h = hnf_basis([[int(x) for x in c] for c in sub])

@@ -10,8 +10,10 @@ from the Smith normal form U * G * V = D of the integer Gram: the
 generators are the rows U[i] / d_i mod Z^n.  Determinants, signatures
 and solving use the fraction-free integer eliminations of `exactmat`;
 roots come from one symmetric elimination of -den * G, whose pivots both
-prove negative definiteness and give the exact rational Fincke-Pohst
-search its LDL^T factor.  Even overlattices come from glue data on
+prove negative definiteness and give an integer Fincke-Pohst search its
+weights: the remaining norm is one int over the lcm of the LDL^T
+denominators.  The ADE type of a root set is read off one simple system,
+picked by an integer functional.  Even overlattices come from glue data on
 discriminant groups; `saturation` gives the index of a sublattice in its
 saturation, and `embed_kummer` is where saturation of the glued factors is
 verified.
@@ -25,7 +27,7 @@ non-integral input.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 from .exactmat import (
     common_denominator,
@@ -243,34 +245,46 @@ def is_two_elementary_type2(dg):
 # roots
 
 
-def _interval(c, bound):
-    """(lo, hi): the integers x with (x + c)^2 <= bound are lo..hi (none if lo > hi).
+def _interval(c, p, bound):
+    """(lo, hi): the integers x with (p*x + c)^2 <= bound are lo..hi (none if lo > hi).
 
-    For rationals c = a/b and bound = p/q >= 0, (x + c)^2 <= bound exactly
-    when the integer |x*b + a| is at most sqrt(b^2 p / q), that is, at
-    most s = isqrt(b^2 p // q).
+    For ints c, p > 0 and bound, the square is at most bound exactly when
+    |p*x + c| <= s = isqrt(bound), that is, -s - c <= p*x <= s - c.
     """
     if bound < 0:
         return 1, 0
-    a, b = c.numerator, c.denominator
-    s = isqrt(b * b * bound.numerator // bound.denominator)
-    return -((s + a) // b), (s - a) // b
+    s = isqrt(bound)
+    return -((s + c) // p), (s - c) // p
 
 
-def short_vectors(d, u, norm):
-    """All x with Q(x) = norm > 0, up to sign.
+def roots(lat):
+    """All v with v^2 = -2, one representative per +-pair, with the first
+    nonzero coordinate positive, sorted lexicographically.
 
-    Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with every d_i > 0, where
-    u[i] holds u_ij for j > i.  One representative per +-pair is returned,
-    with the first nonzero coordinate positive, sorted lexicographically.
+    One elimination of the integer matrix M = -den * G gives its leading
+    principal minors p_i (p_-1 = 1) and rows r_i: all p_i positive means M
+    is positive definite (Sylvester), and then
+    x M x^T = sum_i (p_i x_i + c_i)^2 / (p_i p_{i-1}) with
+    c_i = sum_{j>i} r_i[j - i] x_j.  Over D = lcm_i(p_i p_{i-1}) and weights
+    w_i = D / (p_i p_{i-1}), a root is an integer x with
+    sum_i w_i (p_i x_i + c_i)^2 = 2 * den * D; the Fincke-Pohst search fixes
+    x_{n-1}, ..., x_0 in turn, carrying the remaining norm as one int.
     """
-    n = len(d)
+    _, pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
+    n = lat.rank
+    if len(pivots) != n:
+        raise LatticeError("degenerate lattice")
+    if any(p < 0 for p in pivots):
+        raise LatticeError("root enumeration requires a negative definite lattice")
+    dens = [p * q for p, q in zip(pivots, [1] + pivots)]
+    big = lcm(*dens)
+    weights = [big // d for d in dens]
     found = []
     x = [0] * n
 
     def rec(i, rem):
         if i < 0:
-            if rem == 0:  # Q(x) = norm > 0, so x != 0
+            if rem == 0:  # x M x^T = 2 * den > 0, so x != 0
                 v = tuple(x)
                 for c in v:
                     if c > 0:
@@ -280,33 +294,17 @@ def short_vectors(d, u, norm):
                         found.append(tuple(-y for y in v))
                         break
             return
-        c = sum(uij * xj for uij, xj in zip(u[i], x[i + 1:]))
-        lo, hi = _interval(c, rem / d[i])
+        p, w = pivots[i], weights[i]
+        c = sum(r * xj for r, xj in zip(rows[i][1:], x[i + 1:]))
+        lo, hi = _interval(c, p, rem // w)
         for xi in range(lo, hi + 1):
             x[i] = xi
-            rec(i - 1, rem - d[i] * (xi + c) * (xi + c))
+            y = p * xi + c
+            rec(i - 1, rem - w * y * y)
         x[i] = 0
 
-    rec(n - 1, Fraction(norm))
-    uniq = sorted(set(found))
-    return [list(v) for v in uniq]
-
-
-def roots(lat):
-    """All v with v^2 = -2, one representative per +-pair.
-
-    One elimination of the integer matrix -den * G: all pivots positive
-    means it is positive definite (Sylvester), and then
-    -den * v^2 = sum_i d_i (v_i + sum_j u_ij v_j)^2 must equal 2 * den.
-    """
-    _, pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
-    if len(pivots) != lat.rank:
-        raise LatticeError("degenerate lattice")
-    if any(p < 0 for p in pivots):
-        raise LatticeError("root enumeration requires a negative definite lattice")
-    d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
-    u = [[Fraction(x, p) for x in row[1:]] for p, row in zip(pivots, rows)]
-    return short_vectors(d, u, 2 * lat.den)
+    rec(n - 1, 2 * lat.den * big)
+    return [list(v) for v in sorted(set(found))]
 
 
 def reflect(lat, v, x):
@@ -330,60 +328,34 @@ def _expected_pairs(kind, n):
 
 
 def ade_type(lat, root_list=None):
-    """Decompose a root set into connected components and classify each.
+    """Classify a root set, one representative per +-pair, by its simple roots.
 
-    Returns a sorted list of (kind, n) pairs, one per component.
+    One integer functional phi, nonzero on every root, picks the positive
+    system.  Ascending in phi, a positive root is simple iff subtracting no
+    earlier simple root lands in the positive system; roots in orthogonal
+    components never differ by a root, so one pass gives the simple roots
+    of every component at once.  The components of their Dynkin diagram
+    are classified by degrees and arm lengths, and each positive root is
+    assigned to the one component whose simple roots it pairs with, to
+    check the root count of each type.  Returns a sorted list of (kind, n)
+    pairs, one per component.
     """
     if root_list is None:
         root_list = roots(lat)
     if not root_list:
         return []
-    m = len(root_list)
-    pm = gram_of(lat, root_list)
-    adj = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pm[i][j] != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen = [False] * m
-    comps = []
-    for s in range(m):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    out = []
-    for comp in comps:
-        pairs = [root_list[i] for i in comp]
-        out.append(_classify_component(lat, pairs))
-    return sorted(out)
-
-
-def _classify_component(lat, pairs):
-    full = [tuple(v) for v in pairs] + [tuple(-x for x in v) for v in pairs]
     rng = random.Random("kummerlab.ade.functional")
-    n = lat.rank
     for _ in range(64):
-        phi = [Fraction(rng.randrange(-(1 << 24), 1 << 24)) for _ in range(n)]
-        vals = {v: sum(p * c for p, c in zip(phi, v)) for v in full}
-        if all(val != 0 for val in vals.values()):
+        phi = [rng.randrange(-(1 << 24), 1 << 24) for _ in range(lat.rank)]
+        vals = [sum(p * c for p, c in zip(phi, v)) for v in root_list]
+        if 0 not in vals:
             break
     else:
         raise LatticeError("could not separate roots with a linear functional")
-    pos = sorted((v for v in full if vals[v] > 0), key=lambda v: vals[v])
+    signed = sorted(((abs(val), tuple(v) if val > 0 else tuple(-c for c in v))
+                     for v, val in zip(root_list, vals)), key=lambda t: t[0])
+    pos = [v for _, v in signed]
     posset = set(pos)
-    # Ascending in phi, a positive root is simple iff subtracting no earlier
-    # simple root lands in the positive system.
     simple = []
     for v in pos:
         for s in simple:
@@ -393,43 +365,59 @@ def _classify_component(lat, pairs):
             simple.append(v)
     k = len(simple)
     sp = gram_of(lat, simple)
-    deg = [0] * k
-    edges = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if sp[i][j] != 0:
-                if sp[i][j] != 1:
-                    raise LatticeError("not a root system of ADE type")
-                deg[i] += 1
-                deg[j] += 1
-                edges += 1
-    if edges != k - 1:
+    nbrs = [[j for j in range(k) if j != i and sp[i][j] != 0] for i in range(k)]
+    if any(sp[i][j] != 1 for i in range(k) for j in nbrs[i]):
         raise LatticeError("not a root system of ADE type")
-    kind = None
-    if max(deg, default=0) <= 2:
-        kind = ("A", k)
-    elif deg.count(3) == 1 and max(deg) == 3:
-        branch = deg.index(3)
-        arms = sorted(_arm_lengths(sp, branch))
+    comp_of = [None] * k
+    kinds = []
+    for s in range(k):
+        if comp_of[s] is not None:
+            continue
+        comp_of[s] = len(kinds)
+        stack, comp = [s], []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in nbrs[i]:
+                if comp_of[j] is None:
+                    comp_of[j] = len(kinds)
+                    stack.append(j)
+        kinds.append(_dynkin_kind(nbrs, comp))
+    counts = [0] * len(kinds)
+    for row in gram_of(lat, pos, simple):
+        hit = {comp_of[j] for j, x in enumerate(row) if x != 0}
+        if len(hit) != 1:
+            raise LatticeError("not a root system of ADE type")
+        counts[hit.pop()] += 1
+    if any(_expected_pairs(*kind) != c for kind, c in zip(kinds, counts)):
+        raise LatticeError("not a root system of ADE type")
+    return sorted(kinds)
+
+
+def _dynkin_kind(nbrs, comp):
+    """(kind, n) of the connected Dynkin diagram on the simple roots `comp`."""
+    k = len(comp)
+    deg = [len(nbrs[i]) for i in comp]
+    if sum(deg) != 2 * (k - 1):
+        raise LatticeError("not a root system of ADE type")
+    if max(deg) <= 2:
+        return ("A", k)
+    if deg.count(3) == 1 and max(deg) == 3:
+        arms = sorted(_arm_lengths(nbrs, comp[deg.index(3)]))
         if arms[0] == 1 and arms[1] == 1:
-            kind = ("D", k)
-        elif arms == [1, 2, k - 4]:
-            kind = ("E", k)
-    if kind is None or _expected_pairs(*kind) != len(pairs):
-        raise LatticeError("not a root system of ADE type")
-    return kind
+            return ("D", k)
+        if arms == [1, 2, k - 4]:
+            return ("E", k)
+    raise LatticeError("not a root system of ADE type")
 
 
-def _arm_lengths(sp, branch):
-    k = len(sp)
-    nbrs = [j for j in range(k) if j != branch and sp[branch][j] != 0]
+def _arm_lengths(nbrs, branch):
     lengths = []
-    for start in nbrs:
+    for start in nbrs[branch]:
         length = 1
         prev, cur = branch, start
         while True:
-            nxt = [j for j in range(k)
-                   if j not in (prev, cur) and sp[cur][j] != 0]
+            nxt = [j for j in nbrs[cur] if j != prev]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]

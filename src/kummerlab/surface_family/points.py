@@ -116,15 +116,16 @@ def local_colength(polys, field):
             total += min(fx)
             if total > COLENGTH_CAP:
                 raise _NonIsolated()
-            g_poly = FqPoly(field, g_poly.vars,
-                            {(a, b - 1): c for (a, b), c in g_poly.terms.items()})
+            # every term of G has b >= 1, so G / y has clean terms
+            g_poly = FqPoly._clean(field, g_poly.vars,
+                                   {(a, b - 1): c for (a, b), c in g_poly.terms.items()})
             continue
         r, s = max(fx), max(gx)
         if r > s:
             f_poly, g_poly, r, s = g_poly, f_poly, s, r
         lead_f, lead_g = f_poly.coefficient((r, 0)), g_poly.coefficient((s, 0))
-        shifted = FqPoly(field, f_poly.vars,
-                         {(a + s - r, b): c for (a, b), c in f_poly.terms.items()})
+        shifted = FqPoly._clean(field, f_poly.vars,
+                                {(a + s - r, b): c for (a, b), c in f_poly.terms.items()})
         g_poly = g_poly.scale(lead_f) - shifted.scale(lead_g)
 
 

@@ -56,7 +56,8 @@ def test_golden_reports(argv, golden, monkeypatch):
 # seeded reports the benchmark's reference pins by hash, cheap enough for
 # tier-1; a byte change in any of them fails here before the benchmark runs
 REFERENCE_HASHED = ["verify-cartier", "verify-p1", "verify-zfilt",
-                    "verify-subgroup", "verify-singularities", "lattice-roots"]
+                    "verify-subgroup", "verify-singularities", "lattice-roots",
+                    "verify-roots", "verify-table1"]
 
 
 @pytest.mark.parametrize("name", REFERENCE_HASHED)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kummerlab.exactmat import (
     common_denominator,
@@ -181,8 +181,9 @@ def test_roots_examples():
     enum = roots(d4)
     assert len(enum) == 12
     assert [list(v) for v in brute_force_roots(d4)] == enum
-    with pytest.raises(LatticeError):
-        roots(Lattice([[2]]))  # indefinite/positive input rejected
+    for gram in ([[2]], [[-2, 0], [0, 2]], [[-2, 3], [3, -2]]):
+        with pytest.raises(LatticeError, match="requires a negative definite lattice"):
+            roots(Lattice(gram))  # positive or indefinite input rejected
 
 
 def test_root_counts_classical():
@@ -207,6 +208,16 @@ def test_ade_type_rejects_non_root_configuration():
     with pytest.raises(LatticeError):
         # fake "roots" with pairing 2 are not an ADE diagram
         ade_type(even_lattice([[-2, -2], [-2, -2]]), [[1, 0], [0, 1]])
+    a2 = ade_lattice("A", 2)
+    assert roots(a2) == [[0, 1], [1, 0], [1, 1]]
+    for pairs in ([[1, 0], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 1]]):
+        with pytest.raises(LatticeError, match="not a root system"):
+            ade_type(a2, pairs)        # A2 with 2 of its 3 pairs
+    d4 = ade_lattice("D", 4)
+    d4_roots = roots(d4)
+    for i in range(len(d4_roots)):
+        with pytest.raises(LatticeError, match="not a root system"):
+            ade_type(d4, d4_roots[:i] + d4_roots[i + 1:])   # D4 less one pair
 
 
 def test_saturation_examples():
@@ -334,13 +345,16 @@ BLOCKS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5),
 
 
 @st.composite
-def even_lattices(draw):
-    """A direct sum of A/D/E blocks (rank <= 10) under a unimodular change of basis."""
-    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=3))
-    lat = ade_lattice(*blocks[0])
-    for kind, n in blocks[1:]:
-        if lat.rank + n <= 10:
+def block_sums(draw, blocks=BLOCKS, max_rank=10):
+    """(lattice, sorted blocks): a direct sum of A/D/E blocks (rank <=
+    max_rank) under a unimodular change of basis."""
+    drawn = draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=3))
+    kept = drawn[:1]
+    lat = ade_lattice(*drawn[0])
+    for kind, n in drawn[1:]:
+        if lat.rank + n <= max_rank:
             lat = direct_sum(lat, ade_lattice(kind, n))
+            kept.append((kind, n))
     n = lat.rank
     u = identity(n)
     steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -349,7 +363,12 @@ def even_lattices(draw):
         if i != j:
             u[i] = [a + c * b for a, b in zip(u[i], u[j])]
     g = lat.gram_int()
-    return even_lattice(mat_mul(mat_mul(u, g), [list(c) for c in zip(*u)]))
+    return (even_lattice(mat_mul(mat_mul(u, g), [list(c) for c in zip(*u)])),
+            sorted(kept))
+
+
+def even_lattices():
+    return block_sums().map(lambda t: t[0])
 
 
 def rational_rows(n, max_rows=4):
@@ -397,7 +416,10 @@ def test_interval_matches_integer_scan(data):
     # c = shift + r with bound r^2 puts both ends exactly on the boundary
     c = data.draw(st.one_of(fractions(-60, 60), st.integers(-5, 5), st.just(shift + r)))
     bound = data.draw(st.one_of(fractions(-10, 400), st.just(r * r)))
-    lo, hi = _interval(c, bound)
+    # (x + a/b)^2 <= bound exactly when the integer (b*x + a)^2 is at most
+    # floor(b^2 * bound)
+    c = Fraction(c)
+    lo, hi = _interval(c.numerator, c.denominator, math.floor(c.denominator ** 2 * bound))
     assert list(range(lo, hi + 1)) == [x for x in range(-200, 201)
                                        if (x + c) ** 2 <= bound]
 
@@ -423,3 +445,156 @@ def test_batched_solve_left(data):
         assert (sol is not None) == in_span
         if sol is not None:
             assert [sum(sol[i] * b[i][j] for i in range(r)) for j in range(n)] == v
+
+
+# ---------------------------------------------------------------------------
+# root layer against the rational Fincke-Pohst search and the graph-component
+# classifier it replaced, kept here as references
+
+
+def _fraction_interval(c, bound):
+    """The integers x with (x + c)^2 <= bound for rationals c and bound."""
+    if bound < 0:
+        return 1, 0
+    a, b = c.numerator, c.denominator
+    s = math.isqrt(b * b * bound.numerator // bound.denominator)
+    return -((s + a) // b), (s - a) // b
+
+
+def fraction_roots(lat):
+    """Roots from the LDL^T factor of -den * G in Fractions:
+    Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 = 2 * den."""
+    g = [[Fraction(-x) for x in row] for row in lat.gram]
+    n = lat.rank
+    d, u = [], []
+    for i in range(n):            # Gaussian elimination, no pivoting
+        p = g[i][i]
+        d.append(p)
+        u.append([g[i][j] / p for j in range(i + 1, n)])
+        for r in range(i + 1, n):
+            f = g[r][i] / p
+            g[r] = [x - f * y for x, y in zip(g[r], g[i])]
+    found = set()
+    x = [0] * n
+
+    def rec(i, rem):
+        if i < 0:
+            if rem == 0:
+                v = tuple(x)
+                first = next(c for c in v if c)
+                found.add(v if first > 0 else tuple(-y for y in v))
+            return
+        c = sum(uij * xj for uij, xj in zip(u[i], x[i + 1:]))
+        lo, hi = _fraction_interval(Fraction(c), rem / d[i])
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            rec(i - 1, rem - d[i] * (xi + c) ** 2)
+        x[i] = 0
+
+    rec(n - 1, Fraction(2 * lat.den))
+    return [list(v) for v in sorted(found)]
+
+
+def graph_component_ade_type(lat, root_list):
+    """Components of the graph on all roots (edges: nonzero pairings), each
+    classified by the simple roots of its own positive system."""
+    m = len(root_list)
+    pm = gram_of(lat, root_list)
+    comp_of = list(range(m))
+
+    def find(i):
+        while comp_of[i] != i:
+            i = comp_of[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if pm[i][j] != 0:
+                comp_of[find(i)] = find(j)
+    comps = {}
+    for i in range(m):
+        comps.setdefault(find(i), []).append(tuple(root_list[i]))
+    return sorted(_classify_by_simple_roots(lat, pairs) for pairs in comps.values())
+
+
+def _classify_by_simple_roots(lat, pairs):
+    full = pairs + [tuple(-x for x in v) for v in pairs]
+    rng = random.Random("kummerlab.ade.functional")
+    for _ in range(64):
+        phi = [rng.randrange(-(1 << 24), 1 << 24) for _ in range(lat.rank)]
+        vals = {v: sum(p * c for p, c in zip(phi, v)) for v in full}
+        if 0 not in vals.values():
+            break
+    pos = sorted((v for v in full if vals[v] > 0), key=lambda v: vals[v])
+    posset = set(pos)
+    simple = []
+    for v in pos:
+        if all(tuple(a - b for a, b in zip(v, s)) not in posset for s in simple):
+            simple.append(v)
+    k = len(simple)
+    sp = gram_of(lat, simple)
+    if any(sp[i][j] not in (0, 1) for i in range(k) for j in range(i)):
+        raise LatticeError("not a root system of ADE type")
+    deg = [sum(1 for j in range(k) if j != i and sp[i][j]) for i in range(k)]
+    if sum(deg) != 2 * (k - 1):
+        raise LatticeError("not a root system of ADE type")
+    kind = None
+    if max(deg) <= 2:
+        kind = ("A", k)
+    elif deg.count(3) == 1 and max(deg) == 3:
+        arms = []
+        branch = deg.index(3)
+        for start in (j for j in range(k) if j != branch and sp[branch][j]):
+            prev, cur, length = branch, start, 1
+            while nxt := [j for j in range(k) if j not in (prev, cur) and sp[cur][j]]:
+                prev, cur, length = cur, nxt[0], length + 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            kind = ("D", k)
+        elif arms == [1, 2, k - 4]:
+            kind = ("E", k)
+    expected = {"A": k * (k + 1) // 2, "D": k * (k - 1), "E": {6: 36, 7: 63, 8: 120}.get(k)}
+    if kind is None or expected[kind[0]] != len(pairs):
+        raise LatticeError("not a root system of ADE type")
+    return kind
+
+
+ROOT_BLOCKS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)]
+
+
+def root_lattices():
+    return block_sums(ROOT_BLOCKS, 8)
+
+
+@PROPERTY
+@given(root_lattices(), st.booleans())
+@example((ade_lattice("D", 4), None), True)
+@example((direct_sum(ade_lattice("A", 2), ade_lattice("A", 1)), None), True)
+def test_roots_match_the_fraction_search(case, halve):
+    lat = case[0]
+    if halve:       # Gram G / 2: denominator 2 once an off-diagonal entry is odd
+        lat = Lattice([[Fraction(x, 2) for x in row] for row in lat.gram])
+    got = roots(lat)
+    assert got == fraction_roots(lat)
+    assert all(lat.norm(v) == -2 for v in got)
+
+
+@PROPERTY
+@given(root_lattices())
+def test_ade_type_matches_the_graph_components(case):
+    lat, blocks = case
+    pairs = roots(lat)
+    assert ade_type(lat, pairs) == graph_component_ade_type(lat, pairs) == blocks
+
+
+@PROPERTY
+@given(st.data())
+def test_ade_type_ignores_order_and_signs(data):
+    lat, blocks = data.draw(root_lattices())
+    pairs = roots(lat)
+    order = data.draw(st.permutations(range(len(pairs))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    shuffled = [[-x for x in pairs[i]] if flip else pairs[i]
+                for i, flip in zip(order, flips)]
+    assert ade_type(lat, shuffled) == blocks
