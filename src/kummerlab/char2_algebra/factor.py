@@ -7,147 +7,122 @@ generator is supplied by the caller so runs are reproducible.  A linear
 polynomial is returned as it stands, and a polynomial coprime to its
 derivative is its own squarefree part; neither shortcut draws from the
 generator.
+
+Each step is written once over the ring of `poly.poly_ring`.  On a
+byte-table field (characteristic 2, q <= 256) a polynomial stays one
+packed int from entry to exit: the derivative is a byte mask, the square
+root one `translate`, each modulus is packed into its row once.  Other
+fields (odd p, q > 256, towers) use coefficient lists.
 """
 
 import random
 
-from .poly import (FqPoly, PolyError, dense_divmod, dense_gcd, dense_mulmod,
-                   dense_sub, dense_trim, power)
-
-
-def _derivative(a, f):
-    out = []
-    for i in range(1, len(a)):
-        c = a[i]
-        k = i % f.char
-        if k == 0 or c == f.zero:
-            out.append(f.zero)
-        else:
-            s = f.scalar(k)
-            out.append(f.mul(c, s))
-    return dense_trim(out, f)
-
-
-def _pth_root_dense(a, f):
-    p = f.char
-    out = []
-    for i in range(0, len(a), p):
-        out.append(f.proot(a[i]))
-    for i, c in enumerate(a):
-        if i % p and c != f.zero:
-            raise PolyError("polynomial is not a p-th power")
-    return dense_trim(out, f)
-
-
-def _monic(a, f):
-    a = dense_trim(list(a), f)
-    if not a:
-        return a
-    inv = f.inv(a[-1])
-    return [f.mul(inv, x) for x in a]
+from .poly import FqPoly, PolyError, poly_ring, power
 
 
 def squarefree_decomposition(a, f):
-    """List of (monic squarefree factor, multiplicity), multiplicities distinct."""
-    a = _monic(a, f)
-    if len(a) <= 1:
+    """List of (monic squarefree factor, multiplicity), multiplicities
+    distinct, for a coefficient list a; the factors are coefficient lists."""
+    ring = poly_ring(f)
+    return [(list(ring.key(g)), m) for g, m in _squarefree(ring.pack(a), ring)]
+
+
+def _squarefree(a, ring):
+    a = ring.monic(a)
+    if ring.deg(a) < 1:
         return []
     out = {}
 
     def add(g, m):
-        g = tuple(_monic(g, f))
-        if len(g) > 1:
-            out[g] = out.get(g, 0) + m
+        g = ring.monic(g)
+        if ring.deg(g) > 0:
+            out.setdefault(ring.key(g), [g, 0])[1] += m
 
     def recurse(poly, mult):
-        poly = _monic(poly, f)
-        d = _derivative(poly, f)
+        poly = ring.monic(poly)
+        d = ring.deriv(poly)
         if not d:
-            recurse(_pth_root_dense(poly, f), mult * f.char)
+            recurse(ring.proot(poly), mult * ring.field.char)
             return
-        c = dense_gcd(poly, d, f)
-        if len(c) == 1:                    # poly is squarefree
+        c = ring.gcd(poly, d)
+        if ring.deg(c) == 0:               # poly is squarefree
             add(poly, mult)
             return
-        w, _ = dense_divmod(poly, c, f)
+        w, _ = ring.divmod(poly, c)
         i = 1
-        while len(w) > 1:
-            y = dense_gcd(w, c, f)
-            z, _ = dense_divmod(w, y, f)
-            if len(z) > 1:
+        while ring.deg(w) > 0:
+            y = ring.gcd(w, c)
+            z, _ = ring.divmod(w, y)
+            if ring.deg(z) > 0:
                 add(z, i * mult)
             w = y
-            c, _ = dense_divmod(c, y, f)
+            c, _ = ring.divmod(c, y)
             i += 1
-        if len(c) > 1:
-            recurse(_pth_root_dense(c, f), mult * f.char)
+        if ring.deg(c) > 0:
+            recurse(ring.proot(c), mult * ring.field.char)
 
     recurse(a, 1)
-    return [(list(g), m) for g, m in sorted(out.items())]
+    return [tuple(gm) for _key, gm in sorted(out.items())]
 
 
-def _pow_mod(base, n, mod, f):
+def _pow_mod(base, n, mod, ring):
     """base^n modulo the monic `mod`."""
-    return power(dense_divmod(base, mod, f)[1], n,
-                 lambda a, b: dense_mulmod(a, b, mod, f), [f.one])
+    row = ring.modrow(mod)
+    return power(ring.rem(base, mod), n,
+                 lambda a, b: ring.mulmod(a, b, row), ring.one)
 
 
-def distinct_degree(a, f):
+def distinct_degree(a, ring):
     """[(product of irreducible factors of degree d, d)] for squarefree monic a."""
+    f = ring.field
     out = []
-    x = [f.zero, f.one]
-    h = x[:]
-    rest = list(a)
+    x = ring.pack([f.zero, f.one])
+    h = x
+    rest = a
     d = 0
-    q = f.order
-    while len(rest) - 1 >= 2 * (d + 1):
+    while ring.deg(rest) >= 2 * (d + 1):
         d += 1
-        h = _pow_mod(h, q, rest, f)
-        diff = dense_sub(h, x, f)
-        g = dense_gcd(rest, diff, f)
-        if len(g) > 1:
+        h = _pow_mod(h, f.order, rest, ring)
+        g = ring.gcd(rest, ring.sub(h, x))
+        if ring.deg(g) > 0:
             out.append((g, d))
-            rest, _ = dense_divmod(rest, g, f)
-            h = dense_divmod(h, rest, f)[1]
-    if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
+            rest, _ = ring.divmod(rest, g)
+            h = ring.rem(h, rest)
+    if ring.deg(rest) > 0:
+        out.append((rest, ring.deg(rest)))
     return out
 
 
-def equal_degree_split(a, d, f, rng):
+def equal_degree_split(a, d, ring, rng):
     """All monic irreducible factors of a (product of degree-d irreducibles)."""
-    n = len(a) - 1
-    if n == d:
-        return [_monic(a, f)]
+    f = ring.field
+    if ring.deg(a) == d:
+        return [ring.monic(a)]
     out = []
-    stack = [_monic(a, f)]
-    q = f.order
+    stack = [ring.monic(a)]
     while stack:
         poly = stack.pop()
-        if len(poly) - 1 == d:
+        n = ring.deg(poly)
+        if n == d:
             out.append(poly)
             continue
+        row = ring.modrow(poly)
         while True:
-            r = [f.rand(rng) for _ in range(len(poly) - 1)]
-            r = dense_trim(r, f)
-            if len(r) <= 0:
+            r = ring.pack([f.rand(rng) for _ in range(n)])
+            if ring.deg(r) < 0:
                 continue
             if f.char == 2:
-                e_total = f.degree * d
-                # t = r + r^2 + r^4 + ..., padded to deg poly for the row hook
-                t = r + [f.zero] * (len(poly) - 1 - len(r))
-                acc = r[:]
-                for _ in range(e_total - 1):
-                    acc = dense_mulmod(acc, acc, poly, f)
-                    f.addmul_row(t, 0, f.one, acc)
-                g = dense_gcd(poly, t, f)
+                # t = r + r^2 + r^4 + ... (+ is - in characteristic 2)
+                t = acc = r
+                for _ in range(f.degree * d - 1):
+                    acc = ring.mulmod(acc, acc, row)
+                    t = ring.sub(t, acc)
             else:
-                e = (q ** d - 1) // 2
-                t = _pow_mod(r, e, poly, f)
-                t = dense_sub(t, [f.one], f)
-                g = dense_gcd(poly, t, f)
-            if 1 < len(g) < len(poly):
-                rest, _ = dense_divmod(poly, g, f)
+                t = _pow_mod(r, (f.order ** d - 1) // 2, poly, ring)
+                t = ring.sub(t, ring.one)
+            g = ring.gcd(poly, t)
+            if 0 < ring.deg(g) < n:
+                rest, _ = ring.divmod(poly, g)
                 stack.append(g)
                 stack.append(rest)
                 break
@@ -163,18 +138,20 @@ def factor_univariate(poly, seed=0):
     f = poly.field
     var = poly.vars[0]
     dense = poly.dense_univariate()
-    dense = dense_trim(list(dense), f)
     if not dense:
         raise PolyError("cannot factor the zero polynomial")
     unit = dense[-1]
+    ring = poly_ring(f)
+    a = ring.pack(dense)
     if len(dense) == 2:                    # linear: irreducible as it stands
-        return unit, [(FqPoly.from_dense(f, var, _monic(dense, f)), 1)]
-    rng = random.Random(f"kummerlab.factor.{seed}")
-    result = []
-    for sqf, mult in squarefree_decomposition(dense, f):
-        for prod, d in distinct_degree(sqf, f):
-            for irr in equal_degree_split(prod, d, f, rng):
-                result.append((irr, mult))
+        return unit, [(FqPoly.from_dense(f, var, ring.key(ring.monic(a))), 1)]
+    rng, result = None, []
+    for sqf, mult in _squarefree(a, ring):
+        for prod, d in distinct_degree(sqf, ring):
+            if rng is None and ring.deg(prod) > d:     # seeded at its first use
+                rng = random.Random(f"kummerlab.factor.{seed}")
+            for irr in equal_degree_split(prod, d, ring, rng):
+                result.append((ring.key(irr), mult))
     result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
     return unit, [(FqPoly.from_dense(f, var, irr), m) for irr, m in result]
 

@@ -5,29 +5,29 @@ modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
 2^16; the tables come from the quotient ring ExtField(F_p, modulus) on
 digit tuples.  Towers K[u]/(h) over a base field or another tower keep
-elements as coefficient tuples and multiply through `poly.dense_mulmod`;
-they exist to host algebraic points found during factorization and are
-never serialized.  `row_reduce` is the Gaussian elimination over any of
-these field objects.
+elements as coefficient tuples, multiply through `poly.dense_mulmod` or
+packed (below), and host algebraic points found during factorization;
+they are never serialized.  `row_reduce` is the Gaussian elimination over
+any of these field objects.
 
 Every field object has one row operation, `addmul_row(dst, off, c, src)`:
 dst[off + j] += c * src[j] in place.  `row_reduce`, the Cartier-module
-reductions, the Ore reduction in k{tau}, the trace sum of the char-2
-factorization and the dense polynomial kernels of poly.py call it.  A
-characteristic-2 base field runs it on its log tables: log c once per
-row, a doubled exp table indexed by log c + log s without a reduction,
-zeros of src skipped, XOR to accumulate.  Odd-p base fields and towers
-run it on their own add and mul.  In characteristic 2 a base field also
-binds add and sub to XOR and neg to the identity at construction, so no
-call tests the characteristic.
+reductions, the Ore reduction in k{tau} and the list kernels of poly.py
+call it.  A characteristic-2 base field runs it on its log tables: log c
+once per row, a doubled exp table indexed by log c + log s without a
+reduction, zeros of src skipped, XOR to accumulate.  Odd-p base fields
+and towers run it on their own add and mul.  In characteristic 2 a base
+field also binds add and sub to XOR and neg to the identity at
+construction, so no call tests the characteristic.
 
 A characteristic-2 base field with q <= 256 also carries `byte_tables`:
 one 256-byte `bytes.translate` table per constant c (s -> c*s) and one
-squaring table, cut from the exp/log tables at construction.  With them
-`poly.dense_mul`, `dense_mulmod` and `dense_divmod` run on polynomials
-packed one coefficient per byte into a Python int, and towers over such
-a field inherit that through `ExtField.mul`.  Every other field object
-has `byte_tables = None`, and the dense kernels use `addmul_row`.
+squaring table, cut from the exp/log tables at construction, and
+`packed`, the `poly.PackedRing` F_q[x] on ints with a coefficient per
+byte.  A tower over such a field packs its modulus once: `ExtField.mul`
+is one packed product and one reduction, and `ExtField.inv` runs Euclid
+on packed ints; its elements stay tuples.  Every other field object has
+`byte_tables = packed = None` and uses coefficient lists and `addmul_row`.
 
 Moduli come from a fixed built-in table; construction proves each one
 irreducible by finding an element of multiplicative order p^e - 1.
@@ -36,8 +36,8 @@ irreducible by finding an element of multiplicative order p^e - 1.
 import operator
 from dataclasses import dataclass
 
-from .poly import (dense_divmod, dense_mul, dense_mulmod, dense_sub,
-                   dense_trim, power)
+from .poly import (PackedRing, _packed_mul, _packed_reduce, _packed_square,
+                   dense_mulmod, poly_ring, power)
 
 
 class FieldError(ValueError):
@@ -132,6 +132,7 @@ class BaseField:
             self.addmul_row = self._addmul_row_log
             if self.order <= 256:
                 self.byte_tables = self._build_byte_tables()
+                self.packed = PackedRing(self)
 
     # -- encoding ---------------------------------------------------------
     def _digits(self, a):
@@ -208,8 +209,9 @@ class BaseField:
     # -- arithmetic --------------------------------------------------------
     zero = 0
     one = 1
-    # (mul, square) byte tables on characteristic-2 fields with q <= 256
-    byte_tables = None
+    # (mul, square) byte tables and F_q[x] on packed ints, on
+    # characteristic-2 fields with q <= 256
+    byte_tables = packed = None
 
     def add(self, a, b):
         return self._add_table[a][b]
@@ -333,6 +335,8 @@ class ExtField:
         self.order = base.order ** self.rel_degree
         self.zero = (base.zero,) * self.rel_degree
         self.one = tuple([base.one] + [base.zero] * (self.rel_degree - 1))
+        if base.byte_tables is not None:
+            self._row = bytes(self.modulus)
 
     def embed(self, a):
         return tuple([a] + [self.base.zero] * (self.rel_degree - 1))
@@ -347,29 +351,34 @@ class ExtField:
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        out = dense_mulmod(a, b, self.modulus, self.base)
-        return tuple(out) + self.zero[len(out):]
+        row = self._row
+        if row is None:
+            out = dense_mulmod(a, b, self.modulus, self.base)
+            return tuple(out) + self.zero[len(out):]
+        mul, square = self.base.byte_tables
+        acc = _packed_square(a, square) if a is b else _packed_mul(a, b, mul)
+        return tuple(_packed_reduce(acc, row, mul, 1)
+                     .to_bytes(self.rel_degree, "little"))
 
     addmul_row = _addmul_row
-    byte_tables = None
+    # the modulus as a packed reduction row when the base has byte tables
+    _row = byte_tables = packed = None
 
     def inv(self, a):
         if a == self.zero:
             raise FieldError("division by zero")
-        bf = self.base
+        ring = poly_ring(self.base)
         # extended Euclid in base[u]
-        r0, r1 = list(self.modulus), dense_trim(list(a), bf)
-        s0, s1 = [bf.zero], [bf.one]
+        r0, r1 = ring.pack(self.modulus), ring.pack(a)
+        s0, s1 = ring.zero, ring.one
         while r1:
-            q, r = dense_divmod(r0, r1, bf)
+            q, r = ring.divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, dense_sub(s0, dense_mul(q, s1, bf), bf)
-        if len(r0) != 1:
+            s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
+        if ring.deg(r0) != 0:
             raise FieldError("tower modulus is not irreducible (zero divisor hit)")
-        c = bf.inv(r0[0])
-        out = [bf.mul(c, x) for x in s0]
-        out += [bf.zero] * (self.rel_degree - len(out))
-        return tuple(out[:self.rel_degree])
+        out = tuple(ring.key(ring.divmod(s0, r0)[0]))
+        return out + self.zero[len(out):]
 
     def pow_elem(self, a, n):
         if n < 0:

@@ -1,21 +1,26 @@
-"""Sparse multivariate polynomials over a finite field object.
+"""Sparse multivariate polynomials over a finite field object, and the
+dense univariate rings beneath them.
 
 Terms are a dict from exponent tuples to nonzero field elements.  The
 variable list is fixed per polynomial; binary operations require equal
 variable tuples.  Printing and hashing use graded lexicographic term
 order.  `shift` translates variables by a dense Taylor shift per
-variable.  The dense univariate helpers live here too: division, gcd,
-the product modulo a monic polynomial that every quotient ring
-F_p[x]/(m) and tower K[u]/(h) multiplies with, and `power`, the
-package's one square-and-multiply.  `dense_mul`, `dense_mulmod` and
-`dense_divmod` have two inner loops, picked by the field: on a field
-with byte tables (characteristic 2, q <= 256; see field.py) a packed
-polynomial takes one `bytes.translate` row per step, and on every other
-field the row hook `addmul_row(dst, off, c, src)` (dst[off + j] +=
-c * src[j]) runs once per row.  So do the multivariate gcd and the
-resultant with respect to one variable: both come from one subresultant
-pseudo-remainder sequence over the other variables.
+variable.  `power` is the package's one square-and-multiply.
+
+Dense polynomials in one variable come in two rings with one interface,
+picked by `poly_ring`.  On a field with byte tables (characteristic 2,
+q <= 256; see field.py) `PackedRing` holds one as an int with a
+coefficient per byte and steps with `bytes.translate`.  Every other field
+gets `_ListRing`: coefficient lists through `dense_mul`, `dense_mulmod`
+and `dense_divmod`, whose row hook `addmul_row(dst, off, c, src)`
+(dst[off + j] += c * src[j]) runs once per row.  The multivariate gcd and
+the resultant in one variable come from one subresultant PRS over a
+coefficient ring: packed ints in two variables over a byte-table field,
+sparse FqPolys otherwise.
 """
+
+import functools
+import operator
 
 
 class PolyError(ValueError):
@@ -285,23 +290,16 @@ def _coef_str(field, c):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over a field object: the package's only copy of
-# coefficient-list arithmetic, used by the factorization and by ExtField
-# (products through dense_mulmod, inverses through dense_divmod).  On a
-# field with byte tables (characteristic 2, q <= 256) the running
-# polynomial is one Python int with a coefficient per byte: a row
-# c * b[j] is one `bytes.translate` XORed in at a byte offset, a leading
-# coefficient is the top byte, and a square spreads the squared
-# coefficients onto the even bytes.  Every other field runs its row
-# operation f.addmul_row(dst, off, c, src), dst[off + j] += c * src[j],
-# once per row.
+# dense univariate rings.  Packed, a row c * b[j] is one `bytes.translate`
+# XORed in at a byte offset, a leading coefficient is the top byte, and a
+# square spreads the squared coefficients onto the even bytes.
 
 
 def power(a, n, mul, one):
     """a^n for an integer n >= 0 by square-and-multiply over `mul`.
 
-    Squares are mul(a, a) on one object, which dense_mulmod (and so
-    ExtField.mul) turns into a Frobenius square on byte-table fields."""
+    Squares are mul(a, a) on one object, which `PackedRing.mul` and
+    ExtField.mul over a byte-table field turn into a Frobenius square."""
     r = one
     while n:
         if n & 1:
@@ -319,8 +317,8 @@ def dense_trim(a, f):
 
 
 def _packed_mul(a, b, mul):
-    """a * b as a packed int, one translated row of the longer factor per
-    nonzero coefficient of the shorter."""
+    """a * b as a packed int for byte sequences a, b (bytes, or ints below
+    256): one translated row of the longer per nonzero byte of the shorter."""
     if len(a) > len(b):
         a, b = b, a
     row = bytes(b)
@@ -331,26 +329,130 @@ def _packed_mul(a, b, mul):
     return acc
 
 
-def _packed_reduce(acc, b, mul, scale, quot=None):
-    """acc modulo the trimmed b, packed: each step cancels the top byte of
-    acc with (top * scale) * b, where scale = 1 / lc(b); the multipliers go
-    to quot[shift] when a quotient list is given."""
-    nb = len(b)
-    row = bytes(b)
-    n = (acc.bit_length() + 7) >> 3
-    while n >= nb:
-        shift = n - nb
-        c = mul[acc >> ((n - 1) << 3)][scale]
-        if quot is not None:
-            quot[shift] = c
-        acc ^= int.from_bytes(row.translate(mul[c]), "little") << (shift << 3)
-        n = (acc.bit_length() + 7) >> 3
+def _packed_square(a, square):
+    """a * a as a packed int: (sum a_i x^i)^2 = sum a_i^2 x^(2i)."""
+    spread = bytearray(2 * len(a))
+    spread[::2] = bytes(a).translate(square)
+    return int.from_bytes(spread, "little")
+
+
+def _packed_reduce(acc, row, mul, scale, quot=None):
+    """acc modulo the divisor with trimmed coefficient bytes `row` and
+    scale = 1 / lc: from the top down, byte shift + len(row) - 1 of acc is
+    cancelled by (byte * scale) * row, the multiplier going to quot[shift]
+    when a quotient buffer is given."""
+    nb = len(row)
+    for shift in range(((acc.bit_length() + 7) >> 3) - nb, -1, -1):
+        c = acc >> ((shift + nb - 1) << 3)
+        if c:
+            c = mul[c][scale]
+            if quot is not None:
+                quot[shift] = c
+            acc ^= int.from_bytes(row.translate(mul[c]), "little") << (shift << 3)
     return acc
 
 
-def _unpacked(acc):
-    """The trimmed coefficient list of a packed polynomial."""
-    return list(acc.to_bytes((acc.bit_length() + 7) >> 3, "little"))
+class _Ring:
+    """What the two univariate rings share: Euclid's gcd on their rem."""
+
+    def rem(self, a, b):
+        return self.divmod(a, b)[1]
+
+    def gcd(self, a, b):
+        """The monic gcd; gcd(a, 0) is a made monic."""
+        while b:
+            a, b = b, self.rem(a, b)
+        return self.monic(a)
+
+
+class PackedRing(_Ring):
+    """F_q[x] on packed ints, one per byte-table field (`BaseField.packed`)
+    with its translate, inverse and square-root tables.  `split` takes an
+    FqPoly in k[u, v] to its dense list in v of packed polynomials in u,
+    and `join` goes back."""
+
+    zero, one = 0, 1
+    sub = operator.xor                # characteristic 2
+
+    def __init__(self, field):
+        self.field = field
+        self.mul_t, self.square_t = field.byte_tables
+        self.inv_t = b"\0" + bytes(map(field.inv, range(1, field.order)))
+        self.sqrt_t = bytes(map(field.proot, range(field.order))).ljust(256, b"\0")
+
+    @staticmethod
+    def pack(coeffs):
+        return int.from_bytes(bytes(coeffs), "little")
+
+    @staticmethod
+    def key(a):
+        """The coefficient bytes, which sort as the coefficient tuples do."""
+        return a.to_bytes((a.bit_length() + 7) >> 3, "little")
+
+    @staticmethod
+    def deg(a):
+        """The degree, -1 for zero: a polynomial has one byte per coefficient."""
+        return ((a.bit_length() + 7) >> 3) - 1
+
+    def monic(self, a):
+        c = self.inv_t[a >> (self.deg(a) << 3)] if a else 1
+        return a if c == 1 else self.pack(self.key(a).translate(self.mul_t[c]))
+
+    def mul(self, a, b):
+        """a * b, a Frobenius square when a is b."""
+        if a is b:
+            return _packed_square(self.key(a), self.square_t)
+        return _packed_mul(self.key(a), self.key(b), self.mul_t)
+
+    def divmod(self, a, b):
+        row = self.key(b)
+        quot = bytearray(max(self.deg(a) + 2 - len(row), 0))
+        rem = _packed_reduce(a, row, self.mul_t, self.inv_t[row[-1]], quot)
+        return self.pack(quot), rem
+
+    def rem(self, a, b):
+        row = self.key(b)
+        return _packed_reduce(a, row, self.mul_t, self.inv_t[row[-1]])
+
+    def divexact(self, a, b):
+        if b == 1:
+            return a
+        q, r = self.divmod(a, b)
+        if r:
+            raise PolyError("not divisible")
+        return q
+
+    # a monic modulus reduces through its coefficient bytes, packed once
+    modrow = key
+
+    def mulmod(self, a, b, row):
+        return _packed_reduce(self.mul(a, b), row, self.mul_t, 1)
+
+    def deriv(self, a):
+        """The derivative: the odd coefficients, moved one byte down."""
+        return (a >> 8) & self.pack(b"\xff\0" * ((self.deg(a) + 1) >> 1))
+
+    def proot(self, a):
+        """The square root of a square: its even coefficients, each through
+        the square-root table."""
+        raw = self.key(a)
+        if any(raw[1::2]):
+            raise PolyError("polynomial is not a p-th power")
+        return self.pack(raw[::2].translate(self.sqrt_t))
+
+    @staticmethod
+    def split(poly, var):
+        i = poly.vars.index(var)
+        out = [0] * (poly.degree(var) + 1)
+        for e, c in poly.terms.items():
+            out[e[i]] |= c << (e[1 - i] << 3)
+        return out
+
+    def join(self, coeffs, variables, var):
+        i = variables.index(var)
+        return FqPoly._clean(self.field, variables, {
+            (k, j) if i == 0 else (j, k): b for k, c in enumerate(coeffs)
+            for j, b in enumerate(self.key(c)) if b})
 
 
 def dense_divmod(a, b, f):
@@ -359,9 +461,6 @@ def dense_divmod(a, b, f):
         raise PolyError("polynomial division by zero")
     inv = f.inv(b[-1])
     q = [f.zero] * max(len(a) - len(b) + 1, 0)
-    if f.byte_tables is not None:
-        acc = int.from_bytes(bytes(a), "little")
-        return q, _unpacked(_packed_reduce(acc, b, f.byte_tables[0], inv, q))
     a = dense_trim(list(a), f)
     while len(a) >= len(b):
         c = f.mul(a[-1], inv)
@@ -382,9 +481,6 @@ def dense_sub(a, b, f):
 def dense_mul(a, b, f):
     if not a or not b:
         return []
-    if f.byte_tables is not None:
-        return list(_packed_mul(a, b, f.byte_tables[0])
-                    .to_bytes(len(a) + len(b) - 1, "little"))
     out = [f.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         f.addmul_row(out, i, ai, b)
@@ -395,20 +491,10 @@ def dense_mulmod(a, b, mod, f):
     """a * b reduced modulo the monic `mod`, trimmed.
 
     Monic means no field inverse is needed, so a tower over a tower never
-    inverts in its base.  With a and b one object on a byte-table field the
-    product is a Frobenius square: (sum a_i x^i)^2 = sum a_i^2 x^(2i).
+    inverts in its base.
     """
     if not a or not b:
         return []
-    if f.byte_tables is not None:
-        mul, square = f.byte_tables
-        if a is b:
-            spread = bytearray(2 * len(a) - 1)
-            spread[::2] = bytes(a).translate(square)
-            acc = int.from_bytes(spread, "little")
-        else:
-            acc = _packed_mul(a, b, mul)
-        return _unpacked(_packed_reduce(acc, mod, mul, 1))
     res = dense_mul(a, b, f)
     d = len(mod) - 1
     low = mod[:d]
@@ -418,14 +504,54 @@ def dense_mulmod(a, b, mod, f):
 
 
 def dense_gcd(a, b, f):
-    a, b = dense_trim(list(a), f), dense_trim(list(b), f)
-    while b:
-        _, r = dense_divmod(a, b, f)
-        a, b = b, dense_trim(r, f)
-    if a:
-        inv = f.inv(a[-1])
-        a = [f.mul(inv, x) for x in a]
-    return a
+    """The monic gcd of two coefficient lists ([] for two zeros)."""
+    ring = poly_ring(f)
+    return list(ring.key(ring.gcd(ring.pack(a), ring.pack(b))))
+
+
+class _ListRing(_Ring):
+    """F[x] on trimmed coefficient lists, for fields without byte tables:
+    the dense helpers above with the field bound, a modulus its own row."""
+
+    key = tuple
+
+    def __init__(self, field):
+        self.field, self.zero, self.one = field, [], [field.one]
+        self.sub, self.mul, self.divmod, self.mulmod = (
+            functools.partial(fn, f=field) for fn in
+            (dense_sub, dense_mul, dense_divmod, dense_mulmod))
+
+    def pack(self, coeffs):
+        return dense_trim(list(coeffs), self.field)
+
+    @staticmethod
+    def deg(a):
+        return len(a) - 1
+
+    @staticmethod
+    def modrow(m):
+        return m
+
+    def monic(self, a):
+        inv = self.field.inv(a[-1]) if a else None
+        return [self.field.mul(inv, x) for x in a]
+
+    def deriv(self, a):
+        f = self.field
+        out = [f.zero if i % f.char == 0 else f.mul(a[i], f.scalar(i))
+               for i in range(1, len(a))]
+        return dense_trim(out, f)
+
+    def proot(self, a):
+        f = self.field
+        if any(c != f.zero for i, c in enumerate(a) if i % f.char):
+            raise PolyError("polynomial is not a p-th power")
+        return dense_trim([f.proot(c) for c in a[::f.char]], f)
+
+
+def poly_ring(field):
+    """The field's `PackedRing` on byte-table fields, else a `_ListRing`."""
+    return field.packed or _ListRing(field)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +593,36 @@ def _coeffs_in_var(poly, var):
     return {k: FqPoly._clean(poly.field, poly.vars, terms) for k, terms in out.items()}
 
 
+class _SparseCoeffs:
+    """The coefficient ring of a PRS in one variable over any field and any
+    number of variables: FqPolys of the whole ring that are free of it."""
+
+    mul, sub = staticmethod(FqPoly.__mul__), staticmethod(FqPoly.__sub__)
+    divexact = staticmethod(poly_divexact)
+
+    def __init__(self, field, variables):
+        self.zero, self.one = (FqPoly.zero(field, variables),
+                               FqPoly.const(field, variables, field.one))
+
+    def split(self, poly, var):
+        coeffs = _coeffs_in_var(poly, var)
+        return [coeffs.get(k, self.zero) for k in range(poly.degree(var) + 1)]
+
+    def join(self, coeffs, variables, var):
+        i = variables.index(var)
+        return FqPoly._clean(self.zero.field, variables, {
+            e[:i] + (k,) + e[i + 1:]: v for k, c in enumerate(coeffs)
+            for e, v in c.terms.items()})
+
+
+def _coefficient_ring(poly):
+    """Packed coefficients for two variables over a byte-table field,
+    sparse ones otherwise."""
+    if poly.field.packed is not None and len(poly.vars) == 2:
+        return poly.field.packed
+    return _SparseCoeffs(poly.field, poly.vars)
+
+
 def poly_gcd_multivariate(a, b):
     """Monic-normalized gcd of multivariate polynomials (same ring)."""
     if a.is_zero():
@@ -493,7 +649,10 @@ def poly_gcd_multivariate(a, b):
     ca = _content_wrt(a, var)
     cb = _content_wrt(b, var)
     cg = poly_gcd_multivariate(ca, cb)
-    last, _res = _subresultant_prs(poly_divexact(a, ca), poly_divexact(b, cb), var)
+    ring = _coefficient_ring(a)
+    last, _res = _subresultant_prs(ring.split(poly_divexact(a, ca), var),
+                                   ring.split(poly_divexact(b, cb), var), ring)
+    last = ring.join(last, a.vars, var)
     prim = poly_divexact(last, _content_wrt(last, var))
     return (cg * prim).monic()
 
@@ -506,52 +665,57 @@ def _content_wrt(poly, var):
     return g
 
 
-def _prem(a, b, var):
-    """lc(b)^(da-db+1) * a mod b with respect to var, for da >= db >= 0."""
-    f = a.field
-    db = b.degree(var)
-    lcb = _coeffs_in_var(b, var)[db]
-    i = a.vars.index(var)
-    rem, steps = a, a.degree(var) - db + 1
-    while rem.degree(var) >= db:
-        dr = rem.degree(var)
-        shift = [0] * len(a.vars)
-        shift[i] = dr - db
-        mono = FqPoly(f, a.vars, {tuple(shift): f.one})
-        rem = rem * lcb - b * mono * _coeffs_in_var(rem, var)[dr]
+def _prem(a, b, ring):
+    """lc(b)^(da-db+1) * a mod b for dense lists in one variable over the
+    coefficient ring, da >= db >= 1."""
+    lcb, db = b[-1], len(b) - 1
+    rem, steps = a, len(a) - db
+    while len(rem) > db:
+        lead, shift = rem[-1], len(rem) - 1 - db
+        # lcb * rem - lead * var^shift * b; the top terms cancel
+        rem = [ring.mul(c, lcb) for c in rem[:-1]]
+        for j in range(db):
+            rem[shift + j] = ring.sub(rem[shift + j], ring.mul(lead, b[j]))
+        dense_trim(rem, ring)
         steps -= 1
-    return rem * lcb.pow_int(steps)
+    scale = power(lcb, steps, ring.mul, ring.one)
+    return [ring.mul(c, scale) for c in rem]
 
 
-def _subresultant_prs(a, b, var):
-    """(last nonzero remainder, Res_var(a, b)) for nonzero a, b in k[others][var].
+def _subresultant_prs(a, b, ring):
+    """(last nonzero remainder, Res(a, b)) for nonzero dense lists a, b in
+    one variable over a coefficient ring (`PackedRing`, `_SparseCoeffs`).
 
     The subresultant PRS (Brown-Traub, J. ACM 18, 1971; Cohen, GTM 138,
     Alg. 3.3.7): every division below is exact, and the last nonzero
-    remainder is an associate of gcd(a, b) over k(others)[var].  The
-    resultant follows the Sylvester-matrix sign convention.
+    remainder is an associate of gcd(a, b) over the fraction field of the
+    coefficient ring.  The resultant follows the Sylvester-matrix sign
+    convention.
     """
+    def pw(x, n):
+        return power(x, n, ring.mul, ring.one)
+
     sign = 1
-    if a.degree(var) < b.degree(var):
+    if len(a) < len(b):
         a, b = b, a
-        if a.degree(var) % 2 and b.degree(var) % 2:
+        if len(a) % 2 == 0 and len(b) % 2 == 0:    # both degrees odd
             sign = -1
-    g = h = FqPoly.const(a.field, a.vars, a.field.one)
-    while b.degree(var) > 0:
-        da, db = a.degree(var), b.degree(var)
+    g = h = ring.one
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 and db % 2:
             sign = -sign
-        r = _prem(a, b, var)
-        a, b = b, poly_divexact(r, g * h.pow_int(delta))
-        g = _coeffs_in_var(a, var)[db]
+        div = ring.mul(g, pw(h, delta))
+        a, b = b, [ring.divexact(c, div) for c in _prem(a, b, ring)]
+        g = a[-1]
         if delta:
-            h = poly_divexact(g.pow_int(delta), h.pow_int(delta - 1))
-    if b.is_zero():
-        return a, b
-    da = a.degree(var)
-    res = poly_divexact(b.pow_int(da), h.pow_int(da - 1))
-    return b, (-res if sign < 0 else res)
+            h = ring.divexact(pw(g, delta), pw(h, delta - 1))
+    if not b:
+        return a, ring.zero
+    da = len(a) - 1
+    res = ring.divexact(pw(b[0], da), pw(h, da - 1))
+    return b, (ring.sub(ring.zero, res) if sign < 0 else res)
 
 
 def resultant(a, b, var):
@@ -562,4 +726,6 @@ def resultant(a, b, var):
         return FqPoly.zero(a.field, a.vars)
     if da == 0 and db == 0:
         raise PolyError("resultant needs positive degree in the variable")
-    return _subresultant_prs(a, b, var)[1]
+    ring = _coefficient_ring(a)
+    res = _subresultant_prs(ring.split(a, var), ring.split(b, var), ring)[1]
+    return ring.join([res], a.vars, var)

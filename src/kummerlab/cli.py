@@ -54,6 +54,9 @@ def _usage_error(message):
 # largest Gram matrix a lattice file may hold; the package's own lattices
 # have rank at most 22
 MAX_LATTICE_RANK = 32
+# largest level of `rdp table`; dim_b_bar is constant from b_index on,
+# which is at most 4 for every type of rank <= 22
+MAX_RDP_LEVEL = 64
 
 
 def _default_seed():
@@ -278,7 +281,7 @@ def _cmd_surface(args):
     return inputs, results, claims
 
 
-_RDP_TYPE = re.compile(r"[ADEade]\d+(r\d+(/\d+)?)?")
+_RDP_TYPE = re.compile(r"[ADEade]\d{1,6}(r\d{1,6}(/\d{1,6})?)?")
 
 
 def _cmd_rdp(args):
@@ -290,8 +293,8 @@ def _cmd_rdp(args):
     if not _RDP_TYPE.fullmatch(args.type.strip()):
         raise UsageError(f"bad RDP type {args.type!r}; expected A<n>, "
                          f"D<n>r<r> or E<n>r<r>")
-    if args.max_n < 0:
-        raise UsageError("--max-n must be non-negative")
+    if not 0 <= args.max_n <= MAX_RDP_LEVEL:
+        raise UsageError(f"--max-n must be between 0 and {MAX_RDP_LEVEL}")
     t = RdpType.parse(args.type)
     table = {str(n): dim_b_bar(t, n) for n in range(0, args.max_n + 1)}
     results = {"type": t.symbol(), "b_index": b_index(t), "dims": table}

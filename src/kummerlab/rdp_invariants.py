@@ -51,9 +51,9 @@ class RdpType:
         return None if self.coindex2 is None else Fraction(self.coindex2, 2)
 
     def symbol(self):
-        if self.family == "A":
-            return f"A{self.index}"
         r2 = self.coindex2
+        if r2 is None:             # type A, or a D/E type missing its coindex
+            return f"{self.family}{self.index}"
         rs = str(r2 // 2) if r2 % 2 == 0 else f"{r2}/2"
         return f"{self.family}{self.index}r{rs}"
 

@@ -4,16 +4,20 @@ Strategy: `closed_points` solves a zero-dimensional plane system
 (g1, g2).  It eliminates one variable by an exact resultant, factors the
 resultant over the base field, specializes the system at each factor's
 root, factors the gcd of the specializations, and hosts each Galois orbit
-of common zeros in a quotient-ring tower.  `_colength_at` then gives the
-local colength there: 1 at transverse points (nonvanishing Jacobian, from
-the four partials that `_jacobian` takes once per system over the base
-field), otherwise the intersection multiplicity of the two curves at the
-point, by Fulton's algorithm (Fulton, Algebraic Curves, 3.3) on the pair
-mapped to the point field and translated there by `FqPoly.shift`, a
-Taylor shift.  That recursion uses only field addition and
-multiplication, so it runs unchanged over base fields and towers; a
-colength above COLENGTH_CAP counts as non-isolated.  Two callers share it:
-`singular_points` solves the partials (H_x, H_y) of a family member, and
+of common zeros in a quotient-ring tower.  Over a byte-table field
+(characteristic 2, q <= 256) the resultant's PRS, the factorizations and
+gcds over that field and the towers' products run on packed ints
+(`poly.PackedRing`); other fields use coefficient lists.  `_colength_at`
+then gives the local colength there: 1 at transverse points
+(nonvanishing Jacobian, from the four partials that `_jacobian` takes
+once per system over the base field), otherwise the intersection
+multiplicity of the two curves at the point, by Fulton's algorithm
+(Fulton, Algebraic Curves, 3.3) on the pair mapped to the point field
+and translated there by `FqPoly.shift`, a Taylor shift.  That recursion
+uses only field addition and multiplication, so it runs unchanged over
+base fields and towers; a colength above COLENGTH_CAP counts as
+non-isolated.  Two callers share it: `singular_points` solves the
+partials (H_x, H_y) of a family member, and
 `derivations._system_order` sums deg * colength over the fixed-locus
 generators of the covering derivation.  That sum is read in two places:
 `surface derivation-check` prints it for non-additive generators (h07 != 0

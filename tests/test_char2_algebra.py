@@ -17,9 +17,12 @@ from kummerlab.char2_algebra import (
     poly_roots,
     resultant,
 )
-from kummerlab.char2_algebra.factor import squarefree_decomposition
+from kummerlab.char2_algebra.factor import (_squarefree, distinct_degree,
+                                            equal_degree_split,
+                                            squarefree_decomposition)
 from kummerlab.char2_algebra.field import _MODULI
-from kummerlab.char2_algebra.poly import (_coeffs_in_var, dense_divmod, dense_gcd,
+from kummerlab.char2_algebra.poly import (_coeffs_in_var, _ListRing, _SparseCoeffs,
+                                          _subresultant_prs, dense_divmod, dense_gcd,
                                           dense_mul, dense_mulmod, poly_divexact)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -695,3 +698,173 @@ def test_dense_gcd_monic():
     del prod_a
     g = dense_gcd(a, b, f)
     assert g == [f.one]
+
+
+# ---------------------------------------------------------------------------
+# the packed paths of byte-table fields against the list and sparse ones
+
+
+def _factor_steps(dense, ring):
+    """factor_univariate's steps on one ring: each irreducible factor as a
+    coefficient list with its multiplicity, in the order they are found."""
+    rng = random.Random("kummerlab.factor.0")
+    return [(list(ring.key(irr)), m)
+            for sqf, m in _squarefree(ring.pack(dense), ring)
+            for prod, d in distinct_degree(sqf, ring)
+            for irr in equal_degree_split(prod, d, ring, rng)]
+
+
+def _absolute_trace(f, c):
+    total = f.zero
+    for _ in range(f.degree):
+        total, c = f.add(total, c), f.mul(c, c)
+    return total
+
+
+@st.composite
+def packed_factor_inputs(draw):
+    """(field, target) over F_2^1..F_2^8: a unit times up to three monic
+    factors with multiplicities, all of one degree half the time, or times
+    distinct irreducible quadratics t^2 + t + c (absolute trace of c is 1),
+    a product of equal-degree irreducibles; the whole is raised to a 2^k-th
+    power.  Constants and linear inputs occur."""
+    f = get_field(2, draw(st.integers(1, 8)))
+    coef = st.integers(0, f.order - 1)
+    degree = st.integers(1, 3)
+    if draw(st.booleans()):
+        degree = st.just(draw(degree))
+    target = FqPoly.const(f, ("t",), draw(st.integers(1, f.order - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        odd = [c for c in f.elements() if _absolute_trace(f, c) == f.one]
+        for c in draw(st.lists(st.sampled_from(odd), min_size=min(2, len(odd)),
+                               max_size=3, unique=True)):
+            target = target * FqPoly.from_dense(f, "t", [c, f.one, f.one])
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(degree)
+        factor = FqPoly.from_dense(f, "t", draw(st.lists(coef, min_size=k, max_size=k))
+                                   + [f.one])
+        target = target * factor.pow_int(draw(st.integers(1, 3)))
+    target = target.pow_int(1 << draw(st.integers(0, 3)))
+    assume(target.degree() <= 32)
+    return f, target
+
+
+def _packed_case(e, dense):
+    f = get_field(2, e)
+    return f, FqPoly.from_dense(f, "t", dense)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(packed_factor_inputs())
+@example(_packed_case(8, [77]))                                   # a constant
+@example(_packed_case(1, [1, 0, 0, 0, 0, 0, 0, 0, 1]))           # (t + 1)^8
+@example(_packed_case(1, [1] * 7))                              # (t^3+t+1)(t^3+t^2+1)
+@example(_packed_case(4, [0, 0, 0, 0, 3]))                       # 3 t^4
+def test_packed_factorization_is_the_list_factorization(case):
+    f, target = case
+    dense = target.dense_univariate()
+    steps = _factor_steps(dense, f.packed)
+    assert steps == _factor_steps(dense, _ListRing(f))
+    unit, factors = factor_univariate(target)
+    assert unit == dense[-1]
+    assert sorted((irr.dense_univariate(), m) for irr, m in factors) == sorted(steps)
+
+
+def _sparse_prem(a, b, var):
+    """The sparse pseudo-remainder the PRS ran on FqPolys before the
+    coefficient rings: lc(b)^(da-db+1) * a mod b."""
+    f = a.field
+    db = b.degree(var)
+    lcb = _coeffs_in_var(b, var)[db]
+    i = a.vars.index(var)
+    rem, steps = a, a.degree(var) - db + 1
+    while rem.degree(var) >= db:
+        dr = rem.degree(var)
+        shift = [0] * len(a.vars)
+        shift[i] = dr - db
+        mono = FqPoly(f, a.vars, {tuple(shift): f.one})
+        rem = rem * lcb - b * mono * _coeffs_in_var(rem, var)[dr]
+        steps -= 1
+    return rem * lcb.pow_int(steps)
+
+
+def _sparse_prs(a, b, var):
+    """Reference: the sparse subresultant PRS on FqPolys, (last nonzero
+    remainder, resultant)."""
+    sign = 1
+    if a.degree(var) < b.degree(var):
+        a, b = b, a
+        if a.degree(var) % 2 and b.degree(var) % 2:
+            sign = -1
+    g = h = FqPoly.const(a.field, a.vars, a.field.one)
+    while b.degree(var) > 0:
+        da, db = a.degree(var), b.degree(var)
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _sparse_prem(a, b, var)
+        a, b = b, poly_divexact(r, g * h.pow_int(delta))
+        g = _coeffs_in_var(a, var)[db]
+        if delta:
+            h = poly_divexact(g.pow_int(delta), h.pow_int(delta - 1))
+    if b.is_zero():
+        return a, b
+    da = a.degree(var)
+    res = poly_divexact(b.pow_int(da), h.pow_int(da - 1))
+    return b, (-res if sign < 0 else res)
+
+
+@st.composite
+def prs_cases(draw):
+    """(a, b, var) in k[x, y] over F_2^1..F_2^8, not both of var-degree 0:
+    random operands of var-degree up to 4, single terms, or a common factor."""
+    f = get_field(2, draw(st.integers(1, 8)))
+    var = draw(st.sampled_from(V2))
+    coef = st.integers(1, f.order - 1)
+    expo = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    def poly(max_terms):
+        return FqPoly(f, V2, draw(st.dictionaries(expo, coef, min_size=1,
+                                                  max_size=max_terms)))
+
+    kind = draw(st.sampled_from(["random", "single", "common"]))
+    a, b = poly(1 if kind == "single" else 5), poly(5)
+    if kind == "common":
+        common = poly(3)
+        a, b = a * common, b * common
+    assume(max(a.degree(var), b.degree(var)) > 0)
+    return a, b, var
+
+
+@settings(PROPERTY, max_examples=150)
+@given(prs_cases())
+@example((FqPoly(get_field(2, 8), V2, {(2, 0): 5, (0, 1): 1}),
+          FqPoly(get_field(2, 8), V2, {(1, 0): 7}), "y"))          # b free of y
+@example((FqPoly(get_field(2, 4), V2, {(3, 2): 9}),
+          FqPoly(get_field(2, 4), V2, {(1, 1): 1}), "x"))          # single terms
+def test_packed_prs_is_the_sparse_prs(case):
+    a, b, var = case
+    expect = _sparse_prs(a, b, var)
+    for ring in (a.field.packed, _SparseCoeffs(a.field, V2)):
+        last, res = _subresultant_prs(ring.split(a, var), ring.split(b, var), ring)
+        assert (ring.join(last, V2, var), ring.join([res], V2, var)) == expect
+
+
+@st.composite
+def tower_cases(draw):
+    """(tower over F_2^4 or F_2^8 with a random monic modulus, a, b)."""
+    f = get_field(2, draw(st.sampled_from([4, 8])))
+    n = draw(st.integers(1, 5))
+    coef = st.integers(0, f.order - 1)
+    ext = ExtField(f, draw(st.lists(coef, min_size=n, max_size=n)) + [f.one])
+    elem = st.tuples(*[coef] * n)
+    return ext, draw(elem), draw(elem)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(tower_cases())
+def test_packed_tower_mul_is_the_schoolbook_product(case):
+    ext, a, b = case
+    _add, _sub, ref_mul, _zero = _reference_ops(ext)
+    assert ext.mul(a, b) == ref_mul(a, b)
+    assert ext.mul(a, a) == ref_mul(a, a)       # one object: the packed square

@@ -142,6 +142,10 @@ BAD_INPUTS = [
                  id="codes-max-negative"),
     pytest.param(["rdp", "table", "--max-n", "-3"], None, None,
                  id="rdp-max-n-negative"),
+    pytest.param(["rdp", "table", "--type", "A3", "--max-n", "100000000"], None,
+                 "--max-n must be between 0 and 64", id="rdp-max-n-above-cap"),
+    pytest.param(["rdp", "table", "--type", "E6"], None, "illegal type E6",
+                 id="rdp-e-type-without-coindex"),
     pytest.param(["lattice", "roots", "--in"], {"gram": [[2]]},
                  "root enumeration requires a negative definite lattice",
                  id="roots-positive-definite"),

@@ -24,6 +24,7 @@ from kummerlab.surface_family import (
 from kummerlab.surface_family import derivations
 from kummerlab.surface_family.derivations import (
     _additive_witness,
+    _condition_iii,
     _rational_common_zero,
     _system_order,
     additive_order,
@@ -408,6 +409,36 @@ def test_coprime_generators_iff_the_closed_points_are_isolated(case):
     if checked is not None:
         _gens, additive, order, witness = checked
         assert not additive and order is None and witness is not None
+
+
+@st.composite
+def coprimality_pairs(draw):
+    """Nonzero (g1, g2) in k[s, t] over F_2^1..F_2^8: random, with a common
+    factor, with a common factor free of t, or both free of t."""
+    f = get_field(2, draw(st.integers(1, 8)))
+    coef = st.integers(1, f.order - 1)
+
+    def poly(max_s, max_t):
+        expo = st.tuples(st.integers(0, max_s), st.integers(0, max_t))
+        return FqPoly(f, ("s", "t"),
+                      draw(st.dictionaries(expo, coef, min_size=1, max_size=4)))
+
+    kind = draw(st.sampled_from(["random", "common", "common_free_of_t",
+                                 "free_of_t"]))
+    max_t = 0 if kind == "free_of_t" else 3
+    g1, g2 = poly(3, max_t), poly(3, max_t)
+    if kind.startswith("common"):
+        common = poly(2, 0 if kind == "common_free_of_t" else 2)
+        g1, g2 = g1 * common, g2 * common
+    return g1, g2
+
+
+@settings(PROPERTY, max_examples=150)
+@given(coprimality_pairs())
+def test_resultant_certificate_is_coprimality(pair):
+    # coprime t-contents and Res_t != 0 on byte-table fields, against the gcd
+    g1, g2 = pair
+    assert _condition_iii(g1, g2) == (poly_gcd_multivariate(g1, g2).degree() == 0)
 
 
 def _additive_poly(f, s_coeffs, t_coeffs):
