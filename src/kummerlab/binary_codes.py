@@ -23,8 +23,9 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from .exactmat import hnf_basis, mat_mul, solve_left_fraction
+from .exactmat import hnf_basis, lattice_coords, mat_mul
 from .lattice_core import Lattice
 
 MAX_GROUND = 24
@@ -333,6 +334,7 @@ class SearchResult:
     exhaustive: bool
     class_counts: dict = field(default_factory=dict)
     nodes: int = 0
+    truncated: bool = False    # a search cut short by its budget
 
 
 def max_admissible_dim(m, budget=None, exhaustive=None):
@@ -377,7 +379,7 @@ def max_admissible_dim(m, budget=None, exhaustive=None):
         if truncated:
             witnesses = [code_from_profile(m, p) for p in level]
             return SearchResult(m=m, dim=dim, witnesses=witnesses, exhaustive=False,
-                                class_counts=class_counts, nodes=nodes)
+                                class_counts=class_counts, nodes=nodes, truncated=True)
         if not nxt:
             break
         dim += 1
@@ -483,16 +485,14 @@ def mod4_overlattice(code):
     lat = Lattice([[Fraction(-x, 2) for x in row] for row in gram])
     if not lat.is_even:
         raise CodeError("overlattice is not even")
-    det = 1
-    for i, row in enumerate(basis2):
-        det *= row[i]
+    det = prod(row[i] for i, row in enumerate(basis2))
     index = (1 << m) // det if det else 0
     if index != 1 << code.dim:
         raise CodeError("overlattice index mismatch")
-    pairs = solve_left_fraction(basis, a1m_frame_roots(code))
-    if any(c is None or any(x.denominator != 1 for x in c) for c in pairs):
+    # c * basis = v exactly when c * basis2 = 2v
+    pairs = lattice_coords(basis2, [[2 * x for x in v] for v in a1m_frame_roots(code)])
+    if None in pairs:
         raise CodeError("root bookkeeping failed")
-    pairs = [[int(x) for x in c] for c in pairs]
     return Overlattice(lat, basis, index, pairs)
 
 

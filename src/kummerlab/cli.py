@@ -180,7 +180,10 @@ def _cmd_codes(args):
         claims.append(claim(
             f"codes.g.{args.m}", f"g({args.m}) matches the closed form",
             (not res.exhaustive) or res.dim == f_bound(args.m)))
-        if not res.exhaustive:
+        # a search cut short by --budget proves nothing either way
+        if res.truncated:
+            results["truncated"] = True
+        elif not res.exhaustive:
             claims.append(claim(
                 f"codes.witness.{args.m}",
                 "witness attains the closed-form value",

@@ -2,14 +2,15 @@
 
 All matrices are lists of lists of ints or Fractions.  Every routine
 computes in Python integers: a rational input is first scaled to integers
-over one common denominator (`integer_scaled`), and Fractions are built
-only for the results.  Two fraction-free (Bareiss) loops do all the
-elimination besides the Hermite and Smith forms: `_bareiss` (Gauss-Jordan;
-determinants, solving, inverses) and `symmetric_bareiss` (congruence;
-signatures and the positive-definite factor for root enumeration).  These
-back the lattice layer: determinants, Hermite/Smith normal forms with the
-row transform U, saturation, membership solving and symmetric
-diagonalization.
+over one common denominator (`integer_scaled`).  Two fraction-free
+(Bareiss) loops do all the elimination besides the Hermite and Smith
+forms: `_bareiss` (Gauss-Jordan; determinants and solving) and
+`symmetric_bareiss` (congruence; its pivot signs give signatures, and its
+pivots the positive-definite factor for root enumeration).  `solve_left`
+returns integer numerators over the last Bareiss pivot; `lattice_coords`
+keeps the integral solutions, and the Fraction views build Fractions only
+for their results.  The Smith diagonal gives saturation indices and the
+row transform U left kernels.  These back the lattice layer.
 """
 
 from fractions import Fraction
@@ -250,11 +251,13 @@ def mat_inverse_fraction(a):
     return rows
 
 
-def solve_left_fraction(b, vs):
+def solve_left(b, vs):
     """Solve c * b = v over Q for each v in vs, with one elimination.
 
     b is a full-row-rank matrix with r rows and n >= r columns; each v has
-    length n.  Returns one solution per v, None where c * b = v has none.
+    length n.  Returns (p, sols): p is the last Bareiss pivot, a nonzero
+    int of either sign, and each solution is the int row p * c, or None
+    where c * b = v has no solution.
     """
     r = len(b)
     n = len(b[0]) if b else 0
@@ -263,16 +266,30 @@ def solve_left_fraction(b, vs):
     # scaling both sides by den leaves the solutions unchanged
     m = [[bs[i][j] for i in range(r)] + [v[j] for v in vss] for j in range(n)]
     cols, _sign, p = _bareiss(m, r)
-    out = []
+    sols = []
     for t in range(r, r + len(vs)):
         if any(row[t] for row in m[len(cols):]):
-            out.append(None)
+            sols.append(None)
             continue
-        sol = [Fraction(0)] * r
+        sol = [0] * r
         for row, c in zip(m, cols):
-            sol[c] = Fraction(row[t], p)
-        out.append(sol)
-    return out
+            sol[c] = row[t]
+        sols.append(sol)
+    return p, sols
+
+
+def lattice_coords(b, vs):
+    """The integer solutions c of c * b = v, one per v in vs; None where
+    v is not in the integer row span of the full-row-rank matrix b."""
+    p, sols = solve_left(b, vs)
+    return [None if s is None or any(x % p for x in s) else [x // p for x in s]
+            for s in sols]
+
+
+def solve_left_fraction(b, vs):
+    """`solve_left` with each solution as a row of Fractions."""
+    p, sols = solve_left(b, vs)
+    return [None if s is None else [Fraction(x, p) for x in s] for s in sols]
 
 
 def saturation_basis(gens):
@@ -340,14 +357,3 @@ def symmetric_bareiss(g):
              for row in m[1:]]
         prev = p
     return den, pivots, rows
-
-
-def symmetric_diagonalize(g):
-    """Exact symmetric diagonalization of a rational symmetric matrix.
-
-    Returns the list of diagonal entries of D for some P with P g P^T = D
-    (congruence, not similarity).  Signs of the entries give the signature.
-    """
-    den, pivots, _rows = symmetric_bareiss(g)
-    diag = [Fraction(p, q * den) for p, q in zip(pivots, [1] + pivots)]
-    return diag + [Fraction(0)] * (len(g) - len(diag))

@@ -14,8 +14,10 @@ groups, parities, saturation.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from .exactmat import hnf_basis, identity, left_kernel_basis, mat_mul, solve_left_fraction
+from .exactmat import (det_bareiss, hnf_basis, identity, lattice_coords, left_kernel_basis,
+                       mat_mul, solve_left_fraction)
 from .binary_codes import BinaryCode, build_v16, mod4_overlattice
 from .lattice_core import (
     GlueData,
@@ -139,20 +141,14 @@ def build_kummer(type_symbol):
     root_pairs = ov.root_pairs
     checks["root_count"] = 2 * len(root_pairs) == kt.root_count
     checks["ade"] = tuple(ade_type(lat, root_pairs)) == tuple(sorted(kt.ade))
-    basis_rows = hnf_basis([[int(x) for x in row] for row in root_pairs])
-    det = 1
-    for i, row in enumerate(basis_rows):
-        det *= row[i]
+    basis_rows = hnf_basis(root_pairs)
+    det = prod(row[i] for i, row in enumerate(basis_rows))
     checks["index_over_roots"] = det == 1 << kt.log2_index_over_roots
     k16_basis = ov.basis if type_symbol == "16A1" else build_kummer("16A1").frame_basis
-    sub = solve_left_fraction(ov.basis, k16_basis)
-    if any(c is None or any(x.denominator != 1 for x in c) for c in sub):
+    sub = lattice_coords(ov.basis, k16_basis)
+    if None in sub:
         raise KummerError("K(16A1) is not contained in the overlattice")
-    sub_h = hnf_basis([[int(x) for x in c] for c in sub])
-    det16 = 1
-    for i, row in enumerate(sub_h):
-        det16 *= row[i]
-    checks["index_over_16a1"] = det16 == 1 << kt.log2_index_over_16a1
+    checks["index_over_16a1"] = abs(det_bareiss(sub)) == 1 << kt.log2_index_over_16a1
     dg = discriminant_group(lat)
     checks["discriminant_group"] = dg.orders == [2] * kt.a
     elem, type2 = is_two_elementary_type2(dg)
@@ -290,7 +286,6 @@ class EmbedResult:
     sigma: int
     complement: str
     lattice: Lattice
-    basis: list
     kummer_coords: list
     complement_coords: list
     glue_count: int
@@ -353,7 +348,7 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
         "t_q_by_count": {m: [str(v) for v in vals] for m, vals in tq.items()},
         "u_q_by_count": {m: [str(v) for v in vals] for m, vals in uq.items()},
     }
-    return EmbedResult(kl.type, sigma, complement, lat, res.basis, res.sub1, res.sub2,
+    return EmbedResult(kl.type, sigma, complement, lat, res.sub1, res.sub2,
                        n_glue, checks, glue_info)
 
 
@@ -401,7 +396,9 @@ def extra_root_orthogonality(embed):
     k_rows = embed.kummer_coords
     amb = mat_mul(rts, kern)
     n_in = n_orth = 0
-    for sol, pairs in zip(solve_left_fraction(k_rows, amb), gram_of(lat, amb, k_rows)):
+    # embed_kummer verified that the Kummer factor is saturated, so a
+    # lattice vector in its rational span is in its integer span
+    for sol, pairs in zip(lattice_coords(k_rows, amb), gram_of(lat, amb, k_rows)):
         if sol is not None:
             n_in += 1
         elif not any(pairs):

@@ -8,15 +8,15 @@ product rows * (den * G) * cols^T over a common denominator (`gram_of`);
 `Lattice.pair` is the pair-by-pair reference.  Discriminant groups come
 from the Smith normal form U * G * V = D of the integer Gram: the
 generators are the rows U[i] / d_i mod Z^n.  Determinants, signatures
-and solving use the fraction-free integer eliminations of `exactmat`;
-roots come from one symmetric elimination of -den * G, whose pivots both
-prove negative definiteness and give an integer Fincke-Pohst search its
-weights: the remaining norm is one int over the lcm of the LDL^T
-denominators.  The ADE type of a root set is read off one simple system,
-picked by an integer functional.  Even overlattices come from glue data on
-discriminant groups; `saturation` gives the index of a sublattice in its
-saturation, and `embed_kummer` is where saturation of the glued factors is
-verified.
+(signs of consecutive pivots) and lattice coordinates use the fraction-free
+integer eliminations of `exactmat`; roots come from one symmetric
+elimination of -den * G, whose pivots both prove negative definiteness and
+give an integer Fincke-Pohst search its weights: the remaining norm is one
+int over the lcm of the LDL^T denominators.  The ADE type of a root set is
+read off one simple system, picked by an integer functional.  Even
+overlattices come from glue data on discriminant groups; `saturation`
+gives the index of a sublattice in its saturation from the Smith diagonal,
+and `embed_kummer` is where saturation of the glued factors is verified.
 
 Every lattice the package builds is integral (code overlattices from
 `mod4_overlattice` included); denominator 2 comes only from outside
@@ -35,12 +35,10 @@ from .exactmat import (
     hnf_basis,
     identity,
     integer_scaled,
+    lattice_coords,
     mat_mul,
     snf,
-    solve_left_fraction,
-    saturation_basis,
     symmetric_bareiss,
-    symmetric_diagonalize,
 )
 
 
@@ -179,13 +177,13 @@ def discriminant(lat):
 
 
 def signature(lat):
-    """(r, s) = numbers of positive and negative squares."""
-    diag = symmetric_diagonalize(lat.gram)
-    if any(d == 0 for d in diag):
+    """(r, s) = numbers of positive and negative squares: the diagonal of a
+    congruent form is p_k / (p_{k-1} * den) for the pivots p (p_-1 = 1)."""
+    _den, pivots, _rows = symmetric_bareiss(lat.gram)
+    if len(pivots) != lat.rank:
         raise LatticeError("degenerate lattice")
-    r = sum(1 for d in diag if d > 0)
-    s = sum(1 for d in diag if d < 0)
-    return (r, s)
+    r = sum(1 for p, q in zip(pivots, [1] + pivots) if p * q > 0)
+    return (r, lat.rank - r)
 
 
 @dataclass
@@ -432,12 +430,13 @@ def _arm_lengths(nbrs, branch):
 
 def saturation(gens, lat):
     """Index of the sublattice spanned by integer rows `gens` in its saturation
-    inside lat; it is 1 exactly when the sublattice is primitive."""
+    inside lat, the product of their nonzero Smith invariants; it is 1
+    exactly when the sublattice is primitive."""
     for row in gens:
         if len(row) != lat.rank or any(x.denominator != 1 for x in row):
             raise LatticeError("generators not in L")
-    rows = [[int(x) for x in row] for row in gens]
-    return saturation_basis(rows)[1]
+    d, _u = snf([[int(x) for x in row] for row in gens])
+    return prod(x for x in d if x)
 
 
 @dataclass
@@ -517,11 +516,10 @@ def glue(l1, l2, gd):
     if idx_sqrt != m1_order:
         raise LatticeError(
             f"glue index {idx_sqrt} differs from |M1| = {m1_order}; dependent glue generators")
-    coords = solve_left_fraction(basis, identity(n1 + n2))
-    for i, c in enumerate(coords):
-        if c is None or any(x.denominator != 1 for x in c):
-            raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
-    coords = [[int(x) for x in c] for c in coords]
+    coords = lattice_coords(basis, identity(n1 + n2))
+    if None in coords:
+        i = coords.index(None)
+        raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
     return GlueResult(glued, basis, idx_sqrt, coords[:n1], coords[n1:])
 
 

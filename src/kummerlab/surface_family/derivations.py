@@ -30,7 +30,7 @@ from ..char2_algebra.factor import poly_roots
 from ..char2_algebra.poly import (FqPoly, PolyError, _subresultant_prs,
                                   dense_trim, poly_gcd_multivariate)
 from ..char2_algebra.poly import resultant as poly_resultant
-from .spec import SurfaceError, _FIXED_TERMS, _spec_from_H
+from .spec import SurfaceError, _FIXED_TERMS, _f4_elements, _spec_from_H
 from .points import _NonIsolated, _colength_at, _jacobian, closed_points
 
 
@@ -190,10 +190,6 @@ _CANDIDATE_BOUNDS = {"class4": ((4, 2), (2, 4))}
 def _within(poly, bound):
     bx, by = bound
     return all(e[0] <= bx and e[1] <= by for e in poly.terms)
-
-
-def _f4_elements(field):
-    return [a for a in field.elements() if field.pow_elem(a, 4) == a]
 
 
 def _condition_i(f_poly, g_poly, variables):

@@ -146,11 +146,10 @@ def classify_by_coefficients(spec):
     return "nonRDP"
 
 
-def _f4_subfield(f):
-    out = [a for a in f.elements() if f.pow_elem(a, 4) == a]
-    if len(out) != 4:
-        raise SurfaceError("field does not contain F_4 (extension degree is odd)")
-    return out
+def _f4_elements(f):
+    """The elements a of f with a^4 = a: all of F_4 on even degrees, only
+    0 and 1 on odd ones."""
+    return [a for a in f.elements() if f.pow_elem(a, 4) == a]
 
 
 def z1z2_parametrization_check():
@@ -162,7 +161,7 @@ def z1z2_parametrization_check():
     """
     from ..char2_algebra.field import get_field
     f = get_field(2, 4)
-    f4 = _f4_subfield(f)
+    f4 = _f4_elements(f)
 
     def eqs(u):
         u0, u1, u2, u3 = u
@@ -323,7 +322,7 @@ def _sample_class4(branch, f, rng):
             "h30": u[0], "h21": u[1], "h12": u[2], "h03": u[3]})
     if branch in ("1D16", "2E8", "nonRDP"):
         if branch == "nonRDP":
-            f4 = [x for x in f.elements() if f.pow_elem(x, 4) == x]
+            f4 = _f4_elements(f)
             a = f4[rng.randrange(len(f4))]
             b = f4[rng.randrange(len(f4))]
         else:

@@ -175,25 +175,19 @@ def campaign_embeddings():
     return results, claims, []
 
 
-def _class4_H(field, rng, adversarial=False):
-    coeffs = {name: field.rand(rng)
-              for name in ("h30", "h21", "h12", "h03", "h11")}
-    spec = SurfaceSpec("class4", field, coeffs)
-    h_poly = spec.H()
-    if adversarial:
-        extra = [(3, 1), (3, 2), (1, 3), (2, 3)]
-        e = extra[rng.randrange(4)]
-        h_poly = h_poly + FqPoly(field, h_poly.vars, {e: field.rand_nonzero(rng)})
-    return h_poly
+# per family: the coefficients a random member draws, in draw order, and
+# the monomials outside the family an adversarial sample adds one of
+_H_SAMPLING = {
+    "class4": (("h30", "h21", "h12", "h03", "h11"), ((3, 1), (3, 2), (1, 3), (2, 3))),
+    "class2": (("h11", "h12", "h03", "h05"), ((1, 3), (1, 5), (1, 6), (0, 7))),
+}
 
 
-def _class2_H(field, rng, adversarial=False):
-    coeffs = {name: field.rand(rng) for name in ("h11", "h12", "h03", "h05")}
-    spec = SurfaceSpec("class2", field, coeffs)
-    h_poly = spec.H()
+def _random_H(family, field, rng, adversarial=False):
+    names, extra = _H_SAMPLING[family]
+    h_poly = SurfaceSpec(family, field, {name: field.rand(rng) for name in names}).H()
     if adversarial:
-        extra = [(1, 3), (1, 5), (1, 6), (0, 7)]
-        e = extra[rng.randrange(4)]
+        e = extra[rng.randrange(len(extra))]
         h_poly = h_poly + FqPoly(field, h_poly.vars, {e: field.rand_nonzero(rng)})
     return h_poly
 
@@ -206,9 +200,9 @@ def campaign_cartier(seed, count=500, count_p3=100):
     rng = random.Random(f"{seed}|cartier")
     for e in degrees:
         field = get_field(2, e)
-        for fam_H in (_class4_H, _class2_H):
+        for family in _H_SAMPLING:
             for _ in range(count):
-                h_poly = fam_H(field, rng)
+                h_poly = _random_H(family, field, rng)
                 fv = FqPoly(field, h_poly.vars,
                             {(rng.randrange(5), rng.randrange(5)):
                              field.rand(rng) for _ in range(4)})
@@ -225,7 +219,7 @@ def campaign_cartier(seed, count=500, count_p3=100):
     field = get_field(2, 4)
     agree = True
     for _ in range(100):
-        h_poly = _class4_H(field, rng)
+        h_poly = _random_H("class4", field, rng)
         g_poly = FqPoly(field, h_poly.vars,
                         {(rng.randrange(4), rng.randrange(4)):
                          field.rand(rng) for _ in range(4)})
@@ -290,18 +284,18 @@ def campaign_zfilt(seed, count=100):
     claims = []
     rng = random.Random(f"{seed}|zfilt")
     results = {}
-    for fam, make, ambient in (("class4", _class4_H, class4_ambient()),
-                               ("class2", _class2_H, class2_ambient())):
+    for fam, ambient in (("class4", class4_ambient()), ("class2", class2_ambient())):
         fails = 0
         for _ in range(count):
             field = get_field(2, rng.choice([4, 5, 6]))
-            dims = z_filtration_dims(make(field, rng), ambient, 4)
+            dims = z_filtration_dims(_random_H(fam, field, rng), ambient, 4)
             if dims != [7, 6, 5, 5, 5]:
                 fails += 1
         adv_fails = 0
         for _ in range(count):
             field = get_field(2, rng.choice([4, 5, 6]))
-            dims = z_filtration_dims(make(field, rng, adversarial=True), ambient, 3)
+            dims = z_filtration_dims(_random_H(fam, field, rng, adversarial=True),
+                                     ambient, 3)
             if not dims[3] < 5:
                 adv_fails += 1
         results[fam] = {"family_failures": fails, "adversarial_failures": adv_fails}

@@ -191,7 +191,8 @@ def test_witness_mode():
 
 def test_budget_flags_partial():
     res = max_admissible_dim(16, budget=5)
-    assert not res.exhaustive
+    assert not res.exhaustive and res.truncated
+    assert not max_admissible_dim(20).truncated
 
 
 def test_equivalence_classes():

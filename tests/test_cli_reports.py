@@ -40,6 +40,8 @@ GOLDEN_CASES = [
       "--coeffs", "h11=1,h03=0011"], "derivation_check_class2_h07_zero.json"),
     (["surface", "derivation-check", "--family", "class2", "--field", "e=4",
       "--coeffs", "h11=1,h07=0101"], "derivation_check_class2_h07_nonzero.json"),
+    # glue, signature, saturation and discriminant groups on every embedding
+    (["verify", "embeddings"], "verify_embeddings.json"),
 ]
 
 
@@ -105,6 +107,21 @@ def test_lattice_info_on_lattices_that_are_not_even(lattice, disc, sig, tmp_path
         "discriminant": disc, "signature": sig, "even": False,
         "discriminant_group_orders": None, "q_values": None,
         "two_elementary": None, "type2": None}
+
+
+def test_search_cut_by_budget_claims_nothing():
+    # exit 1 means a refuted claim; a search cut short refutes nothing
+    rc, out = run_cli(["codes", "search", "--m", "16", "--budget", "2"])
+    report = json.loads(out)
+    validate_report(report)
+    assert rc == 0 and report["passed"]
+    assert report["results"]["truncated"] is True
+    assert [c["id"] for c in report["claims"]] == ["codes.g.16"]
+    # witness mode keeps its claim
+    rc, out = run_cli(["codes", "search", "--m", "18"])
+    report = json.loads(out)
+    assert rc == 0 and "truncated" not in report["results"]
+    assert [c["id"] for c in report["claims"]] == ["codes.g.18", "codes.witness.18"]
 
 
 def test_exit_codes():

@@ -4,20 +4,24 @@ from itertools import combinations, permutations
 from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kummerlab.exactmat import (
     det_bareiss,
     det_fraction,
     hnf_basis,
     identity,
+    integer_scaled,
+    lattice_coords,
     left_kernel_basis,
     mat_inverse_fraction,
     mat_mul,
     saturation_basis,
     snf,
-    symmetric_diagonalize,
+    solve_left,
+    symmetric_bareiss,
 )
+from kummerlab.lattice_core import Lattice, LatticeError, signature
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -125,12 +129,13 @@ def test_left_kernel():
         assert len(kern) == rows - rank
 
 
-def test_symmetric_diagonalize_signature_on_known_forms():
-    diag = symmetric_diagonalize([[2, 0], [0, -3]])
-    assert sorted(x > 0 for x in diag) == [False, True]
+def test_signature_on_known_forms():
+    assert signature(Lattice([[2, 0], [0, -3]])) == (1, 1)
     # hyperbolic plane: signature (1, 1) despite zero diagonal
-    diag = symmetric_diagonalize([[0, 1], [1, 0]])
-    assert sorted(x > 0 for x in diag) == [False, True]
+    assert signature(Lattice([[0, 1], [1, 0]])) == (1, 1)
+    assert signature(Lattice([[-2, 1], [1, -2]])) == (0, 2)
+    with pytest.raises(LatticeError, match="degenerate"):
+        signature(Lattice([[2, 2], [2, 2]]))
 
 
 def rational_matrices(n, lo=-6, hi=6):
@@ -178,8 +183,13 @@ def diagonal_and_steps(draw):
 # pivot (the Schur complement is a hyperbolic plane), the second with a zero in D
 @example(([1, -1, 1], [(1, 2, -1), (0, 1, -1)]))
 @example(([1, 1, 0, -1], [(3, 1, -1), (0, 3, -1)]))
-def test_symmetric_diagonalize_keeps_inertia(case):
-    """Sylvester: P D P^T has the sign counts of D for unimodular P."""
+def test_symmetric_bareiss_keeps_inertia(case):
+    """Sylvester: P D P^T has the sign counts of D for unimodular P.
+
+    The pivots p_k of g give a congruent diagonal p_k / p_{k-1} (p_-1 = 1),
+    padded with zeros once the remaining block vanishes; `signature` reads
+    the same signs on nondegenerate g.
+    """
     diag, steps = case
     n = len(diag)
     p = identity(n)
@@ -188,10 +198,89 @@ def test_symmetric_diagonalize_keeps_inertia(case):
             p[i] = [x + c * y for x, y in zip(p[i], p[j])]
     pd = [[x * diag[j] for j, x in enumerate(row)] for row in p]
     g = mat_mul(pd, [list(col) for col in zip(*p)])
-    out = symmetric_diagonalize(g)
-    assert len(out) == n
-    # every congruence step is unimodular, so det g = prod D
-    assert prod(out) == leibniz_det(g)
+    den, pivots, _rows = symmetric_bareiss(g)
+    assert den == 1 and 0 not in pivots
+    signs = [(x > 0) - (x < 0) for x in (a * b for a, b in zip(pivots, [1] + pivots))]
+    signs += [0] * (n - len(pivots))
+    # every congruence step is unimodular, so det g = prod D = p_{n-1}
+    assert (pivots[-1] if len(pivots) == n else 0) == leibniz_det(g)
     for sign in (1, 0, -1):
-        assert sum((x > 0) - (x < 0) == sign for x in out) == \
-            sum((x > 0) - (x < 0) == sign for x in diag)
+        assert signs.count(sign) == sum((x > 0) - (x < 0) == sign for x in diag)
+    if 0 in diag:
+        with pytest.raises(LatticeError, match="degenerate"):
+            signature(Lattice(g))
+    else:
+        assert signature(Lattice(g)) == (signs.count(1), signs.count(-1))
+
+
+def fraction_solve(b, v):
+    """The c with c * b = v, by Gauss-Jordan in Fractions; None if none."""
+    r, n = len(b), len(v)
+    m = [[Fraction(b[i][j]) for i in range(r)] + [Fraction(v[j])] for j in range(n)]
+    row = 0
+    for c in range(r):
+        piv = next(i for i in range(row, n) if m[i][c])  # b has full row rank
+        m[row], m[piv] = m[piv], m[row]
+        m[row] = [x / m[row][c] for x in m[row]]
+        for i in range(n):
+            if i != row and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[row])]
+        row += 1
+    if any(m[i][r] for i in range(r, n)):
+        return None
+    return [m[i][r] for i in range(r)]
+
+
+@st.composite
+def solve_cases(draw):
+    """A full-row-rank b (integer or rational) and right-hand sides in its
+    integer span, in its rational span only, and arbitrary ones."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, n))
+    entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4),
+                                                     st.integers(1, 3)))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    assume(len(hnf_basis(integer_scaled([b])[1][0])) == r)
+    coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                           max_size=3))
+    coeffs += draw(st.lists(st.lists(st.builds(Fraction, st.integers(-3, 3),
+                                               st.integers(2, 4)),
+                                     min_size=r, max_size=r), max_size=3))
+    vs = [[sum(c[i] * b[i][j] for i in range(r)) for j in range(n)] for c in coeffs]
+    vs += draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                        max_size=3))
+    return b, vs
+
+
+NEGATIVE_PIVOT = ([[1, 0, 2], [0, -1, 1]], [[1, -1, 3], [1, 1, 1], [Fraction(1, 2), 0, 1],
+                                            [0, 0, 1]])
+
+
+@PROPERTY
+@given(solve_cases())
+@example(NEGATIVE_PIVOT)
+@example(([[2, 1], [1, -1]], [[3, 0], [1, 2], [1, 0]]))
+def test_solve_left_and_lattice_coords_match_fractions(case):
+    b, vs = case
+    p, sols = solve_left(b, vs)
+    coords = lattice_coords(b, vs)
+    assert p != 0 and len(sols) == len(coords) == len(vs)
+    for v, sol, c in zip(vs, sols, coords):
+        ref = fraction_solve(b, v)
+        if ref is None:
+            assert sol is None and c is None
+            continue
+        assert [Fraction(x, p) for x in sol] == ref
+        if all(x.denominator == 1 for x in ref):
+            assert c == ref
+        else:
+            assert c is None
+
+
+def test_solve_left_negative_last_pivot():
+    b, vs = NEGATIVE_PIVOT
+    p, sols = solve_left(b, vs)
+    assert p < 0
+    assert lattice_coords(b, vs) == [[1, 1], [1, -1], None, None]
+    assert [None if s is None else [Fraction(x, p) for x in s] for s in sols] == \
+        [[1, 1], [1, -1], [Fraction(1, 2), 0], None]
