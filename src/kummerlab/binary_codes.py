@@ -5,7 +5,9 @@ module builds the named example codes (affine-hyperplane code on 16
 points, its hyperplane subcodes, the extended binary Golay code), runs an
 exhaustive isomorph-free search for the maximum dimension g(m), turns
 admissible codes into even overlattices, and partitions code lists into
-permutation-equivalence classes.
+permutation-equivalence classes.  Overlattice bases and roots are kept in
+doubled A_1^m frame coordinates, which are ints: the frame vector
+(1/2)(e_1 + ... + e_4) is stored as (1, 1, 1, 1, 0, ...).
 
 Codewords are bitmasks over a ground set of size m <= 24.  The search
 works on "cell profiles": a dimension-k code, up to coordinate
@@ -126,17 +128,14 @@ class BinaryCode:
 # named example codes
 
 
+def _hyperplanes(j):
+    """The hyperplanes x_i = 0 of S = F_2^4 for i < j, as bitmasks."""
+    return [sum(1 << x for x in range(16) if not (x >> i) & 1) for i in range(j)]
+
+
 def build_v16():
     """The affine-hyperplane code: {0, S, affine hyperplanes} on S = F_2^4."""
-    hyperplanes = []
-    for i in range(4):
-        h = 0
-        for x in range(16):
-            if not (x >> i) & 1:
-                h |= 1 << x
-        hyperplanes.append(h)
-    full = (1 << 16) - 1
-    code = BinaryCode(16, hyperplanes + [full])
+    code = BinaryCode(16, _hyperplanes(4) + [(1 << 16) - 1])
     assert code.dim == 5
     return code
 
@@ -145,19 +144,12 @@ def build_subcode(j):
     """Dimension-j hyperplane subcode realized on 16 - 2^(4-j) points."""
     if not 0 <= j <= 4:
         raise CodeError("subcode index must be 0..4")
-    hyperplanes = []
-    for i in range(j):
-        h = 0
-        for x in range(16):
-            if not (x >> i) & 1:
-                h |= 1 << x
-        hyperplanes.append(h)
     # support: complement of the set where all j functionals are 1
     removed = [x for x in range(16) if all((x >> i) & 1 for i in range(j))]
     keep = [x for x in range(16) if x not in removed]
     remap = {x: t for t, x in enumerate(keep)}
     rows = []
-    for h in hyperplanes:
+    for h in _hyperplanes(j):
         r = 0
         for x in keep:
             if (h >> x) & 1:
@@ -430,34 +422,31 @@ def equivalence_classes(codes):
 @dataclass
 class Overlattice:
     lattice: Lattice
-    basis: list      # rows in the A_1^m frame (entries in (1/2)Z)
+    basis: list      # rows in doubled A_1^m frame coordinates (ints)
     index: int
     root_pairs: list
 
 
 def a1m_frame_roots(code):
-    """Roots of the code overlattice in the A_1^m frame, one per +-pair.
+    """Roots of the code overlattice in doubled A_1^m frame coordinates,
+    one per +-pair.
 
     Roots are +-e_i together with (1/2)(sum of +-e over T) for each
-    weight-4 codeword T; membership in the overlattice is exactly
-    membership of the support in the code.
+    weight-4 codeword T, so their doubles are 2 e_i and the +-1 vectors on
+    T; membership in the overlattice is exactly membership of the support
+    in the code.
     """
     m = code.ground_size
-    out = []
-    for i in range(m):
-        v = [Fraction(0)] * m
-        v[i] = Fraction(1)
-        out.append(v)
+    out = [[2 * int(i == j) for j in range(m)] for i in range(m)]
     for w in code.words():
         if bin(w).count("1") != 4:
             continue
-        support = [i for i in range(m) if (w >> i) & 1]
-        first = support[0]
+        first, *rest = [i for i in range(m) if (w >> i) & 1]
         for signs in itertools.product((1, -1), repeat=3):
-            v = [Fraction(0)] * m
-            v[first] = Fraction(1, 2)
-            for s, i in zip(signs, support[1:]):
-                v[i] = Fraction(s, 2)
+            v = [0] * m
+            v[first] = 1
+            for s, i in zip(signs, rest):
+                v[i] = s
             out.append(v)
     return out
 
@@ -466,31 +455,27 @@ def mod4_overlattice(code):
     """Overlattice of A_1^m from any code with all weights = 0 mod 4.
 
     Weight-4 words are allowed; they contribute half-vector roots (this is
-    how the D- and E-type overlattices of A_1^16 arise).  Root vectors are
-    returned both in the A_1^m frame and in the new basis.
+    how the D- and E-type overlattices of A_1^16 arise).  `root_pairs` are
+    the roots of `a1m_frame_roots` in the coordinates of the new basis.
     """
     for w in code.words():
         if w and bin(w).count("1") % 4:
             raise CodeError("overlattice is not even: weight not divisible by 4")
     m = code.ground_size
-    rows = []
-    for i in range(m):
-        rows.append([2 * int(i == j) for j in range(m)])
+    rows = [[2 * int(i == j) for j in range(m)] for i in range(m)]
     for b in code.basis:
         rows.append([1 if (b >> i) & 1 else 0 for i in range(m)])
-    basis2 = hnf_basis(rows)
-    basis = [[Fraction(x, 2) for x in row] for row in basis2]
-    # basis = basis2 / 2 in the A_1^m frame, whose Gram is -2 I
-    gram = mat_mul(basis2, [list(c) for c in zip(*basis2)])
+    basis = hnf_basis(rows)
+    # basis / 2 is the basis in the A_1^m frame, whose Gram is -2 I
+    gram = mat_mul(basis, [list(c) for c in zip(*basis)])
     lat = Lattice([[Fraction(-x, 2) for x in row] for row in gram])
     if not lat.is_even:
         raise CodeError("overlattice is not even")
-    det = prod(row[i] for i, row in enumerate(basis2))
+    det = prod(row[i] for i, row in enumerate(basis))
     index = (1 << m) // det if det else 0
     if index != 1 << code.dim:
         raise CodeError("overlattice index mismatch")
-    # c * basis = v exactly when c * basis2 = 2v
-    pairs = lattice_coords(basis2, [[2 * x for x in v] for v in a1m_frame_roots(code)])
+    pairs = lattice_coords(basis, a1m_frame_roots(code))
     if None in pairs:
         raise CodeError("root bookkeeping failed")
     return Overlattice(lat, basis, index, pairs)

@@ -195,7 +195,7 @@ def _cmd_codes(args):
         raise UsageError("--max must be non-negative")
     table = {}
     ok = True
-    top = min(args.max, 17 if not args.quick else 14)
+    top = min(args.max, 17)
     for m in range(0, top + 1):
         res = max_admissible_dim(m)
         table[str(m)] = {"g": res.dim, "f": f_bound(m)}
@@ -337,7 +337,6 @@ def build_parser():
     p_codes.add_argument("--max", type=int, default=17)
     p_codes.add_argument("--exhaustive", action="store_true")
     p_codes.add_argument("--budget", type=int, default=None)
-    p_codes.add_argument("--quick", action="store_true")
     p_codes.add_argument("--out", default=None)
 
     p_kum = sub.add_parser("kummer", help="Kummer lattices and embeddings")

@@ -104,13 +104,14 @@ def _subset_mask(subset):
 class KummerLattice:
     type: KummerType
     lattice: Lattice
-    frame_basis: list      # rows in the A_1^16 frame, entries in (1/2)Z
+    frame_basis: list      # rows in doubled A_1^16 frame coordinates (ints)
     root_pairs: list       # lattice-basis coordinates, one per +-pair
     checks: dict = field(default_factory=dict)
 
     def frame_class_coords(self, subset):
-        """(1/2) sum of e_v over `subset`, in lattice-basis coordinates."""
-        vec = [Fraction(1, 2) if i in subset else Fraction(0) for i in range(16)]
+        """(1/2) sum of e_v over `subset`, in lattice-basis coordinates:
+        the c with c * frame_basis = the indicator vector of `subset`."""
+        vec = [int(i in subset) for i in range(16)]
         c = solve_left_fraction(self.frame_basis, [vec])[0]
         if c is None:
             raise KummerError("class does not lie in the rational span")
@@ -144,6 +145,7 @@ def build_kummer(type_symbol):
     basis_rows = hnf_basis(root_pairs)
     det = prod(row[i] for i, row in enumerate(basis_rows))
     checks["index_over_roots"] = det == 1 << kt.log2_index_over_roots
+    # both bases are doubled, so c * 2B = 2B' has the solutions of c * B = B'
     k16_basis = ov.basis if type_symbol == "16A1" else build_kummer("16A1").frame_basis
     sub = lattice_coords(ov.basis, k16_basis)
     if None in sub:

@@ -14,8 +14,10 @@ elimination of -den * G, whose pivots both prove negative definiteness and
 give an integer Fincke-Pohst search its weights: the remaining norm is one
 int over the lcm of the LDL^T denominators.  The ADE type of a root set is
 read off one simple system, picked by an integer functional.  Even
-overlattices come from glue data on discriminant groups; `saturation`
-gives the index of a sublattice in its saturation from the Smith diagonal,
+overlattices come from glue data on discriminant groups: the glued basis
+is the Hermite basis of den * I and the den-scaled glue vectors, whose
+diagonal gives the index over the direct sum as den^n / prod(diag), with
+no determinant of the glued Gram.  `saturation` gives the index of a sublattice in its saturation from the Smith diagonal,
 and `embed_kummer` is where saturation of the glued factors is verified.
 
 Every lattice the package builds is integral (code overlattices from
@@ -495,32 +497,30 @@ def glue(l1, l2, gd):
             raise LatticeError("glue data violates q1 + q2 = 0")
     rows = identity(n1 + n2) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
     den, (scaled,) = integer_scaled([rows])
+    # den * I is among the rows, so the HNF is square and upper triangular
+    # with positive pivots; its diagonal gives the index over the direct sum
     basis_scaled = hnf_basis(scaled)
-    if len(basis_scaled) != n1 + n2:
-        raise LatticeError("glue generators do not span full rank")
     basis = [[Fraction(x, den) for x in row] for row in basis_scaled]
-    amb = direct_sum(l1, l2)
-    gram = gram_of(amb, basis)
+    gram = gram_of(direct_sum(l1, l2), basis)
     glued = Lattice(gram)
     if not glued.is_integral:
         raise LatticeError("non-integral pairing in glued lattice")
     if not glued.is_even:
         raise LatticeError("glued lattice is not even")
-    # index over the direct sum
+    # det(L1 (+) L2) = det L1 * det L2: `discriminant` rejects a degenerate factor
+    discriminant(l1)
+    discriminant(l2)
+    index = den ** (n1 + n2) // prod(row[i] for i, row in enumerate(basis_scaled))
+    # |M1| overcounts if the generators are dependent
     m1_order = prod(orders)
-    idx = Fraction(abs(discriminant(amb)), abs(discriminant(glued)))
-    idx_sqrt = isqrt(idx.numerator) if idx.denominator == 1 else None
-    if idx_sqrt is None or idx_sqrt * idx_sqrt != idx.numerator:
-        raise LatticeError("glued index is not integral")
-    # m1_order may overcount if generators were dependent; compare honestly
-    if idx_sqrt != m1_order:
+    if index != m1_order:
         raise LatticeError(
-            f"glue index {idx_sqrt} differs from |M1| = {m1_order}; dependent glue generators")
+            f"glue index {index} differs from |M1| = {m1_order}; dependent glue generators")
     coords = lattice_coords(basis, identity(n1 + n2))
     if None in coords:
         i = coords.index(None)
         raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
-    return GlueResult(glued, basis, idx_sqrt, coords[:n1], coords[n1:])
+    return GlueResult(glued, basis, index, coords[:n1], coords[n1:])
 
 
 # ---------------------------------------------------------------------------

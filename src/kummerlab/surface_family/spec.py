@@ -90,23 +90,28 @@ class SurfaceSpec:
         return f"SurfaceSpec({self.family}, {self.field!r}, {cs})"
 
 
-def _in_w(f, u):
+def _branch_equations(f, u):
+    """The five branch equations at u = (u0, u1, u2, u3): the first cuts
+    out W, the next two add Z1 and the last two add Z2."""
     u0, u1, u2, u3 = u
-    return f.sub(f.mul(u1, u2), f.mul(u0, u3)) == f.zero
+    return (
+        f.sub(f.mul(u1, u2), f.mul(u0, u3)),
+        f.sub(f.mul(u1, u1), f.mul(u0, u2)),
+        f.sub(f.mul(u2, u2), f.mul(u1, u3)),
+        f.sub(f.mul(u2, u2), f.mul(u0, u1)),
+        f.sub(f.mul(u1, u1), f.mul(u2, u3)),
+    )
 
 
-def _in_z1(f, u):
-    u0, u1, u2, u3 = u
-    return (_in_w(f, u)
-            and f.sub(f.mul(u1, u1), f.mul(u0, u2)) == f.zero
-            and f.sub(f.mul(u2, u2), f.mul(u1, u3)) == f.zero)
+def _cubic(f, a, b, c):
+    """The point (c a^3, c a^2 b, c a b^2, c b^3) of the cubic curve."""
+    return (f.mul(c, f.pow_elem(a, 3)),
+            f.mul(c, f.mul(f.mul(a, a), b)),
+            f.mul(c, f.mul(a, f.mul(b, b))),
+            f.mul(c, f.pow_elem(b, 3)))
 
 
-def _in_z2(f, u):
-    u0, u1, u2, u3 = u
-    return (_in_w(f, u)
-            and f.sub(f.mul(u2, u2), f.mul(u0, u1)) == f.zero
-            and f.sub(f.mul(u1, u1), f.mul(u2, u3)) == f.zero)
+_CUBIC_SLOTS = ("h30", "h21", "h12", "h03")
 
 
 def classify_by_coefficients(spec):
@@ -117,10 +122,11 @@ def classify_by_coefficients(spec):
     if spec.family == "class4":
         if spec.coeff("h11") != f.zero:
             return "16A1"
-        u = (spec.coeff("h30"), spec.coeff("h21"), spec.coeff("h12"), spec.coeff("h03"))
-        if not _in_w(f, u):
+        w, *z = (v == f.zero for v in
+                 _branch_equations(f, [spec.coeff(n) for n in _CUBIC_SLOTS]))
+        if not w:
             return "4D4"
-        z1, z2 = _in_z1(f, u), _in_z2(f, u)
+        z1, z2 = z[0] and z[1], z[2] and z[3]
         if not z1 and not z2:
             return "2D8"
         if z2 and not z1:
@@ -163,25 +169,12 @@ def z1z2_parametrization_check():
     f = get_field(2, 4)
     f4 = _f4_elements(f)
 
-    def eqs(u):
-        u0, u1, u2, u3 = u
-        return (
-            f.sub(f.mul(u1, u2), f.mul(u0, u3)),
-            f.sub(f.mul(u1, u1), f.mul(u0, u2)),
-            f.sub(f.mul(u2, u2), f.mul(u1, u3)),
-            f.sub(f.mul(u2, u2), f.mul(u0, u1)),
-            f.sub(f.mul(u1, u1), f.mul(u2, u3)),
-        )
-
     param = set()
     for a in f4:
         for b in f4:
             for c in f.elements():
-                u = (f.mul(c, f.pow_elem(a, 3)),
-                     f.mul(c, f.mul(f.mul(a, a), b)),
-                     f.mul(c, f.mul(a, f.mul(b, b))),
-                     f.mul(c, f.pow_elem(b, 3)))
-                if any(v != f.zero for v in eqs(u)):
+                u = _cubic(f, a, b, c)
+                if any(v != f.zero for v in _branch_equations(f, u)):
                     return False
                 param.add(u)
     if f.order ** 4 <= 1 << 17:
@@ -190,7 +183,8 @@ def z1z2_parametrization_check():
                 for u2 in f.elements():
                     for u3 in f.elements():
                         u = (u0, u1, u2, u3)
-                        if all(v == f.zero for v in eqs(u)) and u not in param:
+                        if (all(v == f.zero for v in _branch_equations(f, u))
+                                and u not in param):
                             return False
     return True
 
@@ -260,23 +254,15 @@ def normalize_spec(spec):
     f = spec.field
     work = spec
     if spec.family == "class2":
-        h_poly = work.H()
-        a1 = h_poly.coefficient((2, 1))
-        if a1 != f.zero:
-            x_poly = FqPoly.variable(f, work.vars, "x")
-            t_poly = FqPoly.variable(f, work.vars, "t")
-            new_h = h_poly.substitute("x", x_poly + t_poly.scale(a1))
-            fam, _ee = _split_even_even(new_h)
-            work = _spec_from_H("class2", f, fam)
-        h_poly = work.H()
-        a2sq = h_poly.coefficient((1, 4))
-        if a2sq != f.zero:
-            a2 = f.proot(a2sq)
-            x_poly = FqPoly.variable(f, work.vars, "x")
-            t_poly = FqPoly.variable(f, work.vars, "t")
-            new_h = h_poly.substitute("x", x_poly + (t_poly * t_poly).scale(a2))
-            fam, _ee = _split_even_even(new_h)
-            work = _spec_from_H("class2", f, fam)
+        x = FqPoly.variable(f, spec.vars, "x")
+        t = FqPoly.variable(f, spec.vars, "t")
+        for expo, shift in (((2, 1), lambda c: t.scale(c)),
+                            ((1, 4), lambda c: (t * t).scale(f.proot(c)))):
+            h_poly = work.H()
+            c = h_poly.coefficient(expo)
+            if c != f.zero:
+                fam, _ee = _split_even_even(h_poly.substitute("x", x + shift(c)))
+                work = _spec_from_H("class2", f, fam)
     if work.coeff("h10") == f.zero and work.coeff("h01") == f.zero:
         return work, FqPoly.zero(f, work.vars)
     pts = singular_points(work)
@@ -311,34 +297,24 @@ def _sample_class4(branch, f, rng):
             "h12": f.rand(rng), "h03": f.rand(rng)})
     if branch == "4D4":
         u = [f.rand(rng) for _ in range(4)]
-        return SurfaceSpec("class4", f, {
-            "h30": u[0], "h21": u[1], "h12": u[2], "h03": u[3]})
-    if branch == "2D8":
+    elif branch == "2D8":
         # generic point of the determinantal hypersurface u1 u2 = u0 u3
         a = f.rand_nonzero(rng)
         b, c = f.rand(rng), f.rand(rng)
         u = (a, b, c, f.mul(f.inv(a), f.mul(b, c)))
-        return SurfaceSpec("class4", f, {
-            "h30": u[0], "h21": u[1], "h12": u[2], "h03": u[3]})
-    if branch in ("1D16", "2E8", "nonRDP"):
+    elif branch in ("1D16", "2E8", "nonRDP"):
         if branch == "nonRDP":
             f4 = _f4_elements(f)
             a = f4[rng.randrange(len(f4))]
             b = f4[rng.randrange(len(f4))]
         else:
             a, b = f.rand_nonzero(rng), f.rand_nonzero(rng)
-        c = f.rand_nonzero(rng)
-        cubic = [f.mul(c, f.pow_elem(a, 3)),
-                 f.mul(c, f.mul(f.mul(a, a), b)),
-                 f.mul(c, f.mul(a, f.mul(b, b))),
-                 f.mul(c, f.pow_elem(b, 3))]
+        u = _cubic(f, a, b, f.rand_nonzero(rng))
         if branch == "1D16":
-            u = (cubic[0], cubic[2], cubic[1], cubic[3])
-        else:
-            u = tuple(cubic)
-        return SurfaceSpec("class4", f, {
-            "h30": u[0], "h21": u[1], "h12": u[2], "h03": u[3]})
-    raise SurfaceError(f"unknown branch {branch}")
+            u = (u[0], u[2], u[1], u[3])
+    else:
+        raise SurfaceError(f"unknown branch {branch}")
+    return SurfaceSpec("class4", f, dict(zip(_CUBIC_SLOTS, u)))
 
 
 def _sample_class2(branch, f, rng):

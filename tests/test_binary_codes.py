@@ -20,6 +20,7 @@ from kummerlab.binary_codes import (
     mod4_overlattice,
     shortened_golay,
 )
+from kummerlab.exactmat import mat_mul
 from kummerlab.lattice_core import discriminant, roots
 
 
@@ -245,6 +246,14 @@ def test_mod4_overlattice_gains_half_roots():
     assert len(a1m_frame_roots(code)) == 12
     assert ov.lattice.is_even
     assert len(roots(ov.lattice)) == 12
+    # doubled frame coordinates: norm 4 (a root of A_1^4 has norm -2 under
+    # the -2 I frame form), odd entries exactly on a weight-4 codeword
+    words = set(code.words())
+    for v in a1m_frame_roots(code):
+        assert sum(x * x for x in v) == 4
+        odd = sum(1 << i for i, x in enumerate(v) if x % 2)
+        assert odd == 0 or (odd in words and bin(odd).count("1") == 4)
+    assert mat_mul(ov.root_pairs, ov.basis) == a1m_frame_roots(code)
 
 
 def test_rejects_odd_weight():

@@ -42,6 +42,13 @@ GOLDEN_CASES = [
       "--coeffs", "h11=1,h07=0101"], "derivation_check_class2_h07_nonzero.json"),
     # glue, signature, saturation and discriminant groups on every embedding
     (["verify", "embeddings"], "verify_embeddings.json"),
+    # the glued Gram itself, with four glue vectors and with an extended one
+    (["kummer", "embed", "--type", "16A1", "--sigma", "1", "--complement",
+      "Q4"], "kummer_embed_16a1_s1_q4.json"),
+    (["kummer", "embed", "--type", "4D4", "--sigma", "2", "--complement",
+      "Q2", "--extended"], "kummer_embed_4d4_s2_q2_extended.json"),
+    # an overlattice Gram built from the doubled A_1^16 frame
+    (["kummer", "build", "--type", "2E8"], "kummer_build_2e8.json"),
 ]
 
 
@@ -185,6 +192,8 @@ BAD_INPUTS = [
                  id="argparse-verify-campaign"),
     pytest.param(["codes", "search", "--m", "abc"], None, "invalid int value",
                  id="argparse-codes-m-not-integer"),
+    pytest.param(["codes", "search", "--quick"], None, "unrecognized arguments",
+                 id="argparse-codes-quick-removed"),
     pytest.param(["surface", "classify", "--family", "class2", "--field", "e=4",
                   "--expect", "bogus"], None, "argument --expect",
                  id="surface-expect-unknown-branch"),

@@ -319,6 +319,15 @@ def test_glue_rejects_degenerate_factor():
         glue(Lattice([[0]]), ade_lattice("A", 1), GlueData([], []))
 
 
+def test_glue_rejects_dependent_generators():
+    # q1 + q2 vanishes on the subgroup, but the two glue vectors coincide:
+    # the glued index is 2 while |M1| counts 4
+    d4 = ade_lattice("D", 4)
+    g0 = discriminant_group(d4).generators[0]
+    with pytest.raises(LatticeError, match="dependent glue generators"):
+        glue(d4, d4, GlueData([g0, g0], [g0, g0]))
+
+
 def test_glue_rejects_order_mismatch():
     a1 = ade_lattice("A", 1)
     a3 = ade_lattice("A", 3)
