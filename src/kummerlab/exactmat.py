@@ -1,6 +1,9 @@
 """Exact integer and rational matrix routines (no external CAS).
 
-All matrices are lists of lists of ints or Fractions.  Every routine
+All matrices are lists of lists of ints or Fractions.  `mat_mul` is the
+one product kernel: each entry is `sum(map(mul, row, col))` over the
+columns `zip(*b)`, so it multiplies ints and Fractions alike, and every
+Gram matrix of the lattice layer goes through it.  Every other routine
 computes in Python integers: a rational input is first scaled to integers
 over one common denominator (`integer_scaled`).  Two fraction-free
 (Bareiss) loops do all the elimination besides the Hermite and Smith
@@ -9,12 +12,16 @@ forms: `_bareiss` (Gauss-Jordan; determinants and solving) and
 pivots the positive-definite factor for root enumeration).  `solve_left`
 returns integer numerators over the last Bareiss pivot; `lattice_coords`
 keeps the integral solutions, and the Fraction views build Fractions only
-for their results.  The Smith diagonal gives saturation indices and the
-row transform U left kernels.  These back the lattice layer.
+for their results.  For a square upper-triangular basis, such as a Hermite
+basis of full rank, `triangular_coords` gives the same integral solutions
+by substitution, with no elimination.  The Smith diagonal gives
+saturation indices and the row transform U left kernels.  These back the
+lattice layer.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def mat_copy(a):
@@ -39,10 +46,9 @@ def integer_scaled(mats):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
+    """The product a * b; with no rows in b, it has no columns."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _bareiss(m, ncols):
@@ -284,6 +290,24 @@ def lattice_coords(b, vs):
     p, sols = solve_left(b, vs)
     return [None if s is None or any(x % p for x in s) else [x // p for x in s]
             for s in sols]
+
+
+def triangular_coords(s, vs):
+    """`lattice_coords` for a square upper-triangular integer s with nonzero
+    diagonal: each c with c * s = v comes from substitution down the columns
+    of s, and is None where a division leaves a remainder."""
+    cols = list(zip(*s))
+    out = []
+    for v in vs:
+        c = []
+        for j, col in enumerate(cols):
+            q, r = divmod(v[j] - sum(map(mul, c, col)), col[j])
+            if r:
+                c = None
+                break
+            c.append(q)
+        out.append(c)
+    return out
 
 
 def solve_left_fraction(b, vs):

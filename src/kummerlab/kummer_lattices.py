@@ -184,8 +184,16 @@ def _q_gram(which):
     return g
 
 
+_Q_CACHE = {}
+
+
 def build_q(which):
-    """The rank-6 lattice Q_4 or Q_2 with its verification."""
+    """The rank-6 lattice Q_4 or Q_2 with its verification.
+
+    Results are cached; callers must treat them as read-only.
+    """
+    if which in _Q_CACHE:
+        return _Q_CACHE[which]
     lat = Lattice(_q_gram(which), labels=[f"w{i}" for i in range(1, 7)])
     if signature(lat) != (1, 5):
         raise KummerError(f"{which} has wrong signature")
@@ -196,6 +204,7 @@ def build_q(which):
     elem, type2 = is_two_elementary_type2(dg)
     if not (elem and type2):
         raise KummerError(f"{which} is not 2-elementary of type 2")
+    _Q_CACHE[which] = lat
     return lat
 
 

@@ -15,10 +15,15 @@ give an integer Fincke-Pohst search its weights: the remaining norm is one
 int over the lcm of the LDL^T denominators.  The ADE type of a root set is
 read off one simple system, picked by an integer functional.  Even
 overlattices come from glue data on discriminant groups: the glued basis
-is the Hermite basis of den * I and the den-scaled glue vectors, whose
-diagonal gives the index over the direct sum as den^n / prod(diag), with
-no determinant of the glued Gram.  `saturation` gives the index of a sublattice in its saturation from the Smith diagonal,
-and `embed_kummer` is where saturation of the glued factors is verified.
+is S / den, for the integer Hermite basis S of den * I and the den-scaled
+glue vectors.  S is upper triangular with positive pivots, so everything
+`glue` proves is read off it in integers: the index over the direct sum
+is den^n / prod(diag S), the glued Gram is one integer block product
+S_k (den_k G_k) S_k^T per factor over lcm(den_1, den_2) * den^2, and the
+factor coordinates, the rows of den * S^-1, come from triangular
+substitution.  `saturation` gives the index of a sublattice in its
+saturation from the Smith diagonal, and `embed_kummer` is where
+saturation of the glued factors is verified.
 
 Every lattice the package builds is integral (code overlattices from
 `mod4_overlattice` included); denominator 2 comes only from outside
@@ -29,7 +34,7 @@ non-integral input.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .exactmat import (
     common_denominator,
@@ -37,10 +42,10 @@ from .exactmat import (
     hnf_basis,
     identity,
     integer_scaled,
-    lattice_coords,
     mat_mul,
     snf,
     symmetric_bareiss,
+    triangular_coords,
 )
 
 
@@ -107,25 +112,22 @@ def even_lattice(gram, labels=None):
     return lat
 
 
-def direct_sum(l1, l2):
-    n1, n2 = l1.rank, l2.rank
-    gram = ([[Fraction(x, l1.den) for x in row] + [0] * n2 for row in l1.gram]
-            + [[0] * n1 + [Fraction(x, l2.den) for x in row] for row in l2.gram])
-    labels = None
-    if l1.labels is not None and l2.labels is not None:
-        labels = l1.labels + l2.labels
-    return Lattice(gram, labels)
-
-
 def gram_of(lat, rows, cols=None):
     """The pairing matrix rows * G * cols^T (cols defaults to rows).
 
     Rows and cols are scaled to integers over one common denominator d
-    and multiplied as integers with den * G.  Entries are ints when
-    d^2 * den is 1, else Fractions.
+    and multiplied as integers with den * G.  For m rows and k cols in
+    rank n, (rows * G) * cols^T costs m n^2 + m n k products and, G being
+    symmetric, rows * (cols * G)^T costs n^2 k + m n k: the shorter side
+    is multiplied by G first.  Entries are ints when d^2 * den is 1, else
+    Fractions.
     """
-    d, (rs, cs) = integer_scaled([rows, rows if cols is None else cols])
-    out = mat_mul(mat_mul(rs, lat.gram), [list(c) for c in zip(*cs)])
+    d, scaled = integer_scaled([rows] if cols is None else [rows, cols])
+    rs, cs = scaled[0], scaled[-1]
+    if len(cs) < len(rs):
+        out = mat_mul(rs, list(zip(*mat_mul(cs, lat.gram))))
+    else:
+        out = mat_mul(mat_mul(rs, lat.gram), list(zip(*cs)))
     den = d * d * lat.den
     if den == 1:
         return out
@@ -470,6 +472,12 @@ def _subgroup_elements(gens_coeff_orders):
     return out
 
 
+def _block_gram(s, lat, lo, hi):
+    """S_k (den * G) S_k^T for the columns S_k = S[:, lo:hi] on the factor lat."""
+    sk = [row[lo:hi] for row in s]
+    return mat_mul(mat_mul(sk, lat.gram), list(zip(*sk)))
+
+
 def glue(l1, l2, gd):
     """Even overlattice of l1 (+) l2 defined by glue data.
 
@@ -478,6 +486,12 @@ def glue(l1, l2, gd):
     result is even and integral, has index |M1| over the direct sum, and
     contains both factors.  Whether the factors are saturated in it is left
     to the caller (`saturation` on sub1 and sub2).
+
+    The glued basis is S / den for an upper-triangular integer Hermite
+    basis S.  Its Gram matrix is sum_k S_k (den_k G_k) S_k^T over
+    lcm(den_1, den_2) * den^2, with S_k the columns of S on factor k, and
+    the factor coordinates are the rows of den * S^-1, by exact
+    substitution: a remainder would mean a factor is not in the result.
     """
     n1, n2 = l1.rank, l2.rank
     orders = []
@@ -495,14 +509,23 @@ def glue(l1, l2, gd):
                   for j, cj in enumerate(coeffs))
         if _qmod2(val) != 0:
             raise LatticeError("glue data violates q1 + q2 = 0")
-    rows = identity(n1 + n2) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
+    n = n1 + n2
+    rows = identity(n) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
     den, (scaled,) = integer_scaled([rows])
-    # den * I is among the rows, so the HNF is square and upper triangular
-    # with positive pivots; its diagonal gives the index over the direct sum
-    basis_scaled = hnf_basis(scaled)
-    basis = [[Fraction(x, den) for x in row] for row in basis_scaled]
-    gram = gram_of(direct_sum(l1, l2), basis)
-    glued = Lattice(gram)
+    # den * I is among the rows, so the HNF S is square and upper triangular
+    # with positive pivots, and the glued basis is S / den
+    s = hnf_basis(scaled)
+    basis = [[Fraction(x, den) for x in row] for row in s]
+    dl = lcm(l1.den, l2.den)
+    c1, c2 = dl // l1.den, dl // l2.den
+    num = [[c1 * x + c2 * y for x, y in zip(r1, r2)]
+           for r1, r2 in zip(_block_gram(s, l1, 0, n1), _block_gram(s, l2, n1, n))]
+    total = dl * den * den
+    # Fractions only where total does not divide every entry; Lattice then
+    # rejects a denominator other than 1 or 2
+    glued = Lattice([[x // total for x in row] for row in num]
+                    if gcd(total, *(x for row in num for x in row)) == total
+                    else [[Fraction(x, total) for x in row] for row in num])
     if not glued.is_integral:
         raise LatticeError("non-integral pairing in glued lattice")
     if not glued.is_even:
@@ -510,13 +533,13 @@ def glue(l1, l2, gd):
     # det(L1 (+) L2) = det L1 * det L2: `discriminant` rejects a degenerate factor
     discriminant(l1)
     discriminant(l2)
-    index = den ** (n1 + n2) // prod(row[i] for i, row in enumerate(basis_scaled))
+    index = den ** n // prod(row[i] for i, row in enumerate(s))
     # |M1| overcounts if the generators are dependent
     m1_order = prod(orders)
     if index != m1_order:
         raise LatticeError(
             f"glue index {index} differs from |M1| = {m1_order}; dependent glue generators")
-    coords = lattice_coords(basis, identity(n1 + n2))
+    coords = triangular_coords(s, [[den * x for x in row] for row in identity(n)])
     if None in coords:
         i = coords.index(None)
         raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")

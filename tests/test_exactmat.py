@@ -20,6 +20,7 @@ from kummerlab.exactmat import (
     snf,
     solve_left,
     symmetric_bareiss,
+    triangular_coords,
 )
 from kummerlab.lattice_core import Lattice, LatticeError, signature
 
@@ -284,3 +285,58 @@ def test_solve_left_negative_last_pivot():
     assert lattice_coords(b, vs) == [[1, 1], [1, -1], None, None]
     assert [None if s is None else [Fraction(x, p) for x in s] for s in sols] == \
         [[1, 1], [1, -1], [Fraction(1, 2), 0], None]
+
+
+def schoolbook(a, b):
+    """a * b entry by entry; with no rows in b, the product has no columns."""
+    p = len(b[0]) if b else 0
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), 0) for j in range(p)]
+            for i in range(len(a))]
+
+
+@st.composite
+def products(draw):
+    """(a, b) of shapes m x k and k x p, all ints or all Fractions; m and k
+    may be 0, and m = p = 1 gives the 1 x k * k x 1 case."""
+    m, k, p = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = draw(st.sampled_from((
+        st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=k, max_size=k))
+    return a, b
+
+
+@PROPERTY
+@given(products())
+@example(([], [[1, 2]]))
+@example(([[], []], []))
+@example(([[1, 2, 3]], [[4], [5], [6]]))
+@example(([[Fraction(1, 2), 1]], [[Fraction(2, 3)], [Fraction(-1, 3)]]))
+def test_mat_mul_matches_the_schoolbook(case):
+    a, b = case
+    assert mat_mul(a, b) == schoolbook(a, b)
+
+
+@st.composite
+def triangular_cases(draw):
+    """(s, vs): an n x n upper-triangular integer s with nonzero diagonal,
+    integer combinations of its rows, and integer vectors that may lie
+    outside their integer span."""
+    n = draw(st.integers(1, 5))
+    s = [[0] * i + [draw(st.integers(-4, 4).filter(bool))]
+         + draw(st.lists(st.integers(-6, 6), min_size=n - i - 1, max_size=n - i - 1))
+         for i in range(n)]
+    coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           max_size=3))
+    vs = [[sum(c * row[j] for c, row in zip(cs, s)) for j in range(n)] for cs in coeffs]
+    vs += draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                        max_size=3))
+    return s, vs
+
+
+@PROPERTY
+@given(triangular_cases())
+@example(([[2, 1], [0, 3]], [[2, 1], [1, 0], [0, 3], [2, 4]]))
+def test_triangular_coords_match_lattice_coords(case):
+    s, vs = case
+    assert triangular_coords(s, vs) == lattice_coords(s, vs)

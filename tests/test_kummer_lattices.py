@@ -67,6 +67,17 @@ def test_q_lattices():
         assert is_two_elementary_type2(discriminant_group(lat)) == (True, True)
 
 
+def test_build_q_is_built_once(monkeypatch):
+    monkeypatch.setattr(kummer_lattices, "_Q_CACHE", {})
+    verified = []
+    real_signature = kummer_lattices.signature
+    monkeypatch.setattr(kummer_lattices, "signature",
+                        lambda lat: verified.append(lat) or real_signature(lat))
+    q4, q2 = build_q("Q4"), build_q("Q2")
+    assert build_q("Q4") is q4 and build_q("Q2") is q2 and q4 is not q2
+    assert verified == [q4, q2]
+
+
 def test_q_glue_values_table():
     q4 = build_q("Q4")
     us, reading = u_classes_q4()

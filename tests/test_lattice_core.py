@@ -11,6 +11,7 @@ from kummerlab.exactmat import (
     hnf_basis,
     identity,
     integer_scaled,
+    lattice_coords,
     mat_mul,
     solve_left_fraction,
 )
@@ -19,10 +20,11 @@ from kummerlab.lattice_core import (
     Lattice,
     LatticeError,
     _interval,
+    _qmod2,
+    _subgroup_elements,
     ade_gram,
     ade_lattice,
     ade_type,
-    direct_sum,
     discriminant,
     discriminant_group,
     even_lattice,
@@ -40,6 +42,13 @@ from kummerlab.lattice_core import (
 
 def a1_sum(m):
     return even_lattice([[-2 if i == j else 0 for j in range(m)] for i in range(m)])
+
+
+def direct_sum(l1, l2):
+    """The orthogonal sum l1 (+) l2, Gram G1 (+) G2 with Fraction entries."""
+    n1, n2 = l1.rank, l2.rank
+    return Lattice([[Fraction(x, l1.den) for x in row] + [0] * n2 for row in l1.gram]
+                   + [[0] * n1 + [Fraction(x, l2.den) for x in row] for row in l2.gram])
 
 
 def test_discriminant_examples():
@@ -380,9 +389,10 @@ def even_lattices():
     return block_sums().map(lambda t: t[0])
 
 
-def rational_rows(n, max_rows=4):
+def rational_rows(n, max_rows=4, min_rows=0):
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    return st.lists(st.lists(entry, min_size=n, max_size=n), max_size=max_rows)
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=min_rows,
+                    max_size=max_rows)
 
 
 @PROPERTY
@@ -607,3 +617,133 @@ def test_ade_type_ignores_order_and_signs(data):
     shuffled = [[-x for x in pairs[i]] if flip else pairs[i]
                 for i, flip in zip(order, flips)]
     assert ade_type(lat, shuffled) == blocks
+
+
+def transpose(a):
+    return [list(c) for c in zip(*a)]
+
+
+@PROPERTY
+@given(st.data())
+def test_gram_of_orders_agree(data):
+    # gram_of multiplies the shorter of rows and cols by G first: swapping
+    # them switches the order, so both orders must give transposed results
+    lat = data.draw(even_lattices())
+    if data.draw(st.booleans()):    # denominator 2 once an off-diagonal entry is odd
+        lat = Lattice([[Fraction(x, 2) for x in row] for row in lat.gram])
+    m = data.draw(st.integers(0, 4))
+    k = data.draw(st.integers(0, 4).filter(lambda k: k != m))
+    rows = data.draw(rational_rows(lat.rank, m, m))
+    cols = data.draw(rational_rows(lat.rank, k, k))
+    g = [[Fraction(x, lat.den) for x in row] for row in lat.gram]
+    for a, b in ((rows, cols), (cols, rows)):
+        assert gram_of(lat, a, b) == mat_mul(mat_mul(a, g), transpose(b))
+
+
+# ---------------------------------------------------------------------------
+# glue against the Fraction construction
+
+
+def fraction_glue(l1, l2, gd):
+    """`glue` on the Fraction basis, as (lattice, basis, index, sub1, sub2):
+    the Gram matrix of the glued basis in l1 (+) l2, the index from its
+    determinant, and the factor coordinates from a full Bareiss solve."""
+    n1, n2 = l1.rank, l2.rank
+    orders = []
+    for v1, v2 in zip(gd.m1, gd.m2):
+        o1, o2 = common_denominator(v1), common_denominator(v2)
+        if o1 != o2:
+            raise LatticeError("glue map does not respect group orders")
+        orders.append(o1)
+    q = [[a + b for a, b in zip(r1, r2)]
+         for r1, r2 in zip(gram_of(l1, gd.m1), gram_of(l2, gd.m2))]
+    for coeffs in _subgroup_elements(orders):
+        val = sum(ci * cj * q[i][j] for i, ci in enumerate(coeffs)
+                  for j, cj in enumerate(coeffs))
+        if _qmod2(val) != 0:
+            raise LatticeError("glue data violates q1 + q2 = 0")
+    rows = identity(n1 + n2) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
+    den, (scaled,) = integer_scaled([rows])
+    s = hnf_basis(scaled)
+    basis = [[Fraction(x, den) for x in row] for row in s]
+    glued = Lattice(gram_of(direct_sum(l1, l2), basis))
+    if not glued.is_integral:
+        raise LatticeError("non-integral pairing in glued lattice")
+    if not glued.is_even:
+        raise LatticeError("glued lattice is not even")
+    discriminant(l1)
+    discriminant(l2)
+    index = Fraction(den ** (n1 + n2), abs(det_bareiss(s)))
+    m1_order = math.prod(orders)
+    if index != m1_order:
+        raise LatticeError(
+            f"glue index {index} differs from |M1| = {m1_order}; dependent glue generators")
+    coords = lattice_coords(basis, identity(n1 + n2))
+    if None in coords:
+        i = coords.index(None)
+        raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
+    return glued, basis, index, coords[:n1], coords[n1:]
+
+
+def _group_elements(lat):
+    """The nonzero elements of the discriminant group, as sums of its
+    generators mod 1."""
+    dg = discriminant_group(lat)
+    return [[sum(c * g[j] for c, g in zip(coeffs, dg.generators)) % 1
+             for j in range(lat.rank)]
+            for coeffs in _subgroup_elements(dg.orders) if any(coeffs)]
+
+
+@st.composite
+def glue_cases(draw):
+    """(l1, l2, m1, m2): two block sums, each scaled by 1/2 one time in four,
+    and up to three glue pairs from their discriminant groups.  Three times
+    in four the pairs are drawn from those that agree in order and have
+    q1 + q2 = 0, else from all pairs."""
+    lats, elements = [], []
+    for _ in range(2):
+        lat = draw(block_sums(ROOT_BLOCKS, 10))[0]
+        elements.append(_group_elements(lat))
+        if draw(st.sampled_from((False, False, False, True))):
+            lat = Lattice([[Fraction(x, 2) for x in row] for row in lat.gram])
+        lats.append(lat)
+    l1, l2 = lats
+    pairs = [(x, y) for x in elements[0] for y in elements[1]]
+    if draw(st.sampled_from((True, True, True, False))):
+        q1 = [_qmod2(row[i]) for i, row in enumerate(gram_of(l1, elements[0]))]
+        q2 = [_qmod2(row[i]) for i, row in enumerate(gram_of(l2, elements[1]))]
+        pairs = [(x, y) for x, qx in zip(elements[0], q1) for y, qy in zip(elements[1], q2)
+                 if common_denominator(x) == common_denominator(y)
+                 and qx + qy in (0, 2)] or pairs
+    glue_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    return l1, l2, [x for x, _ in glue_pairs], [y for _, y in glue_pairs]
+
+
+D4_GENERATORS = discriminant_group(ade_lattice("D", 4)).generators
+
+
+@settings(PROPERTY, max_examples=100)
+@given(glue_cases())
+# a factor of denominator 2: G1 (+) 2 G2 over 2, not G1 (+) G2 over 2, or
+# the glued Gram would be integral but odd
+@example((Lattice([[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]), ade_lattice("A", 1),
+          [], []))
+@example((ade_lattice("D", 4), ade_lattice("D", 4),
+          [D4_GENERATORS[0]] * 2, [D4_GENERATORS[0]] * 2))
+@example((ade_lattice("E", 6), ade_lattice("A", 2), [], []))
+def test_glue_matches_the_fraction_reference(case):
+    l1, l2, m1, m2 = case
+    try:
+        want = fraction_glue(l1, l2, GlueData(m1, m2))
+    except LatticeError as err:
+        with pytest.raises(LatticeError) as got:
+            glue(l1, l2, GlueData(m1, m2))
+        assert str(got.value) == str(err)
+        return
+    got = glue(l1, l2, GlueData(m1, m2))
+    lat, basis, index, sub1, sub2 = want
+    assert (got.lattice.gram, got.lattice.den, got.lattice.labels) == \
+        (lat.gram, lat.den, lat.labels)
+    assert all(isinstance(x, Fraction) for row in got.basis for x in row)
+    assert type(got.index) is int
+    assert (got.basis, got.index, got.sub1, got.sub2) == (basis, index, sub1, sub2)
