@@ -8,8 +8,8 @@ polynomial is returned as it stands, and a polynomial coprime to its
 derivative is its own squarefree part; neither shortcut draws from the
 generator.
 
-Each step is written once over the ring of `poly.poly_ring`.  On a
-byte-table field (characteristic 2, q <= 256) a polynomial stays one
+Each step is written once over the field's univariate ring `field.ring`.
+On a byte-table field (characteristic 2, q <= 256) a polynomial stays one
 packed int from entry to exit: the derivative is a byte mask, the square
 root one `translate`, each modulus is packed into its row once.  Other
 fields (odd p, q > 256, towers) use coefficient lists.
@@ -17,17 +17,12 @@ fields (odd p, q > 256, towers) use coefficient lists.
 
 import random
 
-from .poly import FqPoly, PolyError, poly_ring, power
-
-
-def squarefree_decomposition(a, f):
-    """List of (monic squarefree factor, multiplicity), multiplicities
-    distinct, for a coefficient list a; the factors are coefficient lists."""
-    ring = poly_ring(f)
-    return [(list(ring.key(g)), m) for g, m in _squarefree(ring.pack(a), ring)]
+from .poly import FqPoly, PolyError, power
 
 
 def _squarefree(a, ring):
+    """[(monic squarefree factor, multiplicity)] of a in the ring, the
+    multiplicities distinct."""
     a = ring.monic(a)
     if ring.deg(a) < 1:
         return []
@@ -141,7 +136,7 @@ def factor_univariate(poly, seed=0):
     if not dense:
         raise PolyError("cannot factor the zero polynomial")
     unit = dense[-1]
-    ring = poly_ring(f)
+    ring = f.ring
     a = ring.pack(dense)
     if len(dense) == 2:                    # linear: irreducible as it stands
         return unit, [(FqPoly.from_dense(f, var, ring.key(ring.monic(a))), 1)]

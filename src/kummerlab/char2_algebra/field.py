@@ -5,9 +5,9 @@ modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
 2^16; the tables come from the quotient ring ExtField(F_p, modulus) on
 digit tuples.  Towers K[u]/(h) over a base field or another tower keep
-elements as coefficient tuples, multiply through `poly.dense_mulmod` or
-packed (below), and host algebraic points found during factorization;
-they are never serialized.  `row_reduce` is the Gaussian elimination over
+elements as coefficient tuples, multiply through the base's `ring`
+(below), and host algebraic points found during factorization; they are
+never serialized.  `row_reduce` is the Gaussian elimination over
 any of these field objects.
 
 Every field object has one row operation, `addmul_row(dst, off, c, src)`:
@@ -20,14 +20,15 @@ and towers run it on their own add and mul.  In characteristic 2 a base
 field also binds add and sub to XOR and neg to the identity at
 construction, so no call tests the characteristic.
 
-A characteristic-2 base field with q <= 256 also carries `byte_tables`:
-one 256-byte `bytes.translate` table per constant c (s -> c*s) and one
-squaring table, cut from the exp/log tables at construction, and
-`packed`, the `poly.PackedRing` F_q[x] on ints with a coefficient per
-byte.  A tower over such a field packs its modulus once: `ExtField.mul`
-is one packed product and one reduction, and `ExtField.inv` runs Euclid
-on packed ints; its elements stay tuples.  Every other field object has
-`byte_tables = packed = None` and uses coefficient lists and `addmul_row`.
+Every field object builds its univariate ring F[x] once, as `ring`.  A
+characteristic-2 base field with q <= 256 carries `byte_tables`: one
+256-byte `bytes.translate` table per constant c (s -> c*s) and one
+squaring table, cut from the exp/log tables; its ring is the
+`poly.PackedRing` on ints with a coefficient per byte.  A tower over
+such a field packs its modulus once, so `ExtField.mul` is one packed
+product and one reduction; its elements stay tuples.  Every other field
+object has `byte_tables = None` and a `poly._ListRing` on coefficient
+lists.  `ExtField.inv` runs Euclid in the base's ring.
 
 Moduli come from a fixed built-in table; construction proves each one
 irreducible by finding an element of multiplicative order p^e - 1.
@@ -36,8 +37,8 @@ irreducible by finding an element of multiplicative order p^e - 1.
 import operator
 from dataclasses import dataclass
 
-from .poly import (PackedRing, _packed_mul, _packed_reduce, _packed_square,
-                   dense_mulmod, poly_ring, power)
+from .poly import (PackedRing, _ListRing, _packed_mul, _packed_reduce,
+                   _packed_square, power)
 
 
 class FieldError(ValueError):
@@ -132,7 +133,7 @@ class BaseField:
             self.addmul_row = self._addmul_row_log
             if self.order <= 256:
                 self.byte_tables = self._build_byte_tables()
-                self.packed = PackedRing(self)
+        self.ring = _ListRing(self) if self.byte_tables is None else PackedRing(self)
 
     # -- encoding ---------------------------------------------------------
     def _digits(self, a):
@@ -209,9 +210,8 @@ class BaseField:
     # -- arithmetic --------------------------------------------------------
     zero = 0
     one = 1
-    # (mul, square) byte tables and F_q[x] on packed ints, on
-    # characteristic-2 fields with q <= 256
-    byte_tables = packed = None
+    # (mul, square) byte tables, on characteristic-2 fields with q <= 256
+    byte_tables = None
 
     def add(self, a, b):
         return self._add_table[a][b]
@@ -337,6 +337,7 @@ class ExtField:
         self.one = tuple([base.one] + [base.zero] * (self.rel_degree - 1))
         if base.byte_tables is not None:
             self._row = bytes(self.modulus)
+        self.ring = _ListRing(self)
 
     def embed(self, a):
         return tuple([a] + [self.base.zero] * (self.rel_degree - 1))
@@ -353,7 +354,7 @@ class ExtField:
     def mul(self, a, b):
         row = self._row
         if row is None:
-            out = dense_mulmod(a, b, self.modulus, self.base)
+            out = self.base.ring.mulmod(a, b, self.modulus)
             return tuple(out) + self.zero[len(out):]
         mul, square = self.base.byte_tables
         acc = _packed_square(a, square) if a is b else _packed_mul(a, b, mul)
@@ -362,12 +363,12 @@ class ExtField:
 
     addmul_row = _addmul_row
     # the modulus as a packed reduction row when the base has byte tables
-    _row = byte_tables = packed = None
+    _row = byte_tables = None
 
     def inv(self, a):
         if a == self.zero:
             raise FieldError("division by zero")
-        ring = poly_ring(self.base)
+        ring = self.base.ring
         # extended Euclid in base[u]
         r0, r1 = ring.pack(self.modulus), ring.pack(a)
         s0, s1 = ring.zero, ring.one

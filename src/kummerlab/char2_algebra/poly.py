@@ -8,19 +8,21 @@ order.  `shift` translates variables by a dense Taylor shift per
 variable.  `power` is the package's one square-and-multiply.
 
 Dense polynomials in one variable come in two rings with one interface,
-picked by `poly_ring`.  On a field with byte tables (characteristic 2,
-q <= 256; see field.py) `PackedRing` holds one as an int with a
-coefficient per byte and steps with `bytes.translate`.  Every other field
-gets `_ListRing`: coefficient lists through `dense_mul`, `dense_mulmod`
-and `dense_divmod`, whose row hook `addmul_row(dst, off, c, src)`
-(dst[off + j] += c * src[j]) runs once per row.  The multivariate gcd and
-the resultant in one variable come from one subresultant PRS over a
-coefficient ring: packed ints in two variables over a byte-table field,
-sparse FqPolys otherwise.
+and every field object builds its own once, as `field.ring`.  On a field
+with byte tables (characteristic 2, q <= 256; see field.py) it is a
+`PackedRing`, which holds a polynomial as an int with a coefficient per
+byte and steps with `bytes.translate`.  Every other field gets a
+`_ListRing` on coefficient lists, whose product, division and reduction
+run the field's row hook `addmul_row(dst, off, c, src)` (dst[off + j] +=
+c * src[j]) once per row.  The multivariate gcd and the resultant in one
+variable come from one subresultant PRS over a coefficient ring, packed
+ints in two variables over a byte-table field and sparse FqPolys
+otherwise; the gcd takes its contents with the same ring's gcd.
 """
 
-import functools
 import operator
+from functools import reduce
+from itertools import zip_longest
 
 
 class PolyError(ValueError):
@@ -366,8 +368,8 @@ class _Ring:
 
 
 class PackedRing(_Ring):
-    """F_q[x] on packed ints, one per byte-table field (`BaseField.packed`)
-    with its translate, inverse and square-root tables.  `split` takes an
+    """F_q[x] on packed ints, the `ring` of a byte-table field, with its
+    translate, inverse and square-root tables.  `split` takes an
     FqPoly in k[u, v] to its dense list in v of packed polynomials in u,
     and `join` goes back."""
 
@@ -455,71 +457,15 @@ class PackedRing(_Ring):
             for j, b in enumerate(self.key(c)) if b})
 
 
-def dense_divmod(a, b, f):
-    b = dense_trim(list(b), f)
-    if not b:
-        raise PolyError("polynomial division by zero")
-    inv = f.inv(b[-1])
-    q = [f.zero] * max(len(a) - len(b) + 1, 0)
-    a = dense_trim(list(a), f)
-    while len(a) >= len(b):
-        c = f.mul(a[-1], inv)
-        shift = len(a) - len(b)
-        q[shift] = c
-        f.addmul_row(a, shift, f.neg(c), b)
-        dense_trim(a, f)
-    return q, a
-
-
-def dense_sub(a, b, f):
-    n = max(len(a), len(b))
-    a = list(a) + [f.zero] * (n - len(a))
-    b = list(b) + [f.zero] * (n - len(b))
-    return dense_trim([f.sub(x, y) for x, y in zip(a, b)], f)
-
-
-def dense_mul(a, b, f):
-    if not a or not b:
-        return []
-    out = [f.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        f.addmul_row(out, i, ai, b)
-    return out
-
-
-def dense_mulmod(a, b, mod, f):
-    """a * b reduced modulo the monic `mod`, trimmed.
-
-    Monic means no field inverse is needed, so a tower over a tower never
-    inverts in its base.
-    """
-    if not a or not b:
-        return []
-    res = dense_mul(a, b, f)
-    d = len(mod) - 1
-    low = mod[:d]
-    for i in range(len(res) - 1, d - 1, -1):
-        f.addmul_row(res, i - d, f.neg(res[i]), low)
-    return dense_trim(res[:d], f)
-
-
-def dense_gcd(a, b, f):
-    """The monic gcd of two coefficient lists ([] for two zeros)."""
-    ring = poly_ring(f)
-    return list(ring.key(ring.gcd(ring.pack(a), ring.pack(b))))
-
-
 class _ListRing(_Ring):
-    """F[x] on trimmed coefficient lists, for fields without byte tables:
-    the dense helpers above with the field bound, a modulus its own row."""
+    """F[x] on trimmed coefficient lists, the `ring` of every field object
+    without byte tables.  Each row of a product or a division is one
+    `addmul_row` of the field, and a modulus is its own row."""
 
     key = tuple
 
     def __init__(self, field):
         self.field, self.zero, self.one = field, [], [field.one]
-        self.sub, self.mul, self.divmod, self.mulmod = (
-            functools.partial(fn, f=field) for fn in
-            (dense_sub, dense_mul, dense_divmod, dense_mulmod))
 
     def pack(self, coeffs):
         return dense_trim(list(coeffs), self.field)
@@ -536,6 +482,48 @@ class _ListRing(_Ring):
         inv = self.field.inv(a[-1]) if a else None
         return [self.field.mul(inv, x) for x in a]
 
+    def sub(self, a, b):
+        f = self.field
+        return dense_trim([f.sub(x, y) for x, y in
+                           zip_longest(a, b, fillvalue=f.zero)], f)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        f = self.field
+        out = [f.zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            f.addmul_row(out, i, ai, b)
+        return out
+
+    def divmod(self, a, b):
+        f = self.field
+        b = dense_trim(list(b), f)
+        if not b:
+            raise PolyError("polynomial division by zero")
+        inv = f.inv(b[-1])
+        q = [f.zero] * max(len(a) - len(b) + 1, 0)
+        a = dense_trim(list(a), f)
+        while len(a) >= len(b):
+            c = f.mul(a[-1], inv)
+            shift = len(a) - len(b)
+            q[shift] = c
+            f.addmul_row(a, shift, f.neg(c), b)
+            dense_trim(a, f)
+        return q, a
+
+    def mulmod(self, a, b, mod):
+        """a * b reduced modulo the monic `mod`, trimmed.  Monic means no
+        field inverse is needed, so a tower over a tower never inverts in
+        its base."""
+        f = self.field
+        res = self.mul(a, b)
+        d = len(mod) - 1
+        low = mod[:d]
+        for i in range(len(res) - 1, d - 1, -1):
+            f.addmul_row(res, i - d, f.neg(res[i]), low)
+        return dense_trim(res[:d], f)
+
     def deriv(self, a):
         f = self.field
         out = [f.zero if i % f.char == 0 else f.mul(a[i], f.scalar(i))
@@ -547,11 +535,6 @@ class _ListRing(_Ring):
         if any(c != f.zero for i, c in enumerate(a) if i % f.char):
             raise PolyError("polynomial is not a p-th power")
         return dense_trim([f.proot(c) for c in a[::f.char]], f)
-
-
-def poly_ring(field):
-    """The field's `PackedRing` on byte-table fields, else a `_ListRing`."""
-    return field.packed or _ListRing(field)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +587,10 @@ class _SparseCoeffs:
         self.zero, self.one = (FqPoly.zero(field, variables),
                                FqPoly.const(field, variables, field.one))
 
+    @staticmethod
+    def gcd(a, b):
+        return poly_gcd_multivariate(a, b)
+
     def split(self, poly, var):
         coeffs = _coeffs_in_var(poly, var)
         return [coeffs.get(k, self.zero) for k in range(poly.degree(var) + 1)]
@@ -616,53 +603,47 @@ class _SparseCoeffs:
 
 
 def _coefficient_ring(poly):
-    """Packed coefficients for two variables over a byte-table field,
-    sparse ones otherwise."""
-    if poly.field.packed is not None and len(poly.vars) == 2:
-        return poly.field.packed
+    """The packed ring k[u] for two variables over a byte-table field,
+    sparse coefficients otherwise."""
+    if poly.field.byte_tables is not None and len(poly.vars) == 2:
+        return poly.field.ring
     return _SparseCoeffs(poly.field, poly.vars)
 
 
+def _primitive(coeffs, ring):
+    """(content, primitive part) of a dense list over a coefficient ring;
+    the content is the gcd of the coefficients."""
+    content = reduce(ring.gcd, coeffs, ring.zero)
+    return content, [ring.divexact(c, content) for c in coeffs]
+
+
 def poly_gcd_multivariate(a, b):
-    """Monic-normalized gcd of multivariate polynomials (same ring)."""
+    """Monic-normalized gcd of multivariate polynomials (same ring).
+
+    One variable is Euclid in the field's univariate ring.  Otherwise,
+    with var the last variable in use: the gcd of the two contents in var
+    times the primitive part of the last subresultant remainder of the two
+    primitive parts, all over the coefficient ring."""
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
     a._check(b)
-    nvars = len(a.vars)
-    if nvars == 1:
-        f = a.field
-        g = dense_gcd(a.dense_univariate(), b.dense_univariate(), f)
-        return FqPoly.from_dense(f, a.vars[0], g)
-    # effective variables
-    used = [i for i in range(nvars)
-            if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)]
+    f = a.field
+    if len(a.vars) == 1:
+        ring = f.ring
+        g = ring.gcd(ring.pack(a.dense_univariate()), ring.pack(b.dense_univariate()))
+        return FqPoly.from_dense(f, a.vars[0], ring.key(g))
+    used = [v for v in a.vars if a.degree(v) > 0 or b.degree(v) > 0]
     if not used:
-        return FqPoly.const(a.field, a.vars, a.field.one)
-    var = a.vars[used[-1]]
-    if a.degree(var) == 0 and b.degree(var) == 0:
-        # recurse in the remaining variables by restriction
-        rest = tuple(v for v in a.vars if v != var)
-        g = poly_gcd_multivariate(a.restrict_vars(rest), b.restrict_vars(rest))
-        return g.restrict_vars(a.vars)
-    ca = _content_wrt(a, var)
-    cb = _content_wrt(b, var)
-    cg = poly_gcd_multivariate(ca, cb)
+        return FqPoly.const(f, a.vars, f.one)
+    var = used[-1]
     ring = _coefficient_ring(a)
-    last, _res = _subresultant_prs(ring.split(poly_divexact(a, ca), var),
-                                   ring.split(poly_divexact(b, cb), var), ring)
-    last = ring.join(last, a.vars, var)
-    prim = poly_divexact(last, _content_wrt(last, var))
-    return (cg * prim).monic()
-
-
-def _content_wrt(poly, var):
-    coeffs = list(_coeffs_in_var(poly, var).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = poly_gcd_multivariate(g, c)
-    return g
+    ca, pa = _primitive(ring.split(a, var), ring)
+    cb, pb = _primitive(ring.split(b, var), ring)
+    _cl, last = _primitive(_subresultant_prs(pa, pb, ring)[0], ring)
+    cg = ring.gcd(ca, cb)
+    return ring.join([ring.mul(cg, c) for c in last], a.vars, var).monic()
 
 
 def _prem(a, b, ring):

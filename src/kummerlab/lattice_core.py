@@ -458,7 +458,6 @@ class GlueData:
 @dataclass
 class GlueResult:
     lattice: Lattice
-    basis: list        # rows: coordinates in the L1 (+) L2 basis
     index: int
     sub1: list         # basis of L1 inside the glued lattice (glued coords)
     sub2: list
@@ -515,7 +514,6 @@ def glue(l1, l2, gd):
     # den * I is among the rows, so the HNF S is square and upper triangular
     # with positive pivots, and the glued basis is S / den
     s = hnf_basis(scaled)
-    basis = [[Fraction(x, den) for x in row] for row in s]
     dl = lcm(l1.den, l2.den)
     c1, c2 = dl // l1.den, dl // l2.den
     num = [[c1 * x + c2 * y for x, y in zip(r1, r2)]
@@ -543,7 +541,7 @@ def glue(l1, l2, gd):
     if None in coords:
         i = coords.index(None)
         raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
-    return GlueResult(glued, basis, index, coords[:n1], coords[n1:])
+    return GlueResult(glued, index, coords[:n1], coords[n1:])
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,18 @@ triangularizes the matrix by Ore's left Euclid (Ore, Trans. AMS 35,
 1933; Goss, Basic Structures of Function Field Arithmetic, ch. 1).
 Non-additive generators cut out no subgroup scheme, so no order is
 computed for them; their fixed locus is zero-dimensional exactly when the
-two generators are coprime, which `_condition_iii` certifies on a
-byte-table field by coprime t-contents and Res_t != 0, both on packed
-ints, without a gcd in two variables.  `_system_order`, the total
+two generators are nonzero and coprime, which `_condition_iii` reads off
+their gcd (`poly.poly_gcd_multivariate`).  `_system_order`, the total
 colength of the generator ideal over its closed points, serves the
 callers that read a non-additive order or cross-check the Ore order.
 """
 
-import functools
 from dataclasses import dataclass
 
 from ..char2_algebra.cartier import sqrt_poly
 from ..char2_algebra.factor import poly_roots
-from ..char2_algebra.poly import (FqPoly, PolyError, _subresultant_prs,
-                                  dense_trim, poly_gcd_multivariate)
+from ..char2_algebra.poly import (FqPoly, PolyError, dense_trim,
+                                  poly_gcd_multivariate)
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import SurfaceError, _FIXED_TERMS, _f4_elements, _spec_from_H
 from .points import _NonIsolated, _colength_at, _jacobian, closed_points
@@ -223,21 +221,10 @@ def _condition_ii_class4(f_poly, g_poly, field, variables):
 
 
 def _condition_iii(f_poly, g_poly):
-    """Coprimality of the coefficient pair: their gcd is a constant.
-
-    On a byte-table field, with t the second variable: their t-contents are
-    coprime (packed gcds) and, if both have positive t-degree, Res_t != 0,
-    so their primitive parts are coprime too.  Elsewhere: the gcd itself.
-    """
-    if f_poly.is_zero() or g_poly.is_zero():
-        return False
-    ring = f_poly.field.packed
-    if ring is None:
-        return poly_gcd_multivariate(f_poly, g_poly).degree() == 0
-    fs, gs = (ring.split(p, f_poly.vars[1]) for p in (f_poly, g_poly))
-    if functools.reduce(ring.gcd, fs + gs, 0) != 1:
-        return False
-    return len(fs) == 1 or len(gs) == 1 or _subresultant_prs(fs, gs, ring)[1] != 0
+    """Coprimality of the coefficient pair: both are nonzero and their gcd
+    is a constant."""
+    return (not f_poly.is_zero() and not g_poly.is_zero()
+            and poly_gcd_multivariate(f_poly, g_poly).degree() == 0)
 
 
 def _reconstruct_potential(f_poly, g_poly, field, variables):

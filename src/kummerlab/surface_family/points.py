@@ -4,10 +4,10 @@ Strategy: `closed_points` solves a zero-dimensional plane system
 (g1, g2).  It eliminates one variable by an exact resultant, factors the
 resultant over the base field, specializes the system at each factor's
 root, factors the gcd of the specializations, and hosts each Galois orbit
-of common zeros in a quotient-ring tower.  Over a byte-table field
-(characteristic 2, q <= 256) the resultant's PRS, the factorizations and
-gcds over that field and the towers' products run on packed ints
-(`poly.PackedRing`); other fields use coefficient lists.  `_colength_at`
+of common zeros in a quotient-ring tower.  The specializations, their
+gcd and the factorizations live in the univariate ring of the field that
+hosts them (`field.ring`): packed ints over a byte-table field
+(characteristic 2, q <= 256), coefficient lists elsewhere.  `_colength_at`
 then gives the local colength there: 1 at transverse points
 (nonvanishing Jacobian, from the four partials that `_jacobian` takes
 once per system over the base field), otherwise the intersection
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ..char2_algebra.factor import factor_univariate
 from ..char2_algebra.field import ExtField, row_reduce
-from ..char2_algebra.poly import FqPoly, dense_gcd, dense_trim
+from ..char2_algebra.poly import FqPoly
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import BRANCH_PROFILES, SurfaceError, classify_by_coefficients
 
@@ -138,7 +138,7 @@ def local_colength(polys, field):
 
 
 def _specialize(poly, key_name, value, K, embed):
-    """Dense coefficients of poly(key=value) in the other variable, over K."""
+    """poly(key=value) in the other variable, in K's univariate ring."""
     other = [v for v in poly.vars if v != key_name][0]
     ki = poly.vars.index(key_name)
     oi = poly.vars.index(other)
@@ -151,7 +151,7 @@ def _specialize(poly, key_name, value, K, embed):
     for e, c in poly.terms.items():
         term = K.mul(embed(c), powers[e[ki]])
         out[e[oi]] = K.add(out[e[oi]], term)
-    return dense_trim(out, K)
+    return K.ring.pack(out)
 
 
 def _elim_data(spec):
@@ -203,10 +203,12 @@ def closed_points(g1, g2, key, elim):
         s2 = _specialize(g2, key, xbar, k_field, embed1)
         if not s1 and not s2:
             raise _NonIsolated()
-        g = dense_gcd(s1, s2, k_field) if s1 and s2 else s1 or s2
-        if len(g) <= 1:
+        ring = k_field.ring
+        g = ring.gcd(s1, s2)
+        if ring.deg(g) < 1:
             continue
-        _u, yfactors = factor_univariate(FqPoly.from_dense(k_field, elim, g))
+        _u, yfactors = factor_univariate(FqPoly.from_dense(k_field, elim,
+                                                           ring.key(g)))
         for yfac, _m in yfactors:
             pt_field, embed2, ybar = _adjoin_root(yfac, k_field)
             if pt_field is k_field:

@@ -336,7 +336,7 @@ def campaign_singularities(seed, count=200, jobs=1):
     tasks = []
     for family in ("class4", "class2"):
         for branch in BRANCHES:
-            per = max(count // len(degrees), 1)
+            per = count // len(degrees)
             sizes = [per] * len(degrees)
             sizes[0] += count - per * len(degrees)
             for e, n in zip(degrees, sizes):

@@ -18,12 +18,10 @@ from kummerlab.char2_algebra import (
     resultant,
 )
 from kummerlab.char2_algebra.factor import (_squarefree, distinct_degree,
-                                            equal_degree_split,
-                                            squarefree_decomposition)
+                                            equal_degree_split)
 from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import (_coeffs_in_var, _ListRing, _SparseCoeffs,
-                                          _subresultant_prs, dense_divmod, dense_gcd,
-                                          dense_mul, dense_mulmod, poly_divexact)
+                                          _subresultant_prs, poly_divexact)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -268,16 +266,17 @@ def dense_cases(draw):
 def test_dense_kernels_match_the_schoolbook(case):
     name, a, b, mod = case
     field = _row_field(name)
+    ring = _ListRing(field)
     add, sub, mul, zero = _reference_ops(field)
-    assert dense_mul(a, b, field) == _schoolbook_mul(a, b, add, mul, zero)
-    assert dense_mulmod(a, b, mod, field) == _trim(
+    assert ring.mul(a, b) == _schoolbook_mul(a, b, add, mul, zero)
+    assert ring.mulmod(a, b, mod) == _trim(
         _schoolbook_mulmod(a, b, mod, add, sub, mul, zero), zero)
-    # one object passed twice: the Frobenius square on byte-table fields
-    assert dense_mulmod(a, a, mod, field) == _trim(
+    # one object passed twice
+    assert ring.mulmod(a, a, mod) == _trim(
         _schoolbook_mulmod(a, a, mod, add, sub, mul, zero), zero)
     # q, r are the unique pair with a = q b + r and deg r < deg b; q is
     # sized by the untrimmed a
-    q, r = dense_divmod(a, b, field)
+    q, r = ring.divmod(a, b)
     b_len = len(_trim(b, zero))
     assert len(q) == max(len(a) - b_len + 1, 0)
     assert len(r) < b_len and _trim(r, zero) == r
@@ -488,10 +487,11 @@ def test_factor_linear_is_the_unit_times_its_monic(name):
 @given(univariate_products(min_factors=1, max_mult=1))
 def test_squarefree_input_has_multiplicity_one_factors(target):
     f = target.field
-    dense = target.dense_univariate()
-    assume(dense_gcd(dense, target.partial("t").dense_univariate(), f) == [f.one])
+    ring = f.ring
+    a = ring.pack(target.dense_univariate())
+    assume(ring.gcd(a, ring.pack(target.partial("t").dense_univariate())) == ring.one)
     monic = target.monic()
-    assert squarefree_decomposition(dense, f) == [(monic.dense_univariate(), 1)]
+    assert _squarefree(a, ring) == [(ring.pack(monic.dense_univariate()), 1)]
     _unit, factors = factor_univariate(target)
     prod = FqPoly.const(f, ("t",), f.one)
     for irr, mult in factors:
@@ -696,8 +696,8 @@ def test_dense_gcd_monic():
     b = [f.zero, f.one]         # x
     prod_a = [f.one, f.add(f.one, f.zero), f.zero]
     del prod_a
-    g = dense_gcd(a, b, f)
-    assert g == [f.one]
+    ring = f.ring
+    assert ring.gcd(ring.pack(a), ring.pack(b)) == ring.one
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +763,7 @@ def _packed_case(e, dense):
 def test_packed_factorization_is_the_list_factorization(case):
     f, target = case
     dense = target.dense_univariate()
-    steps = _factor_steps(dense, f.packed)
+    steps = _factor_steps(dense, f.ring)
     assert steps == _factor_steps(dense, _ListRing(f))
     unit, factors = factor_univariate(target)
     assert unit == dense[-1]
@@ -845,9 +845,85 @@ def prs_cases(draw):
 def test_packed_prs_is_the_sparse_prs(case):
     a, b, var = case
     expect = _sparse_prs(a, b, var)
-    for ring in (a.field.packed, _SparseCoeffs(a.field, V2)):
+    for ring in (a.field.ring, _SparseCoeffs(a.field, V2)):
         last, res = _subresultant_prs(ring.split(a, var), ring.split(b, var), ring)
         assert (ring.join(last, V2, var), ring.join([res], V2, var)) == expect
+
+
+def _euclid(a, b):
+    """Reference: the monic gcd of univariate FqPolys by long division."""
+    f = a.field
+    while not b.is_zero():
+        (db,), lc = b.leading()
+        while a.degree() >= db:
+            (da,), c = a.leading()
+            a = a - b * FqPoly(f, a.vars, {(da - db,): f.mul(c, f.inv(lc))})
+        a, b = b, a
+    return a.monic()
+
+
+def _gcd_by_contents(a, b):
+    """Reference: the multivariate gcd by the content recursion it ran
+    before the coefficient rings took the contents.  With var the last
+    variable in use, it is gcd(cont a, cont b) times the primitive part of
+    the last remainder of the sparse PRS of the primitive parts, every
+    content a gcd of FqPolys by this same recursion."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    if len(a.vars) == 1:
+        return _euclid(a, b)
+    used = [v for v in a.vars if a.degree(v) > 0 or b.degree(v) > 0]
+    if not used:
+        return FqPoly.const(a.field, a.vars, a.field.one)
+    var = used[-1]
+
+    def content(poly):
+        return functools.reduce(_gcd_by_contents, _coeffs_in_var(poly, var).values())
+
+    ca, cb = content(a), content(b)
+    last, _res = _sparse_prs(poly_divexact(a, ca), poly_divexact(b, cb), var)
+    return (_gcd_by_contents(ca, cb) * poly_divexact(last, content(last))).monic()
+
+
+GCD_FIELDS = [(2, e) for e in range(1, 10)] + [(3, 1), (3, 2)]
+
+
+@st.composite
+def gcd_cases(draw):
+    """(a, b) in k[x], k[x, y] or k[x, y, z] over F_2^1..F_2^9, F_3 or F_9:
+    random nonzero operands, with a common factor, one or both free of the
+    last variable, or one of them zero; the order of the two is drawn."""
+    f = get_field(*draw(st.sampled_from(GCD_FIELDS)))
+    variables = V3[:draw(st.integers(1, 3))]
+    coef = st.integers(1, f.order - 1)
+
+    def poly(free=False):
+        degs = [st.integers(0, 2)] * len(variables)
+        if free:
+            degs[-1] = st.just(0)
+        return FqPoly(f, variables, draw(st.dictionaries(st.tuples(*degs), coef,
+                                                         min_size=1, max_size=4)))
+
+    kind = draw(st.sampled_from(["random", "common", "free", "zero"]))
+    a = poly(free=kind == "free")
+    b = poly(free=kind == "free" and draw(st.booleans()))
+    if kind == "common":
+        common = poly()
+        a, b = a * common, b * common
+    if kind == "zero":
+        a = FqPoly.zero(f, variables)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(gcd_cases())
+@example((FqPoly(get_field(2, 4), V2, {(1, 0): 3, (0, 0): 1}),
+          FqPoly(get_field(2, 4), V2, {(1, 1): 3, (0, 1): 1})))      # a free of y
+@example((FqPoly(get_field(3, 2), V3, {(1, 1, 0): 1, (0, 0, 0): 2}),
+          FqPoly(get_field(3, 2), V3, {(2, 2, 0): 1})))              # both free of z
+def test_gcd_matches_the_content_recursion(case):
+    a, b = case
+    assert poly_gcd_multivariate(a, b) == _gcd_by_contents(a, b)
 
 
 @st.composite

@@ -49,6 +49,12 @@ GOLDEN_CASES = [
       "Q2", "--extended"], "kummer_embed_4d4_s2_q2_extended.json"),
     # an overlattice Gram built from the doubled A_1^16 frame
     (["kummer", "build", "--type", "2E8"], "kummer_build_2e8.json"),
+    # fields with more than 256 elements: list-ring factorization, the
+    # sparse PRS and the sparse coprimality test over a base field
+    (["surface", "derivation-check", "--family", "class2", "--field", "e=9",
+      "--coeffs", "h11=1,h07=01"], "derivation_check_class2_e9_h07.json"),
+    (["surface", "classify", "--family", "class4", "--field", "e=10",
+      "--coeffs", "h30=0100011,h11=1"], "classify_class4_e10.json"),
 ]
 
 
@@ -255,6 +261,16 @@ def test_singularity_pool_is_capped(monkeypatch):
     assert campaign_singularities(seed=1, count=5, jobs=10 ** 6) == pooled
     assert sizes == [4]
     assert campaign_singularities(seed=1, count=5, jobs=1) == pooled
+
+
+def test_singularity_campaign_below_one_spec_per_degree():
+    # count < 5 puts every spec on the first degree; no task has a
+    # negative size
+    results, claims, _degrees = campaign_singularities(seed=1, count=3)
+    for key, rec in results.items():
+        assert rec["samples"] == 3, key
+        assert rec["classification_agreements"] == 3, key
+    assert claims and all(c["passed"] for c in claims)
 
 
 def test_report_written_to_file(tmp_path):

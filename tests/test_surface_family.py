@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kummerlab.char2_algebra import ExtField, FqPoly, get_field, poly_gcd_multivariate
+from kummerlab.char2_algebra.poly import _subresultant_prs
 from kummerlab.surface_family import (
     BRANCHES,
     BRANCH_PROFILES,
@@ -413,8 +415,8 @@ def test_coprime_generators_iff_the_closed_points_are_isolated(case):
 
 @st.composite
 def coprimality_pairs(draw):
-    """Nonzero (g1, g2) in k[s, t] over F_2^1..F_2^8: random, with a common
-    factor, with a common factor free of t, or both free of t."""
+    """(g1, g2) in k[s, t] over F_2^1..F_2^8: random, with a common factor,
+    with a common factor free of t, both free of t, or one of them zero."""
     f = get_field(2, draw(st.integers(1, 8)))
     coef = st.integers(1, f.order - 1)
 
@@ -424,21 +426,36 @@ def coprimality_pairs(draw):
                       draw(st.dictionaries(expo, coef, min_size=1, max_size=4)))
 
     kind = draw(st.sampled_from(["random", "common", "common_free_of_t",
-                                 "free_of_t"]))
+                                 "free_of_t", "zero"]))
     max_t = 0 if kind == "free_of_t" else 3
     g1, g2 = poly(3, max_t), poly(3, max_t)
     if kind.startswith("common"):
         common = poly(2, 0 if kind == "common_free_of_t" else 2)
         g1, g2 = g1 * common, g2 * common
-    return g1, g2
+    if kind == "zero":
+        g1 = FqPoly.zero(f, ("s", "t"))
+    return (g1, g2) if draw(st.booleans()) else (g2, g1)
+
+
+def _resultant_certificate(g1, g2):
+    """Reference: the coprimality certificate `_condition_iii` ran on
+    byte-table fields before it took the gcd.  Nonzero g1, g2 are coprime
+    iff their t-contents are (packed gcds in k[s]) and, when both have
+    positive t-degree, Res_t(g1, g2) != 0."""
+    if g1.is_zero() or g2.is_zero():
+        return False
+    ring = g1.field.ring
+    fs, gs = (ring.split(p, "t") for p in (g1, g2))
+    if functools.reduce(ring.gcd, fs + gs, 0) != 1:
+        return False
+    return len(fs) == 1 or len(gs) == 1 or _subresultant_prs(fs, gs, ring)[1] != 0
 
 
 @settings(PROPERTY, max_examples=150)
 @given(coprimality_pairs())
 def test_resultant_certificate_is_coprimality(pair):
-    # coprime t-contents and Res_t != 0 on byte-table fields, against the gcd
     g1, g2 = pair
-    assert _condition_iii(g1, g2) == (poly_gcd_multivariate(g1, g2).degree() == 0)
+    assert _condition_iii(g1, g2) == _resultant_certificate(g1, g2)
 
 
 def _additive_poly(f, s_coeffs, t_coeffs):
