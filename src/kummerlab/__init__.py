@@ -12,3 +12,7 @@ fields.  No floating point is used anywhere.
 """
 
 __version__ = "0.1.0"
+
+
+class KummerlabError(ValueError):
+    """Base of every package error: bad input or a failed exact check."""

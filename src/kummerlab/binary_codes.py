@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
+from . import KummerlabError
 from .exactmat import hnf_basis, lattice_coords, mat_mul
 from .lattice_core import Lattice
 
@@ -35,7 +36,7 @@ EXHAUSTIVE_LIMIT = 17
 _ALLOWED = (8, 12, 16, 20, 24)
 
 
-class CodeError(ValueError):
+class CodeError(KummerlabError):
     pass
 
 

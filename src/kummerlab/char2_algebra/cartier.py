@@ -15,11 +15,12 @@ inseparable double covers.
 
 from dataclasses import dataclass
 
+from .. import KummerlabError
 from .field import row_reduce
 from .poly import FqPoly, poly_gcd_multivariate
 
 
-class CartierError(ValueError):
+class CartierError(KummerlabError):
     pass
 
 

@@ -37,11 +37,12 @@ irreducible by finding an element of multiplicative order p^e - 1.
 import operator
 from dataclasses import dataclass
 
+from .. import KummerlabError
 from .poly import (PackedRing, _ListRing, _packed_mul, _packed_reduce,
                    _packed_square, power)
 
 
-class FieldError(ValueError):
+class FieldError(KummerlabError):
     pass
 
 

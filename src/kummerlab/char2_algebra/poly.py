@@ -24,8 +24,10 @@ import operator
 from functools import reduce
 from itertools import zip_longest
 
+from .. import KummerlabError
 
-class PolyError(ValueError):
+
+class PolyError(KummerlabError):
     pass
 
 
@@ -302,6 +304,8 @@ def power(a, n, mul, one):
 
     Squares are mul(a, a) on one object, which `PackedRing.mul` and
     ExtField.mul over a byte-table field turn into a Frobenius square."""
+    if n < 0:
+        raise ValueError(f"power needs an exponent n >= 0, got {n}")
     r = one
     while n:
         if n & 1:

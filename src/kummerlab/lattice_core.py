@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
+from . import KummerlabError
 from .exactmat import (
     common_denominator,
     det_bareiss,
@@ -49,7 +50,7 @@ from .exactmat import (
 )
 
 
-class LatticeError(ValueError):
+class LatticeError(KummerlabError):
     pass
 
 

@@ -11,10 +11,11 @@ exactly at the five Kummer-type configurations.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import KummerlabError
 from .binary_codes import f_bound
 
 
-class RdpError(ValueError):
+class RdpError(KummerlabError):
     pass
 
 

@@ -2,11 +2,12 @@
 
 from dataclasses import dataclass, field as dc_field
 
+from .. import KummerlabError
 from ..char2_algebra.cartier import sqrt_poly
 from ..char2_algebra.poly import FqPoly
 
 
-class SurfaceError(ValueError):
+class SurfaceError(KummerlabError):
     pass
 
 

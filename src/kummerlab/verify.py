@@ -6,60 +6,21 @@ generators from string-tagged seeds.  The singularity sweep can fan out
 over a process pool of at most min(jobs, CPU count, task count)
 processes; tasks are keyed by (family, branch, field degree),
 and merging is order-independent by construction.
+
+Each campaign imports the layers it runs at the top of its body, so a
+process without a bytecode cache (the CLI loads this module for the
+campaign names) compiles only those.  A sampled claim fails on 0 samples.
 """
 
 import os
 import random
 
-from .binary_codes import (
-    CodeError,
-    build_v16,
-    equivalence_classes,
-    f_bound,
-    golay_witness,
-    max_admissible_dim,
-)
-from .char2_algebra import (
-    FqPoly,
-    cartier_general,
-    cartier_p2,
-    check_p1_derivative,
-    class2_ambient,
-    class4_ambient,
-    get_field,
-    partials,
-    z_filtration_dims,
-)
-from .kummer_lattices import (
-    KUMMER_TYPES,
-    KummerError,
-    admissible_sigmas,
-    build_kummer,
-    embed_kummer,
-)
-from .lattice_core import LatticeError, roots
-from .rdp_invariants import (
-    KUMMER_CONFIGS,
-    RdpCollection,
-    RdpError,
-    RdpType,
-    b_index,
-    dim_b_bar,
-    verify_leq5,
-)
+from . import KummerlabError
 from .reports import claim
-from .surface_family import (
-    BRANCHES,
-    SurfaceError,
-    SurfaceSpec,
-    classify_full,
-    covering_derivation,
-    fixed_locus_subgroup_check,
-    sample_branch_spec,
-)
-from .surface_family.derivations import _system_order
+
 
 def campaign_table1():
+    from .kummer_lattices import KUMMER_TYPES, build_kummer
     claims = []
     rows = {}
     for sym, kt in KUMMER_TYPES.items():
@@ -79,6 +40,8 @@ def campaign_table1():
 
 
 def campaign_root_counts():
+    from .kummer_lattices import KUMMER_TYPES, build_kummer
+    from .lattice_core import roots
     claims = []
     counts = {}
     for sym, kt in KUMMER_TYPES.items():
@@ -95,6 +58,8 @@ def campaign_root_counts():
 
 
 def campaign_codes(limit=17):
+    from .binary_codes import (build_v16, equivalence_classes, f_bound,
+                               max_admissible_dim)
     claims = []
     table = {}
     witnesses16 = None
@@ -121,6 +86,7 @@ def campaign_codes(limit=17):
 
 
 def campaign_golay():
+    from .binary_codes import golay_witness
     claims = []
     code = golay_witness()
     enum = code.weight_enumerator()
@@ -138,6 +104,8 @@ def campaign_golay():
 
 
 def campaign_embeddings():
+    from .kummer_lattices import (KUMMER_TYPES, KummerError, admissible_sigmas,
+                                  embed_kummer)
     claims = []
     results = {}
     for sym in KUMMER_TYPES:
@@ -184,6 +152,8 @@ _H_SAMPLING = {
 
 
 def _random_H(family, field, rng, adversarial=False):
+    from .char2_algebra import FqPoly
+    from .surface_family import SurfaceSpec
     names, extra = _H_SAMPLING[family]
     h_poly = SurfaceSpec(family, field, {name: field.rand(rng) for name in names}).H()
     if adversarial:
@@ -193,6 +163,8 @@ def _random_H(family, field, rng, adversarial=False):
 
 
 def campaign_cartier(seed, count=500, count_p3=100):
+    from .char2_algebra import (FqPoly, cartier_general, cartier_p2, get_field,
+                                partials)
     claims = []
     degrees = [2, 4, 6]
     fails = 0
@@ -249,18 +221,20 @@ def campaign_cartier(seed, count=500, count_p3=100):
     claims.append(claim(
         "cartier.p2.axioms",
         f"C(dF) = 0 and C(F dF) = dF on {total} samples over "
-        "F_4, F_16, F_64, both families", fails == 0, {"failures": fails}))
+        "F_4, F_16, F_64, both families", total > 0 and fails == 0,
+        {"failures": fails}))
     claims.append(claim(
         "cartier.general.p2", "general formula specializes to the p = 2 one",
         agree))
     claims.append(claim(
         "cartier.p3.axioms",
         f"p = 3 general formula satisfies the axioms on {count_p3} samples",
-        fails3 == 0, {"failures": fails3}))
+        count_p3 > 0 and fails3 == 0, {"failures": fails3}))
     return {"samples": total, "failures": fails + fails3}, claims, degrees
 
 
 def campaign_p1(seed, count=500):
+    from .char2_algebra import FqPoly, check_p1_derivative, get_field
     claims = []
     rng = random.Random(f"{seed}|p1")
     results = {}
@@ -276,11 +250,13 @@ def campaign_p1(seed, count=500):
         claims.append(claim(
             f"p1.p{p}",
             f"(d/dt)^(p-1) identities hold for {count} random polynomials, p = {p}",
-            fails == 0))
+            count > 0 and fails == 0))
     return results, claims, []
 
 
 def campaign_zfilt(seed, count=100):
+    from .char2_algebra import (class2_ambient, class4_ambient, get_field,
+                                z_filtration_dims)
     claims = []
     rng = random.Random(f"{seed}|zfilt")
     results = {}
@@ -302,15 +278,18 @@ def campaign_zfilt(seed, count=100):
         claims.append(claim(
             f"zfilt.{fam}.family",
             f"{fam}: filtration dimensions are (7, 6, 5, 5, 5) on {count} members",
-            fails == 0))
+            count > 0 and fails == 0))
         claims.append(claim(
             f"zfilt.{fam}.adversarial",
             f"{fam}: an extra coefficient drops the level-3 dimension below 5 "
-            f"on {count} samples", adv_fails == 0))
+            f"on {count} samples", count > 0 and adv_fails == 0))
     return results, claims, [4, 5, 6]
 
 
 def _singularity_task(args):
+    from .char2_algebra import get_field
+    from .surface_family import (classify_full, covering_derivation,
+                                 fixed_locus_subgroup_check, sample_branch_spec)
     family, branch, e, seed, n = args
     field = get_field(2, e)
     rng = random.Random(f"{seed}|sing|{family}|{branch}|{e}")
@@ -332,6 +311,7 @@ def _singularity_task(args):
 
 
 def campaign_singularities(seed, count=200, jobs=1):
+    from .surface_family import BRANCHES
     degrees = [4, 5, 6, 7, 8]
     tasks = []
     for family in ("class4", "class2"):
@@ -366,16 +346,21 @@ def campaign_singularities(seed, count=200, jobs=1):
             f"sing.{family}.{branch}",
             f"{family} {branch}: coefficient branch = enumeration profile, "
             f"colength total 16, on {cur['n']} random specs",
-            cur["agree"] == cur["n"]))
+            count > 0 and cur["agree"] == cur["n"]))
         if cur["rdp"]:
             claims.append(claim(
                 f"subgroup.{family}.{branch}",
                 f"{family} {branch}: fixed-locus generators are additive on "
-                f"all {cur['n']} specs", cur["additive_ok"] == cur["n"]))
+                f"all {cur['n']} specs",
+                count > 0 and cur["additive_ok"] == cur["n"]))
     return results, claims, degrees
 
 
 def campaign_subgroup(seed, count=100):
+    from .char2_algebra import get_field
+    from .surface_family import (SurfaceSpec, covering_derivation,
+                                 fixed_locus_subgroup_check, sample_branch_spec)
+    from .surface_family.derivations import _system_order
     rng = random.Random(f"{seed}|subgroup")
     claims = []
     field = get_field(2, 6)
@@ -403,16 +388,17 @@ def campaign_subgroup(seed, count=100):
     claims.append(claim(
         "subgroup.class2.h07_nonzero",
         f"class 2 with h07 != 0: additivity fails with a witness on {count} samples",
-        bad_additive == 0))
+        count > 0 and bad_additive == 0))
     claims.append(claim(
         "subgroup.class2.h07_zero",
         f"class 2 with h07 = 0: generators additive and group order 16 on "
-        f"{count} samples", good_additive == count and orders_ok == count))
+        f"{count} samples", count > 0 and good_additive == orders_ok == count))
     return {"h07_nonzero_failures": bad_additive,
             "h07_zero_nonadditive": count - good_additive}, claims, [6]
 
 
 def campaign_leq5():
+    from .rdp_invariants import KUMMER_CONFIGS, verify_leq5
     best, cases, enumerated = verify_leq5(16)
     expected = sorted("+".join(syms) for syms in KUMMER_CONFIGS)
     got = sorted(str(c) for c in cases)
@@ -427,6 +413,8 @@ def campaign_leq5():
 
 
 def campaign_table2():
+    from .rdp_invariants import (KUMMER_CONFIGS, RdpCollection, RdpType, b_index,
+                                 dim_b_bar)
     claims = []
     e8 = RdpType("E", 8, 0)
     ok_e8 = [dim_b_bar(e8, n) for n in (1, 2, 3)] == [2, 3, 4] and b_index(e8) == 3
@@ -481,7 +469,7 @@ def _run_one(name, seed, quick, jobs):
     """One campaign; a package error inside it becomes a failing claim."""
     try:
         return _CAMPAIGNS[name](seed, quick, jobs)
-    except (LatticeError, KummerError, CodeError, SurfaceError, RdpError) as exc:
+    except KummerlabError as exc:
         return {}, [claim(f"{name}.error", f"campaign {name} ran to completion",
                           False, details=f"{type(exc).__name__}: {exc}")], []
 

@@ -21,7 +21,7 @@ from kummerlab.char2_algebra.factor import (_squarefree, distinct_degree,
                                             equal_degree_split)
 from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import (_coeffs_in_var, _ListRing, _SparseCoeffs,
-                                          _subresultant_prs, poly_divexact)
+                                          _subresultant_prs, poly_divexact, power)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -167,6 +167,13 @@ def test_tower_over_tower_mul_and_pow(p, e):
         for n in (0, 1, 2, 17):
             assert outer.pow_elem(a, n) == powers[n]
         assert ref_mul(outer.pow_elem(a, -3), powers[3]) == outer.one
+
+
+def test_power_rejects_a_negative_exponent():
+    # n >>= 1 keeps -1 at -1, so the square-and-multiply loop never ends
+    with pytest.raises(ValueError, match="n >= 0"):
+        power(3, -1, lambda a, b: a * b, 1)
+    assert power(3, 0, lambda a, b: a * b, 1) == 1
 
 
 def _quadratic_tower(f):

@@ -1,16 +1,20 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import multiprocessing
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kummerlab import verify
+import kummerlab
+from kummerlab import KummerlabError, verify
+from kummerlab.char2_algebra import FieldError, PolyError
 from kummerlab.cli import main
 from kummerlab.lattice_core import LatticeError
 from kummerlab.reports import claim, validate_report
@@ -170,6 +174,8 @@ BAD_INPUTS = [
                  id="lattice-json-list"),
     pytest.param(["codes", "g-table", "--max", "-5"], None, None,
                  id="codes-max-negative"),
+    pytest.param(["codes", "g-table", "--max", "30"], None,
+                 "--max must be between 0 and 17", id="codes-max-above-exhaustive"),
     pytest.param(["rdp", "table", "--max-n", "-3"], None, None,
                  id="rdp-max-n-negative"),
     pytest.param(["rdp", "table", "--type", "A3", "--max-n", "100000000"], None,
@@ -236,6 +242,56 @@ def test_cli_does_not_import_numpy():
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
+# runs `cli.main(argv)` (or only the import, for no argv) in a fresh
+# interpreter and prints [exit code, the kummerlab modules loaded] to stderr
+LOADED_BY = """import json, sys
+from kummerlab.cli import main
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else None
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.split(".")[0] == "kummerlab")]), file=sys.stderr)
+"""
+
+
+def modules_loaded_by(argv):
+    proc = run_python(["-c", LOADED_BY, *argv])
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stderr.splitlines()[-1])
+    return rc, set(modules)
+
+
+def test_cli_import_loads_only_the_front_end():
+    assert modules_loaded_by([]) == (None, {
+        "kummerlab", "kummerlab.cli", "kummerlab.reports", "kummerlab.verify"})
+
+
+@pytest.mark.parametrize("argv,layer,skipped", [
+    (["lattice", "roots", "--in", str(GOLDEN / "d4_lattice.json")],
+     "kummerlab.lattice_core",
+     ("kummerlab.char2_algebra", "kummerlab.surface_family")),
+    (["verify", "p1"], "kummerlab.char2_algebra",
+     ("kummerlab.exactmat", "kummerlab.lattice_core", "kummerlab.binary_codes")),
+], ids=["lattice-roots", "verify-p1"])
+def test_a_command_loads_only_the_layers_it_runs(argv, layer, skipped):
+    rc, modules = modules_loaded_by(argv)
+    assert rc == 0 and layer in modules
+    assert not [m for m in modules if m.startswith(skipped)]
+
+
+def test_every_package_error_is_a_kummerlab_error():
+    # public exception classes; points._NonIsolated is internal control flow
+    errors = set()
+    for info in pkgutil.walk_packages(kummerlab.__path__, "kummerlab."):
+        for name, obj in vars(importlib.import_module(info.name)).items():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__.startswith("kummerlab.")
+                    and not name.startswith("_")):
+                errors.add(obj)
+    assert {e.__name__ for e in errors} == {
+        "UsageError", "CodeError", "LatticeError", "KummerError", "SurfaceError",
+        "RdpError", "FieldError", "PolyError", "CartierError"}
+    assert all(issubclass(e, KummerlabError) for e in errors)
+
+
 def test_singularity_pool_is_capped(monkeypatch):
     """--jobs is capped at the CPU count and the task count; no process starts."""
     sizes = []
@@ -273,6 +329,21 @@ def test_singularity_campaign_below_one_spec_per_degree():
     assert claims and all(c["passed"] for c in claims)
 
 
+@pytest.mark.parametrize("campaign,kwargs,unsampled", [
+    (verify.campaign_cartier, {"count": 0, "count_p3": 0},
+     # 100 fixed draws compare the general formula with the p = 2 one
+     ["cartier.general.p2"]),
+    (verify.campaign_p1, {"count": 0}, []),
+    (verify.campaign_zfilt, {"count": 0}, []),
+    (verify.campaign_singularities, {"count": 0}, []),
+    (verify.campaign_subgroup, {"count": 0}, []),
+], ids=["cartier", "p1", "zfilt", "singularities", "subgroup"])
+def test_sampled_claims_fail_on_zero_samples(campaign, kwargs, unsampled):
+    _results, claims, _degrees = campaign(1, **kwargs)
+    assert claims
+    assert [c["id"] for c in claims if c["passed"]] == unsampled
+
+
 def test_report_written_to_file(tmp_path):
     out = tmp_path / "report.json"
     rc, stdout = run_cli(["rdp", "verify-leq5", "--out", str(out)])
@@ -297,24 +368,27 @@ def test_verify_subcommand_and_seed_env(monkeypatch):
 def test_campaign_error_is_a_failing_claim(monkeypatch):
     """A package error inside a campaign fails that campaign's claim (exit 1);
     under 'all' the other campaigns still report."""
-    def broken(seed, quick, jobs):
-        raise LatticeError("degenerate lattice")
+    for error in (LatticeError("degenerate lattice"),
+                  FieldError("element out of range"),
+                  PolyError("variable not in use")):
+        def broken(seed, quick, jobs):
+            raise error
 
-    monkeypatch.setattr(verify, "_CAMPAIGNS", {
-        "fine": lambda seed, quick, jobs: ({"x": 1}, [claim("fine.ok", "ok", True)], []),
-        "broken": broken,
-    })
-    rc, out = run_cli(["verify", "all", "--seed", "0"])
-    assert rc == 1
-    rep = json.loads(out)
-    validate_report(rep)
-    assert rep["results"] == {"fine": {"x": 1}, "broken": {}}
-    assert rep["claims"] == [
-        {"id": "fine.ok", "description": "ok", "passed": True},
-        {"id": "broken.error", "description": "campaign broken ran to completion",
-         "passed": False, "details": "LatticeError: degenerate lattice"},
-    ]
-    assert verify.run_campaign("broken")[1] == rep["claims"][1:]
+        monkeypatch.setattr(verify, "_CAMPAIGNS", {
+            "fine": lambda seed, quick, jobs: ({"x": 1}, [claim("fine.ok", "ok", True)], []),
+            "broken": broken,
+        })
+        rc, out = run_cli(["verify", "all", "--seed", "0"])
+        assert rc == 1
+        rep = json.loads(out)
+        validate_report(rep)
+        assert rep["results"] == {"fine": {"x": 1}, "broken": {}}
+        assert rep["claims"] == [
+            {"id": "fine.ok", "description": "ok", "passed": True},
+            {"id": "broken.error", "description": "campaign broken ran to completion",
+             "passed": False, "details": f"{type(error).__name__}: {error}"},
+        ]
+        assert verify.run_campaign("broken")[1] == rep["claims"][1:]
 
 
 def test_verify_campaign_determinism():

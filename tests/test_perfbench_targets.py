@@ -4,18 +4,25 @@
 a rename or deletion in the package would only show when a traced benchmark
 run fails.  This loads the table from the file and resolves each target the
 way `Tracer.install` does, without running a workload or starting a process.
+One smoke test then runs a single traced CLI command, with no process pool,
+to show that the tracer also counts a layer the CLI imports inside a handler.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import kummerlab
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_layers():
@@ -45,3 +52,17 @@ def test_target_resolves(layer, modname, attr):
         assert hasattr(obj, part), f"{layer}: {modname}.{attr} is missing"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_traced_cli_command_counts_a_lazily_imported_layer():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload",
+         "cli_suite", "--command", "lattice-roots", "--seed", "0", "--trace"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["returncode"] == 0
+    assert out["trace"]["lattice_core.roots.calls"] == 1
+    assert out["trace"]["reports.render.calls"] == 1
