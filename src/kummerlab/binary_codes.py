@@ -3,11 +3,15 @@
 Such codes classify even overlattices of A_1^m that gain no roots.  The
 module builds the named example codes (affine-hyperplane code on 16
 points, its hyperplane subcodes, the extended binary Golay code), runs an
-exhaustive isomorph-free search for the maximum dimension g(m), turns
-admissible codes into even overlattices, and partitions code lists into
-permutation-equivalence classes.  Overlattice bases and roots are kept in
-doubled A_1^m frame coordinates, which are ints: the frame vector
-(1/2)(e_1 + ... + e_4) is stored as (1, 1, 1, 1, 0, ...).
+exhaustive isomorph-free search for the maximum dimension g(m) when
+m <= EXHAUSTIVE_LIMIT = 17 (above 17 the search gives one witness, a
+shortened Golay code), turns admissible codes into even overlattices, and
+partitions code lists into permutation-equivalence classes.  Overlattice
+bases and roots are kept in doubled A_1^m frame coordinates, which are
+ints: the frame vector (1/2)(e_1 + ... + e_4) is stored as
+(1, 1, 1, 1, 0, ...).  Only `mod4_overlattice` needs the lattice layers,
+and it imports `exactmat` and `lattice_core` itself, so the code search
+loads neither.
 
 Codewords are bitmasks over a ground set of size m <= 24.  The search
 works on "cell profiles": a dimension-k code, up to coordinate
@@ -28,8 +32,6 @@ from fractions import Fraction
 from math import prod
 
 from . import KummerlabError
-from .exactmat import hnf_basis, lattice_coords, mat_mul
-from .lattice_core import Lattice
 
 MAX_GROUND = 24
 EXHAUSTIVE_LIMIT = 17
@@ -330,24 +332,23 @@ class SearchResult:
     truncated: bool = False    # a search cut short by its budget
 
 
-def max_admissible_dim(m, budget=None, exhaustive=None):
+def max_admissible_dim(m, budget=None, exhaustive=False):
     """Maximum dimension of an admissible code on m points.
 
-    Exhaustive mode (default for m <= 17) explores all codes up to
+    For m <= EXHAUSTIVE_LIMIT (17) the search explores all codes up to
     coordinate-permutation equivalence level by level and returns the exact
-    maximum with all maximum-dimension codes up to equivalence.  Witness
-    mode (m > 17, or forced) returns one witness code (shortened Golay for
-    m >= 17), whose dimension is only a lower bound for the maximum; so is
-    the last complete level of a search cut by `budget`.
+    maximum with all maximum-dimension codes up to equivalence.  Above it,
+    the result is one witness code, the shortened Golay code, whose
+    dimension is only a lower bound for the maximum; so is the last
+    complete level of a search cut by `budget`.  `exhaustive=True` asks for
+    the exact maximum and raises CodeError when m > EXHAUSTIVE_LIMIT.
     """
     if not 0 <= m <= MAX_GROUND:
         raise CodeError(f"ground size {m} out of range 0..{MAX_GROUND}")
-    if exhaustive is None:
-        exhaustive = m <= EXHAUSTIVE_LIMIT
     if exhaustive and m > EXHAUSTIVE_LIMIT:
         raise CodeError(f"exhaustive search supported only for m <= {EXHAUSTIVE_LIMIT}")
-    if not exhaustive:
-        witness = shortened_golay(m) if m >= 17 else build_subcode_best(m)
+    if m > EXHAUSTIVE_LIMIT:
+        witness = shortened_golay(m)
         return SearchResult(m=m, dim=witness.dim, witnesses=[witness], exhaustive=False)
     level = [tuple([m])]
     class_counts = {0: 1}
@@ -383,17 +384,6 @@ def max_admissible_dim(m, budget=None, exhaustive=None):
                         class_counts=class_counts, nodes=nodes)
 
 
-def build_subcode_best(m):
-    """Best hyperplane-style witness on m < 17 points (used in witness mode)."""
-    best = BinaryCode(m, [])
-    for j in range(5):
-        cand = build_subcode(j)
-        if cand.ground_size <= m and cand.dim > best.dim:
-            rows = cand.basis
-            best = BinaryCode(m, rows)
-    return best
-
-
 def equivalence_classes(codes):
     """Partition codes (same ground size) by coordinate-permutation equivalence."""
     if not codes:
@@ -422,7 +412,7 @@ def equivalence_classes(codes):
 
 @dataclass
 class Overlattice:
-    lattice: Lattice
+    lattice: "lattice_core.Lattice"
     basis: list      # rows in doubled A_1^m frame coordinates (ints)
     index: int
     root_pairs: list
@@ -459,6 +449,8 @@ def mod4_overlattice(code):
     how the D- and E-type overlattices of A_1^16 arise).  `root_pairs` are
     the roots of `a1m_frame_roots` in the coordinates of the new basis.
     """
+    from .exactmat import hnf_basis, lattice_coords, mat_mul
+    from .lattice_core import Lattice
     for w in code.words():
         if w and bin(w).count("1") % 4:
             raise CodeError("overlattice is not even: weight not divisible by 4")

@@ -3,7 +3,8 @@
 Subcommands: lattice, codes, kummer, surface, rdp, verify.  Every command
 emits one JSON report on stdout (or to --out) and exits 0 when all claims
 verified, 1 on a claim failure, 2 on usage or input errors.  All numeric
-inputs are exact: integers, coefficient bit strings, rationals.  The
+inputs are exact: integers, coefficient bit strings, rationals.  A key
+repeated in --field or a name repeated in --coeffs is an input error.  The
 environment variable KUMMERLAB_SEED overrides the default seed.
 
 Each handler imports the layers it runs at the top of its body: a process
@@ -59,6 +60,8 @@ def _parse_field(text):
             raise UsageError(f"bad field spec {text!r}; expected e=<degree>"
                              f" or p=<prime>,e=<degree>")
         key, value = kv.split("=")
+        if key in parts:
+            raise UsageError(f"field key {key!r} given twice in {text!r}")
         parts[key] = int(value)
     if "e" not in parts:
         raise UsageError("field spec needs e=<degree>")
@@ -72,8 +75,10 @@ def _parse_coeffs(field, text):
     for item in text.split(","):
         if "=" not in item:
             raise UsageError(f"bad coefficient {item!r}; expected name=bits")
-        name, bits = item.split("=", 1)
-        out[name.strip()] = field.decode(bits.strip())
+        name, bits = (part.strip() for part in item.split("=", 1))
+        if name in out:
+            raise UsageError(f"coefficient {name!r} given twice")
+        out[name] = field.decode(bits)
     return out
 
 
@@ -155,7 +160,7 @@ def _cmd_codes(args):
         if args.budget is not None and args.budget < 1:
             raise UsageError("--budget must be at least 1")
         res = max_admissible_dim(args.m, budget=args.budget,
-                                 exhaustive=True if args.exhaustive else None)
+                                 exhaustive=args.exhaustive)
         results = {
             "m": args.m,
             "dim": res.dim,

@@ -19,15 +19,21 @@ two generators are nonzero and coprime, which `_condition_iii` reads off
 their gcd (`poly.poly_gcd_multivariate`).  `_system_order`, the total
 colength of the generator ideal over its closed points, serves the
 callers that read a non-additive order or cross-check the Ore order.
+
+Condition (iv) of `classify_derivations` asks for additive generators
+once a rational fixed point p is moved to the origin.  No translation is
+needed: an additive A has A(v + p) = A(v) + A(p), so moving any rational
+zero to the origin changes only the constant terms.  (iv) therefore holds
+iff f - f(0, 0) and g - g(0, 0) are additive and the fixed locus has a
+rational point: the origin when both constant terms vanish, otherwise,
+when (iii) makes the locus zero-dimensional, a point of residue degree 1
+among `points.closed_points`.
 """
 
 from dataclasses import dataclass
 
 from ..char2_algebra.cartier import sqrt_poly
-from ..char2_algebra.factor import poly_roots
-from ..char2_algebra.poly import (FqPoly, PolyError, dense_trim,
-                                  poly_gcd_multivariate)
-from ..char2_algebra.poly import resultant as poly_resultant
+from ..char2_algebra.poly import FqPoly, dense_trim, poly_gcd_multivariate
 from .spec import SurfaceError, _FIXED_TERMS, _f4_elements, _spec_from_H
 from .points import _NonIsolated, _colength_at, _jacobian, closed_points
 
@@ -270,7 +276,11 @@ def classify_derivations(family, f_poly, g_poly):
     Returns a dict with keys "i", "ii", "iii", "iv" (booleans), "c" (the
     closure scalar when (i) holds), and "hamiltonian" (the reconstructed
     potential data when D is a scalar multiple of H_y d/dx + H_x d/dy for
-    an admissible H).
+    an admissible H).  (iv) holds iff f and g are additive up to their
+    constant terms and D has a rational fixed point: the origin when both
+    constant terms vanish, else a point of residue degree 1 among
+    `closed_points`, which is asked only under (iii); translating to the
+    point would change only the constants, so it is not carried out.
     """
     field = f_poly.field
     variables = f_poly.vars
@@ -294,43 +304,14 @@ def classify_derivations(family, f_poly, g_poly):
             "scalar": enc(lam),
             "coeffs": {n: enc(v) for n, v in sorted(coeffs.items())},
         }
-    # (iv): translate a rational fixed point to the origin, then test the
-    # additive-generator criterion
-    ft, gt = f_poly, g_poly
-    if f_poly.coefficient((0, 0)) != field.zero or \
-            g_poly.coefficient((0, 0)) != field.zero:
-        pt = _rational_common_zero(f_poly, g_poly, field, variables)
-        if pt is None:
-            return verdict
-        ft = f_poly.shift(dict(zip(variables, pt)))
-        gt = g_poly.shift(dict(zip(variables, pt)))
-    verdict["iv"] = (_additive_witness(ft) is None
-                     and _additive_witness(gt) is None)
+    # (iv); under (iii) the locus is zero-dimensional, so closed_points
+    # cannot raise _NonIsolated
+    consts = (f_poly.coefficient((0, 0)), g_poly.coefficient((0, 0)))
+    additive = all(
+        _additive_witness(p - FqPoly.const(field, variables, c)) is None
+        for p, c in zip((f_poly, g_poly), consts))
+    verdict["iv"] = additive and (
+        consts == (field.zero, field.zero)
+        or verdict["iii"] and any(
+            deg == 1 for *_, deg in closed_points(f_poly, g_poly, *variables)))
     return verdict
-
-
-def _rational_common_zero(f_poly, g_poly, field, variables):
-    v1, v2 = variables
-    if f_poly.degree(v2) > 0 and g_poly.degree(v2) > 0:
-        res = poly_resultant(f_poly, g_poly, v2)
-    else:
-        res = f_poly if f_poly.degree(v2) == 0 else g_poly
-    try:
-        res_uni = res.restrict_vars((v1,))
-    except PolyError:
-        return None
-    if res_uni.is_zero():
-        return None
-    for root, _m in poly_roots(res_uni):
-        f1 = f_poly.substitute(v1, FqPoly.const(field, variables, root))
-        g1 = g_poly.substitute(v1, FqPoly.const(field, variables, root))
-        f1u = f1.restrict_vars((v2,))
-        g1u = g1.restrict_vars((v2,))
-        if f1u.is_zero() and g1u.is_zero():
-            return (root, field.zero)  # the whole line v1 = root is common
-        roots2 = poly_roots(f1u) if not f1u.is_zero() else poly_roots(g1u)
-        for r2, _mm in roots2:
-            if f_poly.evaluate({v1: root, v2: r2}) == field.zero and \
-                    g_poly.evaluate({v1: root, v2: r2}) == field.zero:
-                return (root, r2)
-    return None

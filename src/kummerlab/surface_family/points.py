@@ -16,15 +16,17 @@ multiplicity of the two curves at the point, by Fulton's algorithm
 and translated there by `FqPoly.shift`, a Taylor shift.  That recursion
 uses only field addition and multiplication, so it runs unchanged over
 base fields and towers; a colength above COLENGTH_CAP counts as
-non-isolated.  Two callers share it: `singular_points` solves the
-partials (H_x, H_y) of a family member, and
+non-isolated.  `closed_points` has three readers.  `singular_points`
+solves the partials (H_x, H_y) of a family member.
 `derivations._system_order` sums deg * colength over the fixed-locus
-generators of the covering derivation.  That sum is read in two places:
+generators of the covering derivation; that sum is read in two places:
 `surface derivation-check` prints it for non-additive generators (h07 != 0
 in class 2), and `verify.campaign_subgroup` cross-checks the additive
-order with it.  `derivations.fixed_locus_subgroup_check` never calls it:
-additive generators get their order from `derivations.additive_order`,
-which has no cap, and non-additive ones get none.
+order with it.  `derivations.classify_derivations` looks for a point of
+residue degree 1 among the fixed points of a coprime pair, for condition
+(iv).  `derivations.fixed_locus_subgroup_check` never calls it: additive
+generators get their order from `derivations.additive_order`, which has
+no cap, and non-additive ones get none.
 """
 
 from dataclasses import dataclass

@@ -5,6 +5,7 @@ exact (no floating point anywhere); runtime bounds are asserted against
 the stated budgets.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -142,6 +143,12 @@ def test_criterion_12_table2():
          campaign_table2)
 
 
+# sha256 of the seed-11 `verify all` report; a change that adds or alters
+# a claim updates it and says so
+CRITERION_13_SHA256 = ("dd7c0b4e5a442d8a467881dbd0a160b6"
+                       "d84e10e0f82eec490c39c2621abd5e2b")
+
+
 @pytest.mark.slow
 def test_criterion_13_determinism():
     t0 = time.time()
@@ -160,3 +167,4 @@ def test_criterion_13_determinism():
     print(f"[{status}] criterion 13: two seeded full runs are byte-identical "
           f"({elapsed:.1f}s)")
     assert same
+    assert hashlib.sha256(reports[0].encode()).hexdigest() == CRITERION_13_SHA256

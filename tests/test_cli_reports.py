@@ -209,6 +209,12 @@ BAD_INPUTS = [
     pytest.param(["surface", "classify", "--family", "class2", "--field", "e=4",
                   "--expect", "bogus"], None, "argument --expect",
                  id="surface-expect-unknown-branch"),
+    pytest.param(["surface", "classify", "--family", "class4", "--field", "e=4",
+                  "--coeffs", "h11=1,h11=0"], None, "coefficient 'h11' given twice",
+                 id="coeffs-repeated-name"),
+    pytest.param(["surface", "classify", "--family", "class4", "--field",
+                  "e=4,e=6"], None, "field key 'e' given twice",
+                 id="field-repeated-key"),
 ]
 
 
@@ -270,7 +276,11 @@ def test_cli_import_loads_only_the_front_end():
      ("kummerlab.char2_algebra", "kummerlab.surface_family")),
     (["verify", "p1"], "kummerlab.char2_algebra",
      ("kummerlab.exactmat", "kummerlab.lattice_core", "kummerlab.binary_codes")),
-], ids=["lattice-roots", "verify-p1"])
+    (["rdp", "verify-leq5"], "kummerlab.binary_codes",
+     ("kummerlab.exactmat", "kummerlab.lattice_core")),
+    (["codes", "search", "--m", "8"], "kummerlab.binary_codes",
+     ("kummerlab.exactmat", "kummerlab.lattice_core")),
+], ids=["lattice-roots", "verify-p1", "rdp-verify-leq5", "codes-search"])
 def test_a_command_loads_only_the_layers_it_runs(argv, layer, skipped):
     rc, modules = modules_loaded_by(argv)
     assert rc == 0 and layer in modules

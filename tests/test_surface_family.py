@@ -27,7 +27,6 @@ from kummerlab.surface_family import derivations
 from kummerlab.surface_family.derivations import (
     _additive_witness,
     _condition_iii,
-    _rational_common_zero,
     _system_order,
     additive_order,
 )
@@ -544,16 +543,109 @@ def test_classify_derivations_examples():
 
 
 def test_classify_derivations_common_factor_in_first_variable():
-    # f and g share x + 1 only: at the rational root x = 1 of the resultant
-    # both specializations vanish, so the whole line x = 1 is common
+    # f and g share x + 1 only, so the whole line x = 1 is fixed
     f = get_field(2, 4)
     V = ("x", "y")
     x, y = FqPoly.variable(f, V, "x"), FqPoly.variable(f, V, "y")
     one = FqPoly.const(f, V, f.one)
     f_poly, g_poly = (x + one) * (y + one), (x + one) * (y * y + x)
-    assert _rational_common_zero(f_poly, g_poly, f, V) == (f.one, f.zero)
     v = classify_derivations("class4", f_poly, g_poly)
     assert not (v["i"] or v["ii"] or v["iii"] or v["iv"])
+
+
+def _st_polys(f, *spec):
+    """FqPolys in (s, t) from (s-exponent, t-exponent, coefficient) triples."""
+    return FqPoly(f, ("s", "t"), {(a, b): c for a, b, c in spec})
+
+
+def test_condition_iv_off_the_origin():
+    # coprime pairs with nonzero constants: (iv) asks for additive
+    # generators up to constants and a rational point of the fixed locus
+    f = get_field(2, 2)
+    w = 2                                       # a root of s^2 + s + 1
+    cases = [
+        # s + 1, t + 1: additive, rational fixed point (1, 1)
+        ([(1, 0, 1), (0, 0, 1)], [(0, 1, 1), (0, 0, 1)], True),
+        # s^2 + s + w has no root in F_4 (trace of w is 1): the fixed
+        # points have residue degree 2
+        ([(2, 0, 1), (1, 0, 1), (0, 0, w)], [(0, 1, 1), (0, 0, 1)], False),
+        # s^3 + 1, t + 1: rational fixed point (1, 1), s^3 not additive
+        ([(3, 0, 1), (0, 0, 1)], [(0, 1, 1), (0, 0, 1)], False),
+        # s^2 + s + 1 and s + t^4 + t + w: additive up to constants, with
+        # the rational fixed point (w, 0)
+        ([(2, 0, 1), (1, 0, 1), (0, 0, 1)],
+         [(1, 0, 1), (0, 4, 1), (0, 1, 1), (0, 0, w)], True),
+    ]
+    for f_terms, g_terms, iv in cases:
+        f_poly, g_poly = _st_polys(f, *f_terms), _st_polys(f, *g_terms)
+        v = classify_derivations("class4", f_poly, g_poly)
+        assert v["iii"] and v["iv"] == iv, (f_poly, g_poly)
+        assert _brute_force_iv(f_poly, g_poly) == iv
+
+
+def test_condition_iv_does_not_depend_on_the_variable_order():
+    # f = g = v^2 + v + 1 fixes the lines v = w, w^2 over F_4, in the s or
+    # the t direction; without (iii) and off the origin (iv) fails both ways
+    f = get_field(2, 2)
+    for h in (_st_polys(f, (2, 0, 1), (1, 0, 1), (0, 0, 1)),
+              _st_polys(f, (0, 2, 1), (0, 1, 1), (0, 0, 1))):
+        v = classify_derivations("class4", h, h)
+        assert not v["iii"] and not v["iv"]
+
+
+def _swap_st(poly):
+    return FqPoly(poly.field, poly.vars,
+                  {(b, a): c for (a, b), c in poly.terms.items()})
+
+
+def _brute_force_iv(f_poly, g_poly):
+    """Reference for (iv): some rational common zero p of f and g at which
+    f(v + p) and g(v + p) are additive."""
+    f = f_poly.field
+    for a in f.elements():
+        for b in f.elements():
+            p = {"s": a, "t": b}
+            if f_poly.evaluate(p) == f.zero and g_poly.evaluate(p) == f.zero \
+                    and _additive_witness(f_poly.shift(p)) is None \
+                    and _additive_witness(g_poly.shift(p)) is None:
+                return True
+    return False
+
+
+@st.composite
+def condition_iv_pairs(draw):
+    """(f, g) over F_4, F_8 or F_16: additive plus a constant (often zero),
+    or random of degree <= 4."""
+    f = get_field(2, draw(st.sampled_from([2, 3, 4])))
+    coef = st.integers(0, f.order - 1)
+
+    def poly():
+        if draw(st.integers(0, 9)) < 7:
+            s_part = draw(st.lists(coef, max_size=3))
+            t_part = draw(st.lists(coef, max_size=3))
+            const = draw(st.one_of(st.just(f.zero), coef))
+            return _additive_poly(f, s_part, t_part) + \
+                FqPoly.const(f, ("s", "t"), const)
+        expo = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        return FqPoly(f, ("s", "t"),
+                      draw(st.dictionaries(expo, coef, min_size=1, max_size=4)))
+
+    return poly(), poly()
+
+
+@settings(PROPERTY, max_examples=150)
+@given(condition_iv_pairs())
+def test_condition_iv_matches_the_brute_force_oracle(pair):
+    f_poly, g_poly = pair
+    f = f_poly.field
+    v = classify_derivations("class2", f_poly, g_poly)
+    swapped = classify_derivations("class2", _swap_st(f_poly), _swap_st(g_poly))
+    assert swapped["iv"] == v["iv"]
+    origin = f_poly.coefficient((0, 0)) == f.zero == g_poly.coefficient((0, 0))
+    if v["iii"] or origin:
+        assert v["iv"] == _brute_force_iv(f_poly, g_poly)
+    else:
+        assert not v["iv"]
 
 
 def test_surface_spec_validation():
