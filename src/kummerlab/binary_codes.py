@@ -20,9 +20,13 @@ a counts vector of length 2^k.  Extending a code by one generator splits
 every cell in two, so the children of a profile are integer splits of its
 cells.  They are enumerated by a depth-first walk over the cells that
 carries the weight of every new word and cuts a branch as soon as some
-word can no longer reach an allowed weight.  Each profile's invariant
-and cell keys are computed once and shared by the bucketing and the
-GL(k,2)-isomorphism tests.
+word can no longer reach an allowed weight.  The 2^k weights ride packed
+in one int, the weight of word a in byte lane a (bits 8a..8a+7); a weight
+is at most m <= MAX_GROUND = 24 < 256, so adding to one lane never
+carries into the next.  Word weights come from a Walsh-Hadamard
+transform of the counts.  Each profile's invariant and cell keys are
+computed once and shared by the bucketing and the GL(k,2)-isomorphism
+tests.
 """
 
 import functools
@@ -203,21 +207,47 @@ def shortened_golay(m):
 
 
 def word_weights(profile):
-    """Weight of each word a in F_2^k: the cells z with a.z = 1, counted."""
-    return [sum(c for z, c in enumerate(profile) if (a & z).bit_count() & 1)
-            for a in range(len(profile))]
+    """Weight of each word a in F_2^k: the cells z with a.z = 1, counted.
+
+    By the Walsh-Hadamard transform, weight(a) = (m - sum_z c_z (-1)^(a.z)) / 2
+    with m = sum_z c_z.
+    """
+    h = list(profile)
+    n = len(h)
+    step = 1
+    while step < n:
+        for start in range(0, n, 2 * step):
+            for j in range(start, start + step):
+                x, y = h[j], h[j + step]
+                h[j], h[j + step] = x + y, x - y
+        step *= 2
+    return [(h[0] - t) // 2 for t in h]
+
+
+@functools.lru_cache(maxsize=None)
+def _half_spaces(n):
+    """Bitmask over the words a < n with a.z = 1, for each cell z < n."""
+    return [sum(1 << a for a in range(n) if (a & z).bit_count() & 1)
+            for z in range(n)]
 
 
 @functools.lru_cache(maxsize=None)
 def _profile_keys(profile):
     """(profile_invariant, cell keys) of a profile, computed once per profile.
 
-    The key of cell z is its count with the sorted weights of the words
-    through z; every GL(k,2)-equivalence must map cells to equal keys.
+    The key of cell z is its count with the number of words of each weight
+    through z, the weights ascending; every GL(k,2)-equivalence must map
+    cells to equal keys.  Keys of two profiles are compared only when their
+    invariants, and so their weight multisets, are equal; there the key
+    splits cells exactly as the sorted weights through z would.
     """
     wt = word_weights(profile)
-    keys = [(c, tuple(sorted(wt[a] for a in range(len(profile)) if (a & z).bit_count() & 1)))
-            for z, c in enumerate(profile)]
+    by_weight = {}
+    for a, w in enumerate(wt):
+        by_weight[w] = by_weight.get(w, 0) | 1 << a
+    masks = [by_weight[w] for w in sorted(by_weight)]
+    keys = [(c, tuple((mask & half).bit_count() for mask in masks))
+            for c, half in zip(profile, _half_spaces(len(profile)))]
     return (len(profile), tuple(sorted(wt[1:])), tuple(sorted(keys[1:]))), keys
 
 
@@ -283,6 +313,17 @@ def code_from_profile(m, profile):
     return BinaryCode(m, rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _prune_tables(m):
+    """For each left = 0..m, the translate table w -> 1 iff no allowed
+    weight <= m lies in w..w + left, and w -> 0 otherwise."""
+    # first[w]: least allowed weight >= w, or m + 1 if there is none
+    first = [min([x for x in _ALLOWED if w <= x <= m], default=m + 1)
+             for w in range(m + 1)]
+    return [bytes(first[w] > w + left for w in range(m + 1)) + bytes(255 - m)
+            for left in range(m + 1)]
+
+
 def _children_profiles(profile, m):
     """Admissible one-generator extensions of a profile, as new profiles.
 
@@ -294,30 +335,42 @@ def _children_profiles(profile, m):
     cells fixed so far; the cells left can raise it by at most their size.
     A branch is cut once, for some word, no allowed weight <= m lies in
     that reach; at a leaf the reach is the weight itself.
+
+    The n weights ride in one int, word a's in byte lane a, so a child's
+    weights are w + s (ones - in_z) + (c - s) in_z, with in_z the lanes
+    of the words through z; a lane holds at most m <= MAX_GROUND < 256, so
+    it never carries into the next.  The cut is one `bytes.translate`
+    through the table of `left` and a test for a 1.
     """
     n = len(profile)
-    varying = [z for z in range(n) if profile[z]]
-    inside = [[(a & z).bit_count() & 1 for a in range(n)] for z in varying]
-    # first[w]: least allowed weight >= w, or m + 1 if there is none
-    first = [min([x for x in _ALLOWED if w <= x <= m], default=m + 1)
-             for w in range(m + 1)]
+    ones = int.from_bytes(b"\1" * n, "little")
+    cells = []
+    for z, c in enumerate(profile):
+        if c:
+            in_z = int.from_bytes(bytes((a & z).bit_count() & 1 for a in range(n)),
+                                  "little")
+            # s = 0 gives w + c in_z, and each step of s adds ones - 2 in_z
+            cells.append((z, c, c * in_z, ones - 2 * in_z))
+    last = len(cells)
+    bad = _prune_tables(m)
     split = [0] * n
     out = []
 
     def walk(i, weights, left):
-        if any(first[w] > w + left for w in weights):
+        if 1 in weights.to_bytes(n, "little").translate(bad[left]):
             return
-        if i == len(varying):
+        if i == last:
             out.append(tuple(c - s for c, s in zip(profile, split)) + tuple(split))
             return
-        z = varying[i]
-        c = profile[z]
+        z, c, base, step = cells[i]
+        weights += base
         for s in range(c + 1):
             split[z] = s
-            walk(i + 1, [w + (c - s if t else s) for w, t in zip(weights, inside[i])], left - c)
+            walk(i + 1, weights, left - c)
+            weights += step
         split[z] = 0
 
-    walk(0, [0] * n, m)
+    walk(0, 0, m)
     return out
 
 

@@ -5,12 +5,19 @@ For p = 2 the operator on 1-forms g*eta_0 (eta_0 = dx/H_y) is
     C(g eta_0) = (w * sqrt(g_xy) + sqrt((g H)_xy)) eta_0,
 
 where J_xy is the odd-odd coefficient block of J (a square in k[x^2, y^2]).
-For general p it is the sum over a of w^(p-1-a) times the p-th root of the
-(p-1, p-1)-block of g H^a.  The module also provides the (p-1)-fold
-derivative identity check, the filtration of a finite monomial span under
-the semilinear preimage recursion, the bilinear convolution table f_ij
-driving that recursion, and the gcd comparison behind the normalization of
-inseparable double covers.
+`cartier_p2` never forms g H: a term of g meets only the terms of H whose
+exponent parities complete its own to (1, 1), so it groups H's terms by
+parity class once and multiplies each g term by one class, a quarter of
+the term pairs, halving the exponent sums and taking square roots of the
+coefficients in the same pass.  For general p it is the sum over a of
+w^(p-1-a) times the p-th root of the (p-1, p-1)-block of g H^a;
+`cartier_general` keeps the full products g H^a, since each is also the
+factor of the next power, and so it stays an independent check of the
+p = 2 route.  The module also provides the (p-1)-fold derivative identity
+check, the filtration of a finite monomial span under the semilinear
+preimage recursion, the bilinear convolution table f_ij driving that
+recursion, and the gcd comparison behind the normalization of inseparable
+double covers.
 """
 
 from dataclasses import dataclass
@@ -86,14 +93,37 @@ class FormElement:
 
 
 def cartier_p2(g_poly, h_poly):
-    """C(g eta_0) = (w sqrt(g_xy) + sqrt((gH)_xy)) eta_0 in characteristic 2."""
+    """C(g eta_0) = (w sqrt(g_xy) + sqrt((gH)_xy)) eta_0 in characteristic 2.
+
+    (gH)_xy is taken from the term pairs whose exponent parities add up to
+    (1, 1), with sqrt(c1 c2) = sqrt(c1) sqrt(c2).
+    """
     f = g_poly.field
     if f.char != 2:
         raise CartierError("cartier_p2 requires characteristic 2")
     g_poly._check(h_poly)
-    b = pth_root_poly(_block(g_poly, 2))
-    a = pth_root_poly(_block(g_poly * h_poly, 2))
-    return FormElement((a, b))
+    proot = f.proot
+    # H's terms by exponent parity, as (i, j, sqrt(c))
+    classes = {(0, 0): [], (0, 1): [], (1, 0): [], (1, 1): []}
+    for (i, j), c in h_poly.terms.items():
+        classes[i & 1, j & 1].append((i, j, proot(c)))
+    if not (classes[0, 1] or classes[1, 0] or classes[1, 1]):
+        raise CartierError("eta_0 undefined: H lies in k[x^p, y^p]")
+    add, mul, zero = f.add, f.mul, f.zero
+    a_terms, b_terms = {}, {}
+    get = a_terms.get
+    for (i1, j1), c1 in g_poly.terms.items():
+        r1 = proot(c1)
+        if i1 & j1 & 1:
+            b_terms[i1 >> 1, j1 >> 1] = r1
+        # i1 + i2 and j1 + j2 are odd, so >> 1 is the shift by (1, 1) and
+        # the halving together
+        for i2, j2, r2 in classes[1 - (i1 & 1), 1 - (j1 & 1)]:
+            e = ((i1 + i2) >> 1, (j1 + j2) >> 1)
+            a_terms[e] = add(get(e, zero), mul(r1, r2))
+    a = FqPoly._clean(f, g_poly.vars,
+                      {e: c for e, c in a_terms.items() if c != zero})
+    return FormElement((a, FqPoly._clean(f, g_poly.vars, b_terms)))
 
 
 def cartier_general(g_poly, h_poly):

@@ -111,17 +111,15 @@ class FqPoly:
     def __mul__(self, other):
         self._check(other)
         f = self.field
+        add, mul, zero = f.add, f.mul, f.zero
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = f.mul(c1, c2)
-                s = f.add(out.get(e, f.zero), prod)
-                if s == f.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return FqPoly._clean(f, self.vars, out)
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = add(get(e, zero), mul(c1, c2))
+        return FqPoly._clean(f, self.vars,
+                             {e: c for e, c in out.items() if c != zero})
 
     def scale(self, c):
         f = self.field

@@ -31,6 +31,7 @@ input, such as a lattice file.  The even-lattice constructor rejects
 non-integral input.
 """
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +86,11 @@ class Lattice:
     @property
     def is_even(self):
         return self.is_integral and all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
+
+    @functools.cached_property
+    def det(self):
+        """det of the Gram matrix, exact; computed once per lattice."""
+        return Fraction(det_bareiss(self.gram), self.den ** self.rank)
 
     def pair(self, v, w):
         g = self.gram
@@ -175,7 +181,7 @@ def ade_lattice(kind, n):
 
 def discriminant(lat):
     """det of the Gram matrix, exact; error on degenerate lattices."""
-    d = Fraction(det_bareiss(lat.gram), lat.den ** lat.rank)
+    d = lat.det
     if d == 0:
         raise LatticeError("degenerate lattice")
     return int(d) if d.denominator == 1 else d
@@ -529,7 +535,8 @@ def glue(l1, l2, gd):
         raise LatticeError("non-integral pairing in glued lattice")
     if not glued.is_even:
         raise LatticeError("glued lattice is not even")
-    # det(L1 (+) L2) = det L1 * det L2: `discriminant` rejects a degenerate factor
+    # det(L1 (+) L2) = det L1 * det L2: `discriminant` rejects a degenerate
+    # factor, on the determinant each lattice computes once
     discriminant(l1)
     discriminant(l2)
     index = den ** n // prod(row[i] for i, row in enumerate(s))

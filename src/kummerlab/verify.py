@@ -325,7 +325,9 @@ def campaign_singularities(seed, count=200, jobs=1):
     if processes > 1:
         import multiprocessing
         with multiprocessing.Pool(processes) as pool:
-            raws = pool.map(_singularity_task, tasks)
+            # task costs differ by 25x: one task per dispatch keeps every
+            # worker busy to the end; map keeps the task order
+            raws = pool.map(_singularity_task, tasks, chunksize=1)
     else:
         raws = [_singularity_task(t) for t in tasks]
     agg = {}

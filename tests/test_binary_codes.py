@@ -8,6 +8,7 @@ from kummerlab.binary_codes import (
     BinaryCode,
     CodeError,
     _children_profiles,
+    _profile_keys,
     a1m_frame_roots,
     build_subcode,
     build_v16,
@@ -19,6 +20,7 @@ from kummerlab.binary_codes import (
     max_admissible_dim,
     mod4_overlattice,
     shortened_golay,
+    word_weights,
 )
 from kummerlab.exactmat import mat_mul
 from kummerlab.lattice_core import discriminant, roots
@@ -173,6 +175,74 @@ def test_children_profiles_match_brute_force(source, picks):
     assert code.is_admissible()
     m, profile = code.ground_size, code.profile()
     assert _children_profiles(profile, m) == brute_force_children(profile, m)
+
+
+def direct_weights(profile):
+    """Reference: the weight of word a counts the cells z with a.z odd."""
+    return [sum(c for z, c in enumerate(profile) if (a & z).bit_count() & 1)
+            for a in range(len(profile))]
+
+
+def sorted_weight_keys(profile):
+    """Reference: (invariant, cell keys) with each cell keyed by its count
+    and the sorted weights of the words through it."""
+    wt = direct_weights(profile)
+    keys = [(c, tuple(sorted(wt[a] for a in range(len(profile)) if (a & z).bit_count() & 1)))
+            for z, c in enumerate(profile)]
+    return (len(profile), tuple(sorted(wt[1:])), tuple(sorted(keys[1:]))), keys
+
+
+profiles = st.integers(0, 5).flatmap(
+    lambda k: st.lists(st.integers(0, 6), min_size=1 << k, max_size=1 << k)).map(tuple)
+
+
+@PROPERTY
+@given(profiles)
+def test_word_weights_are_the_direct_count(profile):
+    """Lengths 1, 2, 4 ... 32; kills a Walsh-Hadamard butterfly with its
+    two signs swapped."""
+    assert word_weights(profile) == direct_weights(profile)
+
+
+def gl_image(profile, rng):
+    """The profile of the same code in another basis: cell z moves to A z
+    for a random invertible A over F_2."""
+    k = (len(profile) - 1).bit_length()
+    while True:
+        cols = [rng.randrange(1, 1 << k) for _ in range(k)]
+        image = [0] * len(profile)
+        for z in range(len(profile)):
+            for j, col in enumerate(cols):
+                if (z >> j) & 1:
+                    image[z] ^= col
+        if len(set(image)) == len(profile):
+            out = [0] * len(profile)
+            for z, c in enumerate(profile):
+                out[image[z]] = c
+            return tuple(out)
+
+
+@PROPERTY
+@given(profiles, st.integers(0, 2 ** 32), st.booleans())
+def test_cell_keys_split_cells_as_sorted_weights(pa, seed, related):
+    """The count-per-weight keys give the same equality relation as the
+    sorted-weight keys, on invariants and, where invariants agree, on
+    every pair of cells, also across two profiles."""
+    rng = random.Random(seed)
+    pb = gl_image(pa, rng) if related else tuple(rng.choice(pa) for _ in pa)
+    inv_a, keys_a = _profile_keys(pa)
+    inv_b, keys_b = _profile_keys(pb)
+    ref_inv_a, ref_keys_a = sorted_weight_keys(pa)
+    ref_inv_b, ref_keys_b = sorted_weight_keys(pb)
+    assert (inv_a == inv_b) == (ref_inv_a == ref_inv_b)
+    assert not related or inv_a == inv_b
+    pairs = [(keys_a, keys_a, ref_keys_a, ref_keys_a)]
+    if ref_inv_a[1] == ref_inv_b[1]:     # equal weight multisets
+        pairs.append((keys_a, keys_b, ref_keys_a, ref_keys_b))
+    for ka, kb, ra, rb in pairs:
+        for z1 in range(len(pa)):
+            for z2 in range(len(pa)):
+                assert (ka[z1] == kb[z2]) == (ra[z1] == rb[z2])
 
 
 def test_exhaustive_search_16_unique():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from kummerlab.char2_algebra import (
     AmbientSpan,
     CartierError,
+    ExtField,
     FqPoly,
     cartier_general,
     cartier_p2,
@@ -20,6 +21,7 @@ from kummerlab.char2_algebra import (
     z_filtration,
     z_filtration_dims,
 )
+from kummerlab.char2_algebra.cartier import _block, pth_root_poly
 
 V4 = ("x", "y")
 V2 = ("x", "t")
@@ -202,6 +204,46 @@ def test_cartier_rejects_pth_power_H():
     h = FqPoly(f, V4, {(2, 0): f.one, (0, 4): f.one})
     with pytest.raises(CartierError):
         cartier_general(FqPoly.const(f, V4, f.one), h)
+    # H = x^2 + y^4 has H_y = 0, so eta_0 = dx/H_y is undefined for the
+    # p = 2 route too, however many terms g has
+    for g in (FqPoly.const(f, V4, f.one), FqPoly(f, V4, {(1, 1): f.one, (0, 1): 2})):
+        with pytest.raises(CartierError, match="eta_0 undefined"):
+            cartier_p2(g, h)
+
+
+@st.composite
+def block_pairs(draw):
+    """(g, H) over F_2, F_4, F_16, F_256 or a quadratic tower over F_4: g
+    may be zero, and H has a term outside k[x^2, y^2]."""
+    name = draw(st.sampled_from([(2, 1), (2, 2), (2, 4), (2, 8), "tower"]))
+    if name == "tower":
+        # u^2 + u + 2 has no root in F_4, so the quotient is F_16
+        field = ExtField(get_field(2, 2), [2, 1, 1])
+        coef = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda c: c != field.zero)
+    else:
+        field = get_field(*name)
+        coef = st.integers(1, field.order - 1)
+    expo = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    g = FqPoly(field, V4, draw(st.dictionaries(expo, coef, max_size=6)))
+    h_terms = draw(st.dictionaries(expo, coef, max_size=6))
+    odd = draw(expo.filter(lambda e: e[0] % 2 or e[1] % 2))
+    h_terms[odd] = draw(coef)
+    return g, FqPoly(field, V4, h_terms)
+
+
+@PROPERTY
+@given(block_pairs())
+def test_cartier_p2_is_the_block_of_the_full_product(pair):
+    """Reference: sqrt of the odd-odd block of the whole product g H, and
+    of g.  Kills a cartier_p2 that drops a parity class of H, or pairs a
+    g term with the wrong class."""
+    g, h = pair
+    form = cartier_p2(g, h)
+    assert form.a == pth_root_poly(_block(g * h, 2))
+    assert form.b == pth_root_poly(_block(g, 2))
+    for part in (form.a, form.b):
+        assert part == FqPoly(part.field, part.vars, part.terms)   # clean terms
 
 
 def test_p1_derivative():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -379,6 +380,61 @@ def test_internal_constructor_equals_the_public_one(case):
         assert isinstance(got.vars, tuple)
         assert all(type(x) is int for e in got.terms for x in e)
         assert got.field.zero not in got.terms.values()
+
+
+def _dense_product(a, b):
+    """Reference: the product of dense coefficient arrays, every pair of
+    positions multiplied (zeros too) with the field's reference ops."""
+    add, _sub, mul, zero = _reference_ops(a.field)
+
+    def dense(poly):
+        degs = [max((e[i] for e in poly.terms), default=0) for i in range(len(poly.vars))]
+        return [(e, poly.terms.get(e, zero))
+                for e in itertools.product(*(range(d + 1) for d in degs))]
+
+    out = {}
+    for e1, c1 in dense(a):
+        for e2, c2 in dense(b):
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = add(out.get(e, zero), mul(c1, c2))
+    return {e: c for e, c in out.items() if c != zero}
+
+
+# F_2, F_4 and F_2^8 have byte tables, F_3, F_9 and F_5 their own add and
+# mul, and the tower tuple elements
+SPARSE_MUL_FIELDS = ["F_2^1", "F_2^2", "F_2^8", "F_3^1", "F_3^2", "F_5^1", "F_2^4[u]/deg2"]
+
+
+@st.composite
+def sparse_products(draw):
+    """Two polynomials in 1 to 3 variables over one field; an operand may
+    be zero or a single term."""
+    field = _row_field(draw(st.sampled_from(SPARSE_MUL_FIELDS)))
+    variables = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    expo = st.tuples(*[st.integers(0, 3)] * len(variables))
+
+    def poly():
+        size = draw(st.sampled_from([0, 1, 3, 6]))
+        return FqPoly(field, variables,
+                      draw(st.dictionaries(expo, _elements(field), max_size=size)))
+
+    return poly(), poly()
+
+
+_F2 = get_field(2, 1)
+_X_PLUS_Y = FqPoly(_F2, ("x", "y"), {(1, 0): 1, (0, 1): 1})
+
+
+@settings(PROPERTY, max_examples=120)
+@given(sparse_products())
+@example((_X_PLUS_Y, _X_PLUS_Y))                        # 2xy cancels
+@example((_X_PLUS_Y, FqPoly(_F2, ("x", "y"), {})))       # a zero operand
+@example((FqPoly(_F2, ("x",), {(3,): 1}), FqPoly(_F2, ("x",), {(2,): 1})))
+def test_sparse_mul_is_the_dense_schoolbook(pair):
+    a, b = pair
+    got = a * b
+    assert got.terms == _dense_product(a, b)
+    assert all(type(x) is int for e in got.terms for x in e)
 
 
 def _rand_poly(field, rng, variables=("x", "y"), nterms=5, dmax=4):

@@ -316,7 +316,8 @@ def test_singularity_pool_is_capped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == 1
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
