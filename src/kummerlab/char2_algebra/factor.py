@@ -8,11 +8,32 @@ polynomial is returned as it stands, and a polynomial coprime to its
 derivative is its own squarefree part; neither shortcut draws from the
 generator.
 
-Each step is written once over the field's univariate ring `field.ring`.
-On a byte-table field (characteristic 2, q <= 256) a polynomial stays one
-packed int from entry to exit: the derivative is a byte mask, the square
-root one `translate`, each modulus is packed into its row once.  Other
-fields (odd p, q > 256, towers) use coefficient lists.
+The characteristic-2 split of a product a of irreducibles of degree d
+over F_q, q = 2^e, reads the absolute trace of a random element of
+F_q[x]/(a), which lies in F_2 in every factor, so its gcd with a splits a
+about half the time (Berlekamp, Math. Comp. 24, 1970; von zur Gathen and
+Shoup, Comput. Complexity 2, 1992).  The trace is built from rows of
+powers of x mod a, found once for a and used unreduced by every part of
+a, since the gcd with a part reduces the trial mod that part:
+
+- d > 1: the Frobenius rows x^(q i) mod a, i < deg a.  As c^q = c on F_q,
+  r^q is `ring.combine` of r's coefficients with the rows, so the trace
+  r + r^q + ... + r^(q^(d-1)) down to F_q costs d - 1 combinations and
+  the trace from F_q down to F_2 e - 1 squarings, where a squaring per
+  step would cost e d - 1 squarings.
+- d = 1: the square rows x^(2^j) mod a, j < e.  A trial is c x for a
+  random c != 0, whose trace is one combination of the e rows with
+  (c, c^2, ..., c^(2^(e-1))) and then one gcd.
+
+Each step is written once over the field's univariate ring `field.ring`,
+so a byte-table field and coefficient lists run the same steps on the
+same draws.  On a byte-table field (characteristic 2, q <= 256) a
+polynomial stays one packed int from entry to exit: the derivative is a
+byte mask, the square root one `translate`, each modulus and each row is
+packed once.  Other fields (odd p, q > 256, towers) use coefficient
+lists.  `ring_factors` factors a ring element and returns coefficient
+keys, for callers that stay in the ring; `factor_univariate` is it on an
+FqPoly.
 """
 
 import random
@@ -88,40 +109,115 @@ def distinct_degree(a, ring):
     return out
 
 
-def equal_degree_split(a, d, ring, rng):
-    """All monic irreducible factors of a (product of degree-d irreducibles)."""
+def frobenius_rows(a, ring):
+    """The rows x^(q i) mod a for i < deg a, q the field order, packed as
+    `ring.modrow`: r^q mod a is `ring.combine` of r's coefficients with
+    them, as c^q = c in F_q.  Row 2i is the square of row i, row 2i + 1
+    that times x^q."""
     f = ring.field
+    row = ring.modrow(a)
+    xq = _pow_mod(ring.pack([f.zero, f.one]), f.order, a, ring)
+    rows = [ring.one, xq]
+    for i in range(2, ring.deg(a)):
+        half = rows[i >> 1]
+        rows.append(ring.mulmod(half, half, row) if i % 2 == 0
+                    else ring.mulmod(rows[i - 1], xq, row))
+    return [ring.modrow(r) for r in rows[:ring.deg(a)]]
+
+
+def _square_rows(a, ring):
+    """The rows x^(2^j) mod a for j < e, q = 2^e, packed as `ring.modrow`:
+    the absolute trace of c x mod a is `ring.combine` of (c, c^2, ...,
+    c^(2^(e-1))) with them."""
+    f = ring.field
+    row = ring.modrow(a)
+    rows = [ring.rem(ring.pack([f.zero, f.one]), a)]
+    for _ in range(f.degree - 1):
+        rows.append(ring.mulmod(rows[-1], rows[-1], row))
+    return [ring.modrow(r) for r in rows]
+
+
+def _trace_trial(poly, d, rows, ring, rng):
+    """One char-2 splitting trial for a factor poly of the rows' modulus: a
+    random element mapped to F_2 in every degree-d factor by the absolute
+    trace.  For d = 1 it is the trace of c x, one combination of the square
+    rows; otherwise the trace of a random r, down to F_q by d - 1
+    combinations of the Frobenius rows and on to F_2 by e - 1 squarings
+    mod poly.  The gcd with poly reduces what is left mod the modulus."""
+    f = ring.field
+    if d == 1:
+        c = f.rand_nonzero(rng)
+        coeffs = [c]
+        for _ in range(f.degree - 1):
+            coeffs.append(f.mul(coeffs[-1], coeffs[-1]))
+        return ring.combine(coeffs, rows)
+    t = acc = ring.pack([f.rand(rng) for _ in range(ring.deg(poly))])
+    for _ in range(d - 1):
+        acc = ring.combine(ring.key(acc), rows)
+        t = ring.sub(t, acc)
+    row = ring.modrow(poly)
+    t = acc = ring.rem(t, poly)
+    for _ in range(f.degree - 1):
+        acc = ring.mulmod(acc, acc, row)
+        t = ring.sub(t, acc)
+    return t
+
+
+def _power_trial(poly, d, ring, rng):
+    """One odd-p splitting trial: r^((q^d - 1) / 2) - 1 for a random r."""
+    f = ring.field
+    r = ring.pack([f.rand(rng) for _ in range(ring.deg(poly))])
+    return ring.sub(_pow_mod(r, (f.order ** d - 1) // 2, poly, ring), ring.one)
+
+
+def equal_degree_split(a, d, ring, rng):
+    """All monic irreducible factors of a (product of degree-d irreducibles).
+
+    In characteristic 2 the rows of a, the square rows for d = 1 and the
+    Frobenius rows otherwise, serve the trials of every part of a."""
+    a = ring.monic(a)
     if ring.deg(a) == d:
-        return [ring.monic(a)]
+        return [a]
+    if ring.field.char == 2:
+        rows = _square_rows(a, ring) if d == 1 else frobenius_rows(a, ring)
+
+        def trial(poly):
+            return _trace_trial(poly, d, rows, ring, rng)
+    else:
+        def trial(poly):
+            return _power_trial(poly, d, ring, rng)
     out = []
-    stack = [ring.monic(a)]
+    stack = [a]
     while stack:
         poly = stack.pop()
         n = ring.deg(poly)
         if n == d:
             out.append(poly)
             continue
-        row = ring.modrow(poly)
         while True:
-            r = ring.pack([f.rand(rng) for _ in range(n)])
-            if ring.deg(r) < 0:
-                continue
-            if f.char == 2:
-                # t = r + r^2 + r^4 + ... (+ is - in characteristic 2)
-                t = acc = r
-                for _ in range(f.degree * d - 1):
-                    acc = ring.mulmod(acc, acc, row)
-                    t = ring.sub(t, acc)
-            else:
-                t = _pow_mod(r, (f.order ** d - 1) // 2, poly, ring)
-                t = ring.sub(t, ring.one)
-            g = ring.gcd(poly, t)
+            g = ring.gcd(poly, trial(poly))
             if 0 < ring.deg(g) < n:
-                rest, _ = ring.divmod(poly, g)
-                stack.append(g)
-                stack.append(rest)
                 break
+        stack.append(g)
+        stack.append(ring.divmod(poly, g)[0])
     return out
+
+
+def ring_factors(a, ring, seed=0):
+    """The monic irreducible factors of a nonzero element a of `ring` (none
+    for a constant), as coefficient keys with multiplicities, sorted by
+    degree, multiplicity and coefficients."""
+    if ring.deg(a) == 1:                   # linear: irreducible as it stands
+        return [(ring.key(ring.monic(a)), 1)]
+    rng, result = None, []
+    for sqf, mult in _squarefree(a, ring):
+        for prod, d in distinct_degree(sqf, ring):
+            if rng is None and ring.deg(prod) > d:     # seeded at its first use
+                rng = random.Random(f"kummerlab.factor.{seed}")
+            for irr in equal_degree_split(prod, d, ring, rng):
+                result.append((ring.key(irr), mult))
+    result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
+    return result
 
 
 def factor_univariate(poly, seed=0):
@@ -135,20 +231,8 @@ def factor_univariate(poly, seed=0):
     dense = poly.dense_univariate()
     if not dense:
         raise PolyError("cannot factor the zero polynomial")
-    unit = dense[-1]
-    ring = f.ring
-    a = ring.pack(dense)
-    if len(dense) == 2:                    # linear: irreducible as it stands
-        return unit, [(FqPoly.from_dense(f, var, ring.key(ring.monic(a))), 1)]
-    rng, result = None, []
-    for sqf, mult in _squarefree(a, ring):
-        for prod, d in distinct_degree(sqf, ring):
-            if rng is None and ring.deg(prod) > d:     # seeded at its first use
-                rng = random.Random(f"kummerlab.factor.{seed}")
-            for irr in equal_degree_split(prod, d, ring, rng):
-                result.append((ring.key(irr), mult))
-    result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
-    return unit, [(FqPoly.from_dense(f, var, irr), m) for irr, m in result]
+    return dense[-1], [(FqPoly.from_dense(f, var, irr), m) for irr, m
+                       in ring_factors(f.ring.pack(dense), f.ring, seed)]
 
 
 def poly_roots(poly, seed=0):

@@ -4,7 +4,8 @@ Base fields encode elements as integers 0..p^e-1 (digit vectors of the
 modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
 2^16; the tables come from the quotient ring ExtField(F_p, modulus) on
-digit tuples.  Towers K[u]/(h) over a base field or another tower keep
+digit tuples.  The p-th root is one read of a table built next to them.
+Towers K[u]/(h) over a base field or another tower keep
 elements as coefficient tuples, multiply through the base's `ring`
 (below), and host algebraic points found during factorization; they are
 never serialized.  `row_reduce` is the Gaussian elimination over
@@ -184,6 +185,12 @@ class BaseField:
         # doubled, so log a + log b < 2(q - 1) indexes it with no reduction
         self._exp = exp + exp
         self._log = log
+        # the p-th root of exp[i] is exp[i * p^(e-1)], as (g^i)^(p^e) = g^i
+        root = [0] * q
+        step = p ** (self.degree - 1)
+        for i, v in enumerate(exp):
+            root[v] = exp[i * step % (q - 1)]
+        self.proot_table = root
         if p != 2:
             digits = [self._digits(a) for a in range(q)]
             self._add_table = [[self._undigits([x + y for x, y in zip(da, db)])
@@ -259,8 +266,8 @@ class BaseField:
         return n % self.char
 
     def proot(self, a):
-        """The unique p-th root (inverse Frobenius)."""
-        return self.pow_elem(a, self.char ** (self.degree - 1))
+        """The unique p-th root (inverse Frobenius), one table read."""
+        return self.proot_table[a]
 
     def rand(self, rng):
         return rng.randrange(self.order)
@@ -365,6 +372,8 @@ class ExtField:
     addmul_row = _addmul_row
     # the modulus as a packed reduction row when the base has byte tables
     _row = byte_tables = None
+    # the p-th root of u, on the first `proot`
+    _root_of_u = None
 
     def inv(self, a):
         if a == self.zero:
@@ -391,7 +400,20 @@ class ExtField:
         return self.embed(self.base.scalar(n))
 
     def proot(self, a):
-        return self.pow_elem(a, self.char ** (self.degree - 1))
+        """The p-th root.  With A_j the p-th roots of the coefficients j,
+        j + p, ... of a, a = sum_j u^j A_j(u)^p, so its root is
+        sum_j r^j A_j for r the p-th root of u, found once per field."""
+        base, p = self.base, self.char
+        if self._root_of_u is None:
+            # u is (0, 1, 0, ...); at rel_degree 1 this reads one, but then
+            # every A_j with j > 0 is zero and r does not matter
+            u = self.one[-1:] + self.one[:-1]
+            self._root_of_u = self.pow_elem(u, p ** (self.degree - 1))
+        out = self.zero
+        for j in range(p - 1, -1, -1):              # Horner in r
+            part = tuple(base.proot(c) for c in a[j::p])
+            out = self.add(self.mul(out, self._root_of_u), part + self.zero[len(part):])
+        return out
 
     def rand(self, rng):
         return tuple(self.base.rand(rng) for _ in range(self.rel_degree))

@@ -14,10 +14,14 @@ with byte tables (characteristic 2, q <= 256; see field.py) it is a
 byte and steps with `bytes.translate`.  Every other field gets a
 `_ListRing` on coefficient lists, whose product, division and reduction
 run the field's row hook `addmul_row(dst, off, c, src)` (dst[off + j] +=
-c * src[j]) once per row.  The multivariate gcd and the resultant in one
-variable come from one subresultant PRS over a coefficient ring, packed
-ints in two variables over a byte-table field and sparse FqPolys
-otherwise; the gcd takes its contents with the same ring's gcd.
+c * src[j]) once per row.  Both rings have `combine(coeffs, rows)`, the
+sum of c * row over rows packed by `modrow`, which factor.py reads the
+q-th power and the trace through, and `split`, a polynomial in two
+variables as its dense list in one of ring elements in the other.  The
+multivariate gcd and the resultant in one variable come from one
+subresultant PRS over a coefficient ring, packed ints in two variables
+over a byte-table field and sparse FqPolys otherwise; the gcd takes its
+contents with the same ring's gcd.
 """
 
 import operator
@@ -365,6 +369,8 @@ class _Ring:
     def gcd(self, a, b):
         """The monic gcd; gcd(a, 0) is a made monic."""
         while b:
+            if self.deg(b) == 0:           # a nonzero constant: coprime
+                return self.one
             a, b = b, self.rem(a, b)
         return self.monic(a)
 
@@ -382,7 +388,7 @@ class PackedRing(_Ring):
         self.field = field
         self.mul_t, self.square_t = field.byte_tables
         self.inv_t = b"\0" + bytes(map(field.inv, range(1, field.order)))
-        self.sqrt_t = bytes(map(field.proot, range(field.order))).ljust(256, b"\0")
+        self.sqrt_t = bytes(field.proot_table).ljust(256, b"\0")
 
     @staticmethod
     def pack(coeffs):
@@ -431,6 +437,16 @@ class PackedRing(_Ring):
 
     def mulmod(self, a, b, row):
         return _packed_reduce(self.mul(a, b), row, self.mul_t, 1)
+
+    def combine(self, coeffs, rows):
+        """sum c * row over the pairs of a coefficient sequence and rows
+        packed by `modrow`, one translated row per nonzero coefficient."""
+        mul = self.mul_t
+        acc = 0
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc ^= int.from_bytes(row.translate(mul[c]), "little")
+        return acc
 
     def deriv(self, a):
         """The derivative: the odd coefficients, moved one byte down."""
@@ -526,6 +542,15 @@ class _ListRing(_Ring):
             f.addmul_row(res, i - d, f.neg(res[i]), low)
         return dense_trim(res[:d], f)
 
+    def combine(self, coeffs, rows):
+        """sum c * row over the pairs of a coefficient sequence and rows
+        packed by `modrow`."""
+        f = self.field
+        acc = [f.zero] * max(map(len, rows), default=0)
+        for c, row in zip(coeffs, rows):
+            f.addmul_row(acc, 0, c, row)
+        return dense_trim(acc, f)
+
     def deriv(self, a):
         f = self.field
         out = [f.zero if i % f.char == 0 else f.mul(a[i], f.scalar(i))
@@ -537,6 +562,18 @@ class _ListRing(_Ring):
         if any(c != f.zero for i, c in enumerate(a) if i % f.char):
             raise PolyError("polynomial is not a p-th power")
         return dense_trim([f.proot(c) for c in a[::f.char]], f)
+
+    def split(self, poly, var):
+        """An FqPoly in k[u, v] as its dense list in var of trimmed lists in
+        the other variable, as `PackedRing.split`."""
+        i = poly.vars.index(var)
+        zero = self.field.zero
+        out = [[] for _ in range(poly.degree(var) + 1)]
+        for e, c in poly.terms.items():
+            row, k = out[e[i]], e[1 - i]
+            row.extend([zero] * (k + 1 - len(row)))
+            row[k] = c
+        return out
 
 
 # ---------------------------------------------------------------------------

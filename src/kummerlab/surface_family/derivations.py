@@ -32,7 +32,6 @@ among `points.closed_points`.
 
 from dataclasses import dataclass
 
-from ..char2_algebra.cartier import sqrt_poly
 from ..char2_algebra.poly import FqPoly, dense_trim, poly_gcd_multivariate
 from .spec import SurfaceError, _FIXED_TERMS, _f4_elements, _spec_from_H
 from .points import _NonIsolated, _colength_at, _jacobian, closed_points
@@ -54,11 +53,11 @@ class DerivationSpec:
 
 
 def _half_pullback(poly, new_vars):
-    """sqrt of poly(x^2, y^2) written in the square-root coordinates."""
-    f = poly.field
-    doubled = FqPoly(f, new_vars,
-                     {(2 * e[0], 2 * e[1]): c for e, c in poly.terms.items()})
-    return sqrt_poly(doubled)
+    """sqrt of poly(s^2, t^2): the same exponents with each coefficient's
+    square root, as doubling the exponents and halving them cancel."""
+    proot = poly.field.proot
+    return FqPoly._clean(poly.field, new_vars,
+                         {e: proot(c) for e, c in poly.terms.items()})
 
 
 def covering_derivation(spec):

@@ -2,22 +2,31 @@
 
 Strategy: `closed_points` solves a zero-dimensional plane system
 (g1, g2).  It eliminates one variable by an exact resultant, factors the
-resultant over the base field, specializes the system at each factor's
-root, factors the gcd of the specializations, and hosts each Galois orbit
-of common zeros in a quotient-ring tower.  The specializations, their
-gcd and the factorizations live in the univariate ring of the field that
-hosts them (`field.ring`): packed ints over a byte-table field
-(characteristic 2, q <= 256), coefficient lists elsewhere.  `_colength_at`
-then gives the local colength there: 1 at transverse points
-(nonvanishing Jacobian, from the four partials that `_jacobian` takes
-once per system over the base field), otherwise the intersection
-multiplicity of the two curves at the point, by Fulton's algorithm
-(Fulton, Algebraic Curves, 3.3) on the pair mapped to the point field
-and translated there by `FqPoly.shift`, a Taylor shift.  That recursion
-uses only field addition and multiplication, so it runs unchanged over
-base fields and towers; a colength above COLENGTH_CAP counts as
-non-isolated.  `closed_points` has three readers.  `singular_points`
-solves the partials (H_x, H_y) of a family member.
+resultant over the base field, and hosts each Galois orbit of common
+zeros in a quotient-ring tower.  Everything after the resultant runs in
+the univariate ring `field.ring` of the field that hosts it: packed ints
+over a byte-table field (characteristic 2, q <= 256), coefficient lists
+elsewhere.  g1 and g2 are split once (`ring.split`) into their dense
+lists in the eliminated variable, whose coefficients are ring elements
+in the key variable.  At a monic irreducible factor fac of the resultant
+the specialization is by reduction: a coefficient reduced mod fac is its
+value at the root u of fac, the element of k = base[u]/(fac) that the
+tower stores, so no power of the root is ever formed.  The gcd of the
+two specializations in k's ring holds the points over that root; a
+monic gcd of degree 1 gives its point as -g_0 directly, and any other
+is factored (`factor.ring_factors`) and each factor hosts one orbit.
+`_colength_at` then gives the local colength there: 1 at transverse
+points (a nonvanishing Jacobian, from the four partials that `_jacobian`
+takes once per system over the base field, evaluated from one power
+table per coordinate), otherwise the intersection multiplicity of the
+two curves at the point, by Fulton's algorithm (Fulton, Algebraic
+Curves, 3.3) on the pair mapped to the point field and translated there
+by `FqPoly.shift`, a Taylor shift.  That recursion uses only field
+addition and multiplication, so it runs unchanged over base fields and
+towers; a colength above COLENGTH_CAP counts as non-isolated.
+
+`closed_points` has three readers.  `singular_points` solves the
+partials (H_x, H_y) of a family member.
 `derivations._system_order` sums deg * colength over the fixed-locus
 generators of the covering derivation; that sum is read in two places:
 `surface derivation-check` prints it for non-additive generators (h07 != 0
@@ -31,7 +40,7 @@ no cap, and non-additive ones get none.
 
 from dataclasses import dataclass
 
-from ..char2_algebra.factor import factor_univariate
+from ..char2_algebra.factor import factor_univariate, ring_factors
 from ..char2_algebra.field import ExtField, row_reduce
 from ..char2_algebra.poly import FqPoly
 from ..char2_algebra.poly import resultant as poly_resultant
@@ -136,24 +145,7 @@ def local_colength(polys, field):
 
 
 # ---------------------------------------------------------------------------
-# specialization helpers
-
-
-def _specialize(poly, key_name, value, K, embed):
-    """poly(key=value) in the other variable, in K's univariate ring."""
-    other = [v for v in poly.vars if v != key_name][0]
-    ki = poly.vars.index(key_name)
-    oi = poly.vars.index(other)
-    deg = poly.degree(other)
-    out = [K.zero] * (deg + 1)
-    powers = {0: K.one}
-    maxk = max((e[ki] for e in poly.terms), default=0)
-    for k in range(1, maxk + 1):
-        powers[k] = K.mul(powers[k - 1], value)
-    for e, c in poly.terms.items():
-        term = K.mul(embed(c), powers[e[ki]])
-        out[e[oi]] = K.add(out[e[oi]], term)
-    return K.ring.pack(out)
+# the closed-point solver
 
 
 def _elim_data(spec):
@@ -171,15 +163,29 @@ def _identity(c):
     return c
 
 
-def _adjoin_root(fac, field):
-    """(field', embedding of field, root) for a monic irreducible factor."""
-    dense = fac.dense_univariate()
+def _adjoin_root(dense, field):
+    """(field', embedding of field, root) for the coefficient list of a
+    monic irreducible polynomial."""
     if len(dense) == 2:
-        root = field.neg(field.mul(dense[0], field.inv(dense[1])))
-        return field, _identity, root
+        return field, _identity, field.neg(dense[0])
     ext = ExtField(field, dense)
     root = tuple([field.zero, field.one] + [field.zero] * (len(dense) - 3))
     return ext, ext.embed, root
+
+
+def _at_root(coeffs, mod, k_field, base):
+    """The polynomial with coefficient list `coeffs` (base-ring elements in
+    the key variable) at the root u of the monic irreducible `mod`, in the
+    ring of k_field = base[u]/(mod): a coefficient reduced mod `mod` is its
+    value at u."""
+    ring = base.ring
+    width = ring.deg(mod)
+    pad = (base.zero,) * width
+    out = []
+    for c in coeffs:
+        r = tuple(ring.key(ring.rem(c, mod))) + pad
+        out.append(r[0] if width == 1 else r[:width])
+    return k_field.ring.pack(out)
 
 
 def closed_points(g1, g2, key, elim):
@@ -198,45 +204,75 @@ def closed_points(g1, g2, key, elim):
         res = g1 if g1.degree(elim) == 0 else g2
     if res.is_zero():
         raise _NonIsolated()
-    _unit, factors = factor_univariate(res.restrict_vars((key,)))
+    base = g1.field
+    ring = base.ring
+    splits = ring.split(g1, elim), ring.split(g2, elim)
+    ki = res.vars.index(key)
+    _unit, factors = factor_univariate(FqPoly._clean(
+        base, (key,), {(e[ki],): c for e, c in res.terms.items()}))
     for fac, _mult in factors:
-        k_field, embed1, xbar = _adjoin_root(fac, g1.field)
-        s1 = _specialize(g1, key, xbar, k_field, embed1)
-        s2 = _specialize(g2, key, xbar, k_field, embed1)
+        dense = fac.dense_univariate()
+        width = len(dense) - 1
+        k_field, embed1, xbar = _adjoin_root(dense, base)
+        k_ring, mod = k_field.ring, ring.pack(dense)
+        s1, s2 = (_at_root(c, mod, k_field, base) for c in splits)
         if not s1 and not s2:
             raise _NonIsolated()
-        ring = k_field.ring
-        g = ring.gcd(s1, s2)
-        if ring.deg(g) < 1:
-            continue
-        _u, yfactors = factor_univariate(FqPoly.from_dense(k_field, elim,
-                                                           ring.key(g)))
-        for yfac, _m in yfactors:
-            pt_field, embed2, ybar = _adjoin_root(yfac, k_field)
-            if pt_field is k_field:
-                emb = embed1
-            else:
-                emb = lambda c, e1=embed1, e2=embed2: e2(e1(c))
-            yield pt_field, emb, {key: embed2(xbar), elim: ybar}, \
-                fac.degree() * yfac.degree()
+        g = k_ring.gcd(s1, s2)
+        deg = k_ring.deg(g)
+        if deg == 1:                       # monic: the point is -g_0
+            ybar = k_field.neg(k_ring.key(g)[0])
+            yield k_field, embed1, {key: xbar, elim: ybar}, width
+        elif deg > 1:
+            for ydense, _m in ring_factors(g, k_ring):
+                pt_field, embed2, ybar = _adjoin_root(ydense, k_field)
+                if pt_field is k_field:
+                    emb = embed1
+                else:
+                    emb = lambda c, e1=embed1, e2=embed2: e2(e1(c))
+                yield pt_field, emb, {key: embed2(xbar), elim: ybar}, \
+                    width * (len(ydense) - 1)
 
 
 def _jacobian(g1, g2):
-    """The partials (g1_v1, g1_v2, g2_v1, g2_v2) over the base field, for
-    `_colength_at` at every closed point of the system."""
+    """The partials (g1_v1, g1_v2, g2_v1, g2_v2) over the base field and
+    their top degree in each variable, for `_colength_at` at every closed
+    point of the system."""
     v1, v2 = g1.vars
-    return g1.partial(v1), g1.partial(v2), g2.partial(v1), g2.partial(v2)
+    partials = g1.partial(v1), g1.partial(v2), g2.partial(v1), g2.partial(v2)
+    return partials, [max((e[i] for d in partials for e in d.terms), default=0)
+                      for i in (0, 1)]
 
 
 def _colength_at(g1, g2, jac, field, embed, point):
     """Local colength of (g1, g2) at a common zero hosted in `field`; jac is
-    `_jacobian(g1, g2)`."""
-    a1, a2, b1, b2 = (d.map_field(field, embed).evaluate(point) for d in jac)
+    `_jacobian(g1, g2)`, evaluated from one power table per coordinate."""
+    partials, tops = jac
+    add, mul = field.add, field.mul
+    # row k holds the k-th power; exponent 0 multiplies by nothing
+    px, py = powers = [[None, point[v]] for v in g1.vars]
+    for row, top in zip(powers, tops):
+        for _ in range(top - 1):
+            row.append(mul(row[-1], row[1]))
+
+    def value(poly):
+        total = field.zero
+        for (i, j), c in poly.terms.items():
+            term = embed(c)
+            if i:
+                term = mul(term, px[i])
+            if j:
+                term = mul(term, py[j])
+            total = add(total, term)
+        return total
+
+    a1, a2, b1, b2 = map(value, partials)
     # transversality shortcut: the Jacobian determinant at the point
     if field.sub(field.mul(a1, b2), field.mul(a2, b1)) != field.zero:
         return 1
-    return local_colength([g.map_field(field, embed).shift(point)
-                           for g in (g1, g2)], field)
+    if field is not g1.field:
+        g1, g2 = (g.map_field(field, embed) for g in (g1, g2))
+    return local_colength([g.shift(point) for g in (g1, g2)], field)
 
 
 def singular_points(spec):

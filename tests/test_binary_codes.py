@@ -131,8 +131,11 @@ SEARCH_TABLE = (
 
 
 def test_exhaustive_search_small():
+    # a budget just above each node count makes a broken prune fail here
+    # instead of running away
     for m, (class_counts, nodes) in enumerate(SEARCH_TABLE):
-        res = max_admissible_dim(m)
+        res = max_admissible_dim(m, budget=nodes + 1)
+        assert not res.truncated
         assert res.exhaustive
         assert res.dim == f_bound(m)
         assert (res.class_counts, res.nodes) == (class_counts, nodes)

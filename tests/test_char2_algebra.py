@@ -19,7 +19,7 @@ from kummerlab.char2_algebra import (
     resultant,
 )
 from kummerlab.char2_algebra.factor import (_squarefree, distinct_degree,
-                                            equal_degree_split)
+                                            equal_degree_split, frobenius_rows)
 from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import (_coeffs_in_var, _ListRing, _SparseCoeffs,
                                           _subresultant_prs, poly_divexact, power)
@@ -831,6 +831,107 @@ def test_packed_factorization_is_the_list_factorization(case):
     unit, factors = factor_univariate(target)
     assert unit == dense[-1]
     assert sorted((irr.dense_univariate(), m) for irr, m in factors) == sorted(steps)
+
+
+# F_2^1..F_2^8 factor on the packed ring, F_2^10, F_3^2 and the tower on lists
+FACTOR_FIELDS = ["F_2^1", "F_2^2", "F_2^3", "F_2^4", "F_2^5", "F_2^6", "F_2^7",
+                 "F_2^8", "F_2^10", "F_3^2", "F_2^4[u]/deg2"]
+
+
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(1, 9)]
+                         + [(3, 2), (5, 1), (2, 10)])
+def test_proot_table_is_the_inverse_frobenius(p, e):
+    f = get_field(p, e)
+    assert [f.proot(a) for a in f.elements()] == [
+        f.pow_elem(a, p ** (e - 1)) for a in f.elements()]
+    if f.byte_tables is not None:
+        assert f.ring.sqrt_t[:f.order] == bytes(map(f.proot, f.elements()))
+
+
+def test_tower_proot_is_the_inverse_frobenius():
+    f4, quad = get_field(2, 2), _quadratic_tower(get_field(2, 4))
+    towers = [quad, ExtField(f4, [f4.one, f4.one, f4.zero, f4.one]),   # u^3 + u + 1
+              ExtField(quad, [quad.one, quad.one, quad.zero, quad.one]),
+              ExtField(get_field(3, 1), [1, 2, 0, 1])]                  # u^3 - u + 1
+    rng = random.Random(37)
+    for ext in towers:
+        for _ in range(50):
+            a = ext.rand(rng)
+            assert ext.proot(a) == ext.pow_elem(a, ext.char ** (ext.degree - 1))
+
+
+def _mulmod(ring, mod):
+    row = ring.modrow(mod)
+    return lambda a, b: ring.mulmod(a, b, row)
+
+
+@st.composite
+def monic_moduli(draw):
+    """(field, monic coefficient list of degree 1..8) over a FACTOR_FIELDS field."""
+    f = _row_field(draw(st.sampled_from(FACTOR_FIELDS)))
+    n = draw(st.integers(1, 8))
+    return f, draw(st.lists(_elements(f), min_size=n, max_size=n)) + [f.one]
+
+
+@PROPERTY
+@given(monic_moduli())
+def test_frobenius_rows_are_the_q_powers_of_x(case):
+    f, dense = case
+    for ring in (f.ring, _ListRing(f)):
+        a = ring.pack(dense)
+        x = ring.rem(ring.pack([f.zero, f.one]), a)
+        assert frobenius_rows(a, ring) == [
+            ring.modrow(power(x, f.order * i, _mulmod(ring, a), ring.one))
+            for i in range(ring.deg(a))]
+
+
+def _is_irreducible(a, ring):
+    """Rabin's test with `power`, not the Frobenius rows: for n = deg a,
+    x^(q^n) = x mod a, and x^(q^(n/r)) - x is coprime to a for every prime
+    r dividing n."""
+    f, n = ring.field, ring.deg(a)
+    x = ring.rem(ring.pack([f.zero, f.one]), a)
+
+    def frobenius_minus_x(k):
+        return ring.sub(power(x, f.order ** k, _mulmod(ring, a), ring.one), x)
+
+    primes = [r for r in range(2, n + 1) if n % r == 0
+              and all(r % s for s in range(2, r))]
+    return ring.deg(frobenius_minus_x(n)) < 0 and all(
+        ring.deg(ring.gcd(a, frobenius_minus_x(n // r))) == 0 for r in primes)
+
+
+@st.composite
+def factor_cases(draw):
+    """A unit times up to three monic factors of degree 1..4 with
+    multiplicities 1..3 over a FACTOR_FIELDS field, of degree <= 16."""
+    f = _row_field(draw(st.sampled_from(FACTOR_FIELDS)))
+    coef = _elements(f)
+    target = FqPoly.const(f, ("t",), draw(coef.filter(lambda c: c != f.zero)))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, 4))
+        factor = FqPoly.from_dense(f, "t", draw(st.lists(coef, min_size=k, max_size=k))
+                                   + [f.one])
+        target = target * factor.pow_int(draw(st.integers(1, 3)))
+    assume(target.degree() <= 16)
+    return target
+
+
+@settings(PROPERTY, max_examples=100)
+@given(factor_cases())
+@example(_packed_case(8, [1] + [0] * 15 + [1])[1])            # (t + 1)^16
+@example(_packed_case(4, [0, 1] + [0] * 14 + [1])[1])          # t^16 + t: all of F_16
+def test_factors_are_distinct_monic_irreducibles(target):
+    f = target.field
+    ring = f.ring
+    unit, factors = factor_univariate(target)
+    prod = FqPoly.const(f, ("t",), unit)
+    for irr, mult in factors:
+        assert irr.degree() > 0 and irr.monic() == irr and mult > 0
+        assert _is_irreducible(ring.pack(irr.dense_univariate()), ring)
+        prod = prod * irr.pow_int(mult)
+    assert prod == target
+    assert len({irr for irr, _m in factors}) == len(factors)
 
 
 def _sparse_prem(a, b, var):

@@ -2,9 +2,10 @@ import functools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from kummerlab.char2_algebra import ExtField, FqPoly, get_field, poly_gcd_multivariate
+from kummerlab.char2_algebra import (ExtField, FqPoly, factor_univariate, get_field,
+                                    poly_gcd_multivariate, resultant)
 from kummerlab.char2_algebra.poly import _subresultant_prs
 from kummerlab.surface_family import (
     BRANCHES,
@@ -135,6 +136,136 @@ def test_closed_points_orbits_over_tower():
         found.append((deg, _colength_at(g1, g2, jac, pt_field, emb, point)))
     assert found == [(1, 1)] * 4 + [(2, 1)] * 2
     assert sum(d * c for d, c in found) == 8
+
+
+def _specialize(poly, key, value, field, embed):
+    """poly(key = value) in the other variable, as a dense list over field:
+    the powers of value, term by term."""
+    other = [v for v in poly.vars if v != key][0]
+    ki, oi = poly.vars.index(key), poly.vars.index(other)
+    out = [field.zero] * (poly.degree(other) + 1)
+    for e, c in poly.terms.items():
+        out[e[oi]] = field.add(out[e[oi]],
+                               field.mul(embed(c), field.pow_elem(value, e[ki])))
+    return field.ring.pack(out)
+
+
+def _reference_root(fac, field):
+    dense = fac.dense_univariate()
+    if len(dense) == 2:
+        return field, (lambda c: c), field.neg(field.mul(dense[0], field.inv(dense[1])))
+    ext = ExtField(field, dense)
+    root = tuple([field.zero, field.one] + [field.zero] * (len(dense) - 3))
+    return ext, ext.embed, root
+
+
+def _reference_colength(g1, g2, field, embed, point):
+    v1, v2 = g1.vars
+    a1, a2, b1, b2 = (g.partial(v).map_field(field, embed).evaluate(point)
+                      for g in (g1, g2) for v in (v1, v2))
+    if field.sub(field.mul(a1, b2), field.mul(a2, b1)) != field.zero:
+        return 1
+    return local_colength([g.map_field(field, embed).shift(point) for g in (g1, g2)],
+                          field)
+
+
+def _reference_points(g1, g2, key, elim):
+    """Reference: the solver's route before specialization by reduction.
+    Each factor of the resultant gets a root field, both generators are
+    specialized there term by term, and every gcd is factored, linear or
+    not.  [(residue degree, coordinates, colength)], or None when the
+    locus is not isolated."""
+    try:
+        if g1.is_zero() or g2.is_zero():
+            raise _NonIsolated()
+        if g1.degree(elim) > 0 and g2.degree(elim) > 0:
+            res = resultant(g1, g2, elim)
+        else:
+            res = g1 if g1.degree(elim) == 0 else g2
+        if res.is_zero():
+            raise _NonIsolated()
+        out = []
+        for fac, _m in factor_univariate(res.restrict_vars((key,)))[1]:
+            k_field, embed1, xbar = _reference_root(fac, g1.field)
+            s1, s2 = (_specialize(g, key, xbar, k_field, embed1) for g in (g1, g2))
+            if not s1 and not s2:
+                raise _NonIsolated()
+            ring = k_field.ring
+            g = ring.gcd(s1, s2)
+            if ring.deg(g) < 1:
+                continue
+            gpoly = FqPoly.from_dense(k_field, elim, ring.key(g))
+            for yfac, _m in factor_univariate(gpoly)[1]:
+                pt_field, embed2, ybar = _reference_root(yfac, k_field)
+                emb = lambda c, e1=embed1, e2=embed2: e2(e1(c))
+                point = {key: embed2(xbar), elim: ybar}
+                out.append((fac.degree() * yfac.degree(), point,
+                            _reference_colength(g1, g2, pt_field, emb, point)))
+        return out
+    except _NonIsolated:
+        return None
+
+
+def _solver_points(g1, g2, key, elim):
+    jac = _jacobian(g1, g2)
+    try:
+        return [(deg, point, _colength_at(g1, g2, jac, pt_field, emb, point))
+                for pt_field, emb, point, deg in closed_points(g1, g2, key, elim)]
+    except _NonIsolated:
+        return None
+
+
+def _quadratic_tower(f):
+    """F_q[u]/(u^2 + u + c) for a c that is no value of a^2 + a."""
+    values = {f.add(f.mul(a, a), a) for a in f.elements()}
+    return ExtField(f, [next(c for c in f.elements() if c not in values), f.one, f.one])
+
+
+# F_4, F_16 and F_256 solve on the packed ring, F_2^10 and the tower on lists
+SOLVER_FIELDS = [get_field(2, 2), get_field(2, 4), get_field(2, 8), get_field(2, 10),
+                 _quadratic_tower(get_field(2, 4))]
+
+
+@st.composite
+def solver_systems(draw):
+    """(g1, g2) in k[x, y] of degree <= 3 in each variable over a
+    SOLVER_FIELDS field, half of them through a shared rational point."""
+    f = draw(st.sampled_from(SOLVER_FIELDS))
+    if isinstance(f, ExtField):
+        nonzero = st.tuples(*[st.integers(0, f.base.order - 1)] * 2).filter(
+            lambda c: c != f.zero)
+    else:
+        nonzero = st.integers(1, f.order - 1)
+    expo = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    g1, g2 = (FqPoly(f, ("x", "y"), draw(st.dictionaries(expo, nonzero, min_size=1,
+                                                          max_size=4)))
+              for _ in range(2))
+    if draw(st.booleans()):
+        # both through a shared rational point: subtract their values there
+        point = {"x": draw(nonzero), "y": draw(nonzero)}
+        g1, g2 = (g - FqPoly.const(f, g.vars, g.evaluate(point)) for g in (g1, g2))
+    return g1, g2
+
+
+def _system(e, g1_terms, g2_terms):
+    f = get_field(2, e)
+    return tuple(FqPoly(f, ("x", "y"), t) for t in (g1_terms, g2_terms))
+
+
+@settings(PROPERTY, max_examples=120)
+@given(solver_systems())
+# over F_4: y + x and x^2 + x meet where the gcd at each root is linear;
+# at x = 0 the gcd of y^2 + 1 and x is the square (y + 1)^2; at x = 1 it is
+# y^2 + y + w, irreducible as Tr(w) = w + w^2 = 1, a point of degree 2
+@example(_system(2, {(0, 1): 1, (1, 0): 1}, {(2, 0): 1, (1, 0): 1}))
+@example(_system(2, {(0, 2): 1, (0, 0): 1}, {(1, 0): 1}))
+@example(_system(2, {(0, 2): 1, (0, 1): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): 1}))
+def test_closed_points_match_the_specialize_reference(system):
+    g1, g2 = system
+    got, want = _solver_points(g1, g2, "x", "y"), _reference_points(g1, g2, "x", "y")
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert sorted(map(repr, got)) == sorted(map(repr, want))
 
 
 def _truncated_colength(f_poly, g_poly, field, max_cut):
