@@ -11,19 +11,17 @@ from .field import (FieldError, FieldSpec, BaseField, ExtField, get_field,
 from .poly import FqPoly, PolyError, poly_gcd_multivariate, resultant
 from .factor import factor_univariate, poly_roots
 from .cartier import (
-    AmbientSpan,
+    CLASS2_AMBIENT,
+    CLASS4_AMBIENT,
     CartierError,
     FormElement,
     cartier_general,
     cartier_p2,
     check_p1_derivative,
-    class2_ambient,
-    class4_ambient,
     divisorial_gcd_check,
     f_ij_table,
     partials,
     pth_root_poly,
-    sqrt_poly,
     z_filtration,
     z_filtration_dims,
 )
@@ -33,8 +31,8 @@ __all__ = [
     "row_reduce",
     "FqPoly", "PolyError", "poly_gcd_multivariate", "resultant",
     "factor_univariate", "poly_roots",
-    "AmbientSpan", "CartierError", "FormElement", "cartier_general",
-    "cartier_p2", "check_p1_derivative", "class2_ambient", "class4_ambient",
+    "CLASS2_AMBIENT", "CLASS4_AMBIENT", "CartierError", "FormElement",
+    "cartier_general", "cartier_p2", "check_p1_derivative",
     "divisorial_gcd_check", "f_ij_table", "partials", "pth_root_poly",
-    "sqrt_poly", "z_filtration", "z_filtration_dims",
+    "z_filtration", "z_filtration_dims",
 ]

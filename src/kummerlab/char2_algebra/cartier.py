@@ -14,10 +14,11 @@ w^(p-1-a) times the p-th root of the (p-1, p-1)-block of g H^a;
 `cartier_general` keeps the full products g H^a, since each is also the
 factor of the next power, and so it stays an independent check of the
 p = 2 route.  The module also provides the (p-1)-fold derivative identity
-check, the filtration of a finite monomial span under the semilinear
-preimage recursion, the bilinear convolution table f_ij driving that
-recursion, and the gcd comparison behind the normalization of inseparable
-double covers.
+check, the filtration Z_0 >= Z_1 >= ... of a finite monomial span under the
+semilinear preimage recursion (each level one kernel over the images of the
+current basis stacked on that basis), the bilinear convolution table f_ij
+driving that recursion, and the gcd comparison behind the normalization of
+inseparable double covers.
 """
 
 from dataclasses import dataclass
@@ -49,13 +50,6 @@ def pth_root_poly(f_poly):
             raise CartierError("not a square" if p == 2 else "not a p-th power")
         out[tuple(k // p for k in e)] = f.proot(c)
     return FqPoly(f, f_poly.vars, out)
-
-
-def sqrt_poly(f_poly):
-    """Square root in characteristic 2 (alias of the p-th root)."""
-    if f_poly.field.char != 2:
-        raise CartierError("sqrt_poly requires characteristic 2")
-    return pth_root_poly(f_poly)
 
 
 def _block(j_poly, p):
@@ -163,134 +157,72 @@ def check_p1_derivative(f_poly):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over a field object (small dense systems)
+# the Z-filtration of a finite monomial span
+
+# the (i, j) exponents spanning the polynomial part of Z_0 for each family
+CLASS4_AMBIENT = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1))
+CLASS2_AMBIENT = ((1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4))
 
 
-def _reduce_against(vec, echelon, pivots, field):
-    vec = list(vec)
-    for row, c in zip(echelon, pivots):
-        field.addmul_row(vec, 0, field.neg(vec[c]), row)
-    return vec
-
-
-def _nullspace(rows, ncols, field):
-    """Basis of {c : sum_k c_k rows[k] = 0} (c has len(rows) entries)."""
-    if not rows:
-        return []
-    # solve c * M = 0: reduce M^T augmented-style
-    m = len(rows)
-    cols = [[rows[k][j] for k in range(m)] for j in range(ncols)]  # ncols x m
-    ech, pivots = row_reduce(cols, field)
-    free = [j for j in range(m) if j not in pivots]
+def _kernel(rows, field):
+    """Basis of {c : sum_k c_k rows[k] = 0}, each row a {column: entry} dict."""
+    columns = dict.fromkeys(key for row in rows for key in row)
+    ech, pivots = row_reduce([[row.get(key, field.zero) for row in rows]
+                              for key in columns], field)
     basis = []
-    for j in free:
-        c = [field.zero] * m
-        c[j] = field.one
-        for row, pc in zip(ech, pivots):
-            c[pc] = field.neg(row[j])
-        basis.append(c)
+    for j in range(len(rows)):
+        if j not in pivots:
+            c = [field.zero] * len(rows)
+            c[j] = field.one
+            for row, pc in zip(ech, pivots):
+                c[pc] = field.neg(row[j])
+            basis.append(c)
     return basis
 
 
-# ---------------------------------------------------------------------------
-# the Z-filtration of a finite monomial span
-
-
-@dataclass
-class AmbientSpan:
-    monomials: tuple      # (i, j) exponent pairs spanning the polynomial part
-    has_w: bool = True
-
-
-def class4_ambient():
-    return AmbientSpan(((0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1)), True)
-
-
-def class2_ambient():
-    return AmbientSpan(((1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4)), True)
-
-
 def z_filtration(h_poly, ambient, depth):
-    """Bases of Z_0 >= Z_1 >= ... >= Z_depth inside the ambient span.
+    """Bases of Z_0 >= Z_1 >= ... >= Z_depth inside the span of `ambient`.
 
-    Z_0 is the whole span (monomials plus the w-line); Z_1 is its
+    Z_0 is the span of the ambient monomials plus the w-line; Z_1 is its
     polynomial part (the closed forms); for i >= 1,
-    Z_{i+1} = {v in Z_i : C(v) in Z_i}.  The Cartier operator is
-    semilinear, so the preimage condition is linearized by parametrizing
-    v = sum c_k^2 b_k, on which C acts linearly in the c_k.
+    Z_{i+1} = {v in Z_i : C(v) in Z_i}.  Each level is one kernel: with
+    b_1 .. b_k the basis of Z_i, a vector (c, d) with
+    sum_k c_k C(b_k) + sum_j d_j b_j = 0 has its w-part zero (every
+    w-monomial is a column of its own, as the w-line is outside Z_i) and
+    its polynomial part in Z_i.  C is semilinear, so v = sum_k c_k^2 b_k
+    then lies in Z_{i+1}, and the reduced echelon form of these v is the
+    basis of Z_{i+1}.
 
     Returns a list of (dimension, basis) pairs; basis vectors are lists of
     polynomial coefficients over the ambient monomials (the Z_0 entry also
-    carries the w-line, accounted in its dimension).
+    carries the w-line, counted in its dimension).
     """
     f = h_poly.field
     if f.char != 2:
         raise CartierError("the filtration is implemented for characteristic 2")
-    monos = list(ambient.monomials)
-    idx = {m: i for i, m in enumerate(monos)}
-
-    def poly_of(vec):
-        return FqPoly(f, h_poly.vars,
-                      {monos[i]: c for i, c in enumerate(vec) if c != f.zero})
-
-    # image of a basis polynomial: returns (poly part coeffs over ALL seen
-    # monomials, w-part poly)
-    def image(vec):
-        g = poly_of(vec)
-        form = cartier_p2(g, h_poly)
-        return form.a, form.b
-
-    out = []
-    dim0 = len(monos) + (1 if ambient.has_w else 0)
-    basis = []
-    for i in range(len(monos)):
-        v = [f.zero] * len(monos)
-        v[i] = f.one
-        basis.append(v)
-    out.append((dim0, [list(v) for v in basis]))
-    if depth == 0:
-        return out
-    # Z_1: the polynomial part
-    out.append((len(basis), [list(v) for v in basis]))
-    current = basis
+    n = len(ambient)
+    current = [[f.one if j == i else f.zero for j in range(n)] for i in range(n)]
+    out = [(n + 1, current)]
+    if depth:
+        out.append((n, current))
     for _level in range(2, depth + 1):
-        if not current:
-            out.append((0, []))
-            continue
-        images = []
-        extra = []       # monomials outside the ambient hit by C
-        for vec in current:
-            a_poly, b_poly = image(vec)
-            for e in a_poly.terms:
-                if e not in idx and e not in extra:
-                    extra.append(e)
-            images.append((a_poly, b_poly))
-        ext_idx = {e: len(monos) + k for k, e in enumerate(sorted(extra))}
-        pad = [f.zero] * len(ext_idx)
-        # target space: current basis embedded in the same width
-        ech, pivots = row_reduce([vec + pad for vec in current], f)
-        # the w-line is never inside Z_i for i >= 1, so each w-monomial of
-        # an image is one more residual coordinate that must vanish
-        wmonos = sorted({e for _a, b_poly in images for e in b_poly.terms})
-        full_res = []
-        for a_poly, b_poly in images:
-            if not b_poly.is_zero() and not ambient.has_w:
-                raise CartierError("span not Cartier-stable: w-component "
-                                   "appears but the span has no w line")
-            row = [f.zero] * (len(monos) + len(ext_idx))
-            for e, c in a_poly.terms.items():
-                row[idx[e] if e in idx else ext_idx[e]] = c
-            res = _reduce_against(row, ech, pivots, f)
-            full_res.append(res + [b_poly.terms.get(e, f.zero) for e in wmonos])
-        null = _nullspace(full_res, len(full_res[0]) if full_res else 0, f)
-        new_basis = []
-        for c in null:
-            v = [f.zero] * len(monos)
-            for k, ck in enumerate(c):
-                f.addmul_row(v, 0, f.mul(ck, ck), current[k])
-            new_basis.append(v)
-        current, _p = row_reduce(new_basis, f)
-        out.append((len(current), [list(v) for v in current]))
+        polys = [{e: c for e, c in zip(ambient, vec) if c != f.zero}
+                 for vec in current]
+        rows = []
+        for terms in polys:
+            form = cartier_p2(FqPoly._clean(f, h_poly.vars, terms), h_poly)
+            rows.append({**form.a.terms,
+                         **{("w", e): c for e, c in form.b.terms.items()}})
+        rows += polys
+        new = []
+        for c in _kernel(rows, f):
+            v = [f.zero] * n
+            # zip stops at len(current): the d part of (c, d) is not needed
+            for ck, vec in zip(c, current):
+                f.addmul_row(v, 0, f.mul(ck, ck), vec)
+            new.append(v)
+        current, _p = row_reduce(new, f)
+        out.append((len(current), current))
     return out
 
 

@@ -152,13 +152,13 @@ class FqPoly:
         i = self.vars.index(var)
         out = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
+            k = e[i] % f.char
+            if not k:
                 continue
-            coef = f.mul(c, f.scalar(e[i]))
-            if coef == f.zero:
-                continue
+            if k != 1:
+                c = f.mul(c, f.scalar(k))
             # e -> e - unit_i is injective, so no two terms meet
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = coef
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
         return FqPoly._clean(f, self.vars, out)
 
     def evaluate(self, assignment):

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field as dc_field
 
 from .. import KummerlabError
-from ..char2_algebra.cartier import sqrt_poly
+from ..char2_algebra.cartier import pth_root_poly
 from ..char2_algebra.poly import FqPoly
 
 
@@ -234,7 +234,7 @@ def translate_to_origin(spec, point):
     alpha, beta = point
     shifted = spec.H().shift({v1: alpha, v2: beta})
     fam_part, ee_part = _split_even_even(shifted)
-    corr = sqrt_poly(ee_part)
+    corr = pth_root_poly(ee_part)
     if fam_part.coefficient((1, 0)) != f.zero or fam_part.coefficient((0, 1)) != f.zero:
         raise SurfaceError("translation target is not a singular point")
     new_spec = _spec_from_H(spec.family, f, fam_part)

@@ -1,27 +1,28 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerlab.char2_algebra import (
-    AmbientSpan,
+    CLASS2_AMBIENT,
+    CLASS4_AMBIENT,
     CartierError,
     ExtField,
     FqPoly,
     cartier_general,
     cartier_p2,
     check_p1_derivative,
-    class2_ambient,
-    class4_ambient,
     divisorial_gcd_check,
     f_ij_table,
     get_field,
     partials,
-    sqrt_poly,
+    pth_root_poly,
+    row_reduce,
     z_filtration,
     z_filtration_dims,
 )
-from kummerlab.char2_algebra.cartier import _block, pth_root_poly
+from kummerlab.char2_algebra.cartier import _block
 
 V4 = ("x", "y")
 V2 = ("x", "t")
@@ -77,12 +78,12 @@ def test_sqrt_poly():
     f = get_field(2, 3)
     x = FqPoly.variable(f, V4, "x")
     y = FqPoly.variable(f, V4, "y")
-    assert sqrt_poly(x * x) == x
+    assert pth_root_poly(x * x) == x
     c = 5
     p = (x * (y * y)).scale(f.mul(c, c))
-    assert sqrt_poly(p * p) == p
+    assert pth_root_poly(p * p) == p
     with pytest.raises(CartierError):
-        sqrt_poly(x.pow_int(3))
+        pth_root_poly(x.pow_int(3))
 
 
 def test_cartier_eta0_eigenvalue():
@@ -273,9 +274,9 @@ def test_z_filtration_family_dims():
     for e in (4, 5):
         f = get_field(2, e)
         for _ in range(20):
-            dims = z_filtration_dims(rand_class4(f, rng), class4_ambient(), 5)
+            dims = z_filtration_dims(rand_class4(f, rng), CLASS4_AMBIENT, 5)
             assert dims == [7, 6, 5, 5, 5, 5]
-            dims = z_filtration_dims(rand_class2(f, rng), class2_ambient(), 5)
+            dims = z_filtration_dims(rand_class2(f, rng), CLASS2_AMBIENT, 5)
             assert dims == [7, 6, 5, 5, 5, 5]
 
 
@@ -284,11 +285,11 @@ def test_z_filtration_adversarial():
     f = get_field(2, 5)
     for e_extra in ((3, 1), (3, 2), (1, 3), (2, 3)):
         h = rand_class4(f, rng, extra={e_extra: f.rand_nonzero(rng)})
-        dims = z_filtration_dims(h, class4_ambient(), 3)
+        dims = z_filtration_dims(h, CLASS4_AMBIENT, 3)
         assert dims[:3] == [7, 6, 5] and dims[3] < 5
     for e_extra in ((1, 3), (1, 5), (1, 6), (0, 7)):
         h = rand_class2(f, rng, extra={e_extra: f.rand_nonzero(rng)})
-        dims = z_filtration_dims(h, class2_ambient(), 3)
+        dims = z_filtration_dims(h, CLASS2_AMBIENT, 3)
         assert dims[3] < 5
 
 
@@ -297,28 +298,47 @@ def test_z_filtration_basis_consistency():
     f = get_field(2, 4)
     rng = random.Random(21)
     h = rand_class4(f, rng)
-    levels = z_filtration(h, class4_ambient(), 2)
+    levels = z_filtration(h, CLASS4_AMBIENT, 2)
     dim2, basis2 = levels[2]
     assert dim2 == 5
-    monos = class4_ambient().monomials
-    xy = monos.index((1, 1))
+    xy = CLASS4_AMBIENT.index((1, 1))
     assert all(vec[xy] == f.zero for vec in basis2)
 
 
-def test_z_filtration_rejects_missing_w_line():
-    f = get_field(2, 4)
-    rng = random.Random(23)
-    h = rand_class4(f, rng, extra=None)
-    # force a nonzero w-image with an xy-containing span but no w slot
-    span = AmbientSpan(((0, 0), (1, 1)), has_w=False)
-    with pytest.raises(CartierError):
-        z_filtration(h, span, 3)
+@pytest.mark.parametrize("adversarial", [False, True])
+@pytest.mark.parametrize("family", ["class4", "class2"])
+def test_z_filtration_brute_force(family, adversarial):
+    """Every level up to 4 over F_4 against the filtration by enumeration:
+    Z_1 is every coefficient vector over the ambient monomials, and Z_{i+1}
+    keeps the v in Z_i whose image has no w-part and a polynomial part
+    that is itself a vector of Z_i."""
+    f = get_field(2, 2)
+    rng = random.Random(29)
+    if family == "class4":
+        make, ambient, extra = rand_class4, CLASS4_AMBIENT, (3, 1)
+    else:
+        make, ambient, extra = rand_class2, CLASS2_AMBIENT, (1, 3)
+    h = make(f, rng, extra={extra: f.rand_nonzero(rng)} if adversarial else None)
+    level = set(itertools.product(f.elements(), repeat=len(ambient)))
+    image = {}
+    for vec in level:
+        form = cartier_p2(FqPoly(f, h.vars, dict(zip(ambient, vec))), h)
+        if form.b.is_zero() and set(form.a.terms) <= set(ambient):
+            image[vec] = tuple(form.a.coefficient(e) for e in ambient)
+    levels = z_filtration(h, ambient, 4)
+    dims = [dim for dim, _ in levels]
+    assert dims[3] < 5 if adversarial else dims == [7, 6, 5, 5, 5]
+    assert levels[0] == (len(ambient) + 1, row_reduce(sorted(level), f)[0])
+    for dim, basis in levels[1:]:
+        assert len(level) == f.order ** dim
+        assert basis == row_reduce(sorted(level), f)[0]
+        level = {v for v in level if image.get(v) in level}
 
 
 def test_f_ij_table():
     f = get_field(2, 4)
     rng = random.Random(25)
-    i1 = class4_ambient().monomials
+    i1 = CLASS4_AMBIENT
     i2 = tuple(m for m in i1 if m != (1, 1))
     h = rand_class4(f, rng, extra={(3, 1): f.rand(rng), (1, 3): f.rand(rng),
                                    (3, 2): f.rand(rng), (2, 3): f.rand(rng)})
