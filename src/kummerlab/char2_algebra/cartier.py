@@ -258,15 +258,16 @@ def f_ij_table(g_monomials, h_poly, targets):
 def divisorial_gcd_check(f_poly):
     """Compare gcd of odd-part coefficients with gcd of all partials.
 
-    Writing f = sum_{eps in {0,1}^n} f_eps * x^eps with f_eps in the
-    subring of p-th powers, returns (g, g', equal) where g is the gcd of
-    the f_eps with eps != 0 and g' the gcd of the partial derivatives.
+    Writing f in k[x, y] as the sum of f_eps * x^e1 * y^e2 over
+    eps = (e1, e2) in {0,1}^2, with f_eps in the subring of squares,
+    returns (g, g', equal) where g is the gcd of the f_eps with eps != 0
+    and g' the gcd of the partial derivatives.
     """
     f = f_poly.field
-    p = f.char
-    if p != 2:
+    if f.char != 2:
         raise CartierError("the gcd comparison is a characteristic-2 statement")
-    n = len(f_poly.vars)
+    if len(f_poly.vars) != 2:
+        raise CartierError("the gcd comparison takes a polynomial in two variables")
     parts = {}
     for e, c in f_poly.terms.items():
         eps = tuple(k % 2 for k in e)

@@ -16,12 +16,11 @@ byte and steps with `bytes.translate`.  Every other field gets a
 run the field's row hook `addmul_row(dst, off, c, src)` (dst[off + j] +=
 c * src[j]) once per row.  Both rings have `combine(coeffs, rows)`, the
 sum of c * row over rows packed by `modrow`, which factor.py reads the
-q-th power and the trace through, and `split`, a polynomial in two
-variables as its dense list in one of ring elements in the other.  The
-multivariate gcd and the resultant in one variable come from one
-subresultant PRS over a coefficient ring, packed ints in two variables
-over a byte-table field and sparse FqPolys otherwise; the gcd takes its
-contents with the same ring's gcd.
+q-th power and the trace through, `split`, a polynomial in two variables
+as its dense list in one of ring elements in the other, and `join`, its
+inverse.  The gcd and the resultant of two polynomials in two variables
+come from one subresultant PRS with its coefficients in `field.ring`,
+and the gcd takes its contents with that ring's gcd.
 """
 
 import operator
@@ -361,7 +360,8 @@ def _packed_reduce(acc, row, mul, scale, quot=None):
 
 
 class _Ring:
-    """What the two univariate rings share: Euclid's gcd on their rem."""
+    """What the two univariate rings share: Euclid's gcd on their rem, and
+    `join`, which takes the dense list of `split` back to an FqPoly."""
 
     def rem(self, a, b):
         return self.divmod(a, b)[1]
@@ -374,12 +374,17 @@ class _Ring:
             a, b = b, self.rem(a, b)
         return self.monic(a)
 
+    def join(self, coeffs, variables, var):
+        i, zero = variables.index(var), self.field.zero
+        return FqPoly._clean(self.field, variables, {
+            (k, j) if i == 0 else (j, k): b for k, c in enumerate(coeffs)
+            for j, b in enumerate(self.key(c)) if b != zero})
+
 
 class PackedRing(_Ring):
     """F_q[x] on packed ints, the `ring` of a byte-table field, with its
     translate, inverse and square-root tables.  `split` takes an
-    FqPoly in k[u, v] to its dense list in v of packed polynomials in u,
-    and `join` goes back."""
+    FqPoly in k[u, v] to its dense list in v of packed polynomials in u."""
 
     zero, one = 0, 1
     sub = operator.xor                # characteristic 2
@@ -468,12 +473,6 @@ class PackedRing(_Ring):
             out[e[i]] |= c << (e[1 - i] << 3)
         return out
 
-    def join(self, coeffs, variables, var):
-        i = variables.index(var)
-        return FqPoly._clean(self.field, variables, {
-            (k, j) if i == 0 else (j, k): b for k, c in enumerate(coeffs)
-            for j, b in enumerate(self.key(c)) if b})
-
 
 class _ListRing(_Ring):
     """F[x] on trimmed coefficient lists, the `ring` of every field object
@@ -530,6 +529,12 @@ class _ListRing(_Ring):
             dense_trim(a, f)
         return q, a
 
+    def divexact(self, a, b):
+        q, r = self.divmod(a, b)
+        if r:
+            raise PolyError("not divisible")
+        return dense_trim(q, self.field)
+
     def mulmod(self, a, b, mod):
         """a * b reduced modulo the monic `mod`, trimmed.  Monic means no
         field inverse is needed, so a tower over a tower never inverts in
@@ -577,76 +582,7 @@ class _ListRing(_Ring):
 
 
 # ---------------------------------------------------------------------------
-# exact division; multivariate gcd and resultant from one subresultant PRS
-
-
-def poly_divexact(f_poly, g_poly):
-    """Exact division of multivariate polynomials; raises if not divisible."""
-    f = f_poly.field
-    if g_poly.is_zero():
-        raise PolyError("division by zero polynomial")
-    ge, gc = g_poly.leading()
-    ginv = f.inv(gc)
-    if len(g_poly.terms) == 1 and not any(ge):  # a constant divisor
-        return f_poly.scale(ginv)
-    rem = f_poly
-    out = {}
-    guard = 0
-    while not rem.is_zero():
-        guard += 1
-        if guard > 10000:
-            raise PolyError("exact division does not terminate")
-        re, rc = rem.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
-            raise PolyError("not divisible")
-        qc = f.mul(rc, ginv)
-        out[qe] = qc
-        rem = rem - FqPoly(f, f_poly.vars, {qe: qc}) * g_poly
-    return FqPoly(f, f_poly.vars, out)
-
-
-def _coeffs_in_var(poly, var):
-    """Map degree -> coefficient polynomial (with `var` degree zero)."""
-    i = poly.vars.index(var)
-    out = {}
-    for e, c in poly.terms.items():
-        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-    return {k: FqPoly._clean(poly.field, poly.vars, terms) for k, terms in out.items()}
-
-
-class _SparseCoeffs:
-    """The coefficient ring of a PRS in one variable over any field and any
-    number of variables: FqPolys of the whole ring that are free of it."""
-
-    mul, sub = staticmethod(FqPoly.__mul__), staticmethod(FqPoly.__sub__)
-    divexact = staticmethod(poly_divexact)
-
-    def __init__(self, field, variables):
-        self.zero, self.one = (FqPoly.zero(field, variables),
-                               FqPoly.const(field, variables, field.one))
-
-    @staticmethod
-    def gcd(a, b):
-        return poly_gcd_multivariate(a, b)
-
-    def split(self, poly, var):
-        coeffs = _coeffs_in_var(poly, var)
-        return [coeffs.get(k, self.zero) for k in range(poly.degree(var) + 1)]
-
-    def join(self, coeffs, variables, var):
-        i = variables.index(var)
-        return FqPoly._clean(self.zero.field, variables, {
-            e[:i] + (k,) + e[i + 1:]: v for k, c in enumerate(coeffs)
-            for e, v in c.terms.items()})
-
-
-def _coefficient_ring(poly):
-    """The packed ring k[u] for two variables over a byte-table field,
-    sparse coefficients otherwise."""
-    if poly.field.byte_tables is not None and len(poly.vars) == 2:
-        return poly.field.ring
-    return _SparseCoeffs(poly.field, poly.vars)
+# gcd and resultant in two variables from one subresultant PRS
 
 
 def _primitive(coeffs, ring):
@@ -657,27 +593,28 @@ def _primitive(coeffs, ring):
 
 
 def poly_gcd_multivariate(a, b):
-    """Monic-normalized gcd of multivariate polynomials (same ring).
+    """Monic-normalized gcd of polynomials in one or two variables (same ring).
 
-    One variable is Euclid in the field's univariate ring.  Otherwise,
-    with var the last variable in use: the gcd of the two contents in var
-    times the primitive part of the last subresultant remainder of the two
-    primitive parts, all over the coefficient ring."""
+    One variable is Euclid in the field's univariate ring.  In two, with
+    var the last variable in use: the gcd of the two contents in var times
+    the primitive part of the last subresultant remainder of the two
+    primitive parts, all over `field.ring` in the other variable."""
+    a._check(b)
+    if len(a.vars) > 2:
+        raise PolyError("gcd takes polynomials in at most two variables")
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
-    a._check(b)
     f = a.field
+    ring = f.ring
     if len(a.vars) == 1:
-        ring = f.ring
         g = ring.gcd(ring.pack(a.dense_univariate()), ring.pack(b.dense_univariate()))
         return FqPoly.from_dense(f, a.vars[0], ring.key(g))
     used = [v for v in a.vars if a.degree(v) > 0 or b.degree(v) > 0]
     if not used:
         return FqPoly.const(f, a.vars, f.one)
     var = used[-1]
-    ring = _coefficient_ring(a)
     ca, pa = _primitive(ring.split(a, var), ring)
     cb, pb = _primitive(ring.split(b, var), ring)
     _cl, last = _primitive(_subresultant_prs(pa, pb, ring)[0], ring)
@@ -704,7 +641,8 @@ def _prem(a, b, ring):
 
 def _subresultant_prs(a, b, ring):
     """(last nonzero remainder, Res(a, b)) for nonzero dense lists a, b in
-    one variable over a coefficient ring (`PackedRing`, `_SparseCoeffs`).
+    one variable whose coefficients are polynomials in the other, elements
+    of a field's `ring` (`PackedRing` or `_ListRing`).
 
     The subresultant PRS (Brown-Traub, J. ACM 18, 1971; Cohen, GTM 138,
     Alg. 3.3.7): every division below is exact, and the last nonzero
@@ -739,13 +677,16 @@ def _subresultant_prs(a, b, ring):
 
 
 def resultant(a, b, var):
-    """Res_var(a, b) over the other variables; result has var-degree 0."""
+    """Res_var(a, b) for a, b in two variables, as a polynomial in the
+    other one (var-degree 0)."""
     a._check(b)
+    if len(a.vars) != 2:
+        raise PolyError("resultant takes polynomials in exactly two variables")
     da, db = a.degree(var), b.degree(var)
     if da < 0 or db < 0:
         return FqPoly.zero(a.field, a.vars)
     if da == 0 and db == 0:
         raise PolyError("resultant needs positive degree in the variable")
-    ring = _coefficient_ring(a)
+    ring = a.field.ring
     res = _subresultant_prs(ring.split(a, var), ring.split(b, var), ring)[1]
     return ring.join([res], a.vars, var)

@@ -368,15 +368,23 @@ def test_f_ij_table():
 
 def test_divisorial_gcd_examples():
     f4 = get_field(2, 2)
-    fx = FqPoly(f4, ("t", "x", "y"), {(0, 1, 0): f4.one})
-    g, gp, eq = divisorial_gcd_check(fx)
+    xy = ("x", "y")
+    g, gp, eq = divisorial_gcd_check(FqPoly(f4, xy, {(1, 0): f4.one}))   # x
     assert eq and g.degree() == 0
-    f3 = FqPoly(f4, ("t", "x", "y"), {(2, 1, 0): f4.one, (2, 0, 1): f4.one})
-    g, gp, eq = divisorial_gcd_check(f3)
+    # x^3 + x^2 y: the odd parts x^2 * x, x^2 * y and both partials share x^2
+    g, gp, eq = divisorial_gcd_check(FqPoly(f4, xy, {(3, 0): f4.one, (2, 1): f4.one}))
     assert eq
-    assert g == FqPoly(f4, ("t", "x", "y"), {(2, 0, 0): f4.one})
+    assert g == gp == FqPoly(f4, xy, {(2, 0): f4.one})
     with pytest.raises(CartierError):
-        divisorial_gcd_check(FqPoly(f4, ("x", "y"), {(2, 0): f4.one}))
+        divisorial_gcd_check(FqPoly(f4, xy, {(2, 0): f4.one}))
+
+
+@pytest.mark.parametrize("variables", [("x",), ("t", "x", "y")])
+def test_divisorial_gcd_takes_two_variables(variables):
+    f4 = get_field(2, 2)
+    x = FqPoly.variable(f4, variables, "x")
+    with pytest.raises(CartierError, match="two variables"):
+        divisorial_gcd_check(x * x * x + x)
 
 
 def test_divisorial_gcd_sweep():

@@ -54,11 +54,18 @@ GOLDEN_CASES = [
     # an overlattice Gram built from the doubled A_1^16 frame
     (["kummer", "build", "--type", "2E8"], "kummer_build_2e8.json"),
     # fields with more than 256 elements: list-ring factorization, the
-    # sparse PRS and the sparse coprimality test over a base field
+    # list-ring PRS and the list-ring coprimality test over a base field
     (["surface", "derivation-check", "--family", "class2", "--field", "e=9",
       "--coeffs", "h11=1,h07=01"], "derivation_check_class2_e9_h07.json"),
     (["surface", "classify", "--family", "class4", "--field", "e=10",
       "--coeffs", "h30=0100011,h11=1"], "classify_class4_e10.json"),
+    # the largest fields: a non-additive class-2 derivation over F_2^12
+    # (the coprimality gcd and the closed-point resultant), and F_2^16
+    (["surface", "derivation-check", "--family", "class2", "--field", "e=12",
+      "--coeffs", "h12=1,h05=1,h07=1"],
+     "derivation_check_class2_e12_nonadditive.json"),
+    (["surface", "classify", "--family", "class4", "--field", "e=16",
+      "--coeffs", "h11=1,h30=1"], "classify_class4_e16.json"),
 ]
 
 

@@ -9,6 +9,10 @@ src/ or tests/ accesses it as an attribute `.name` outside its own body.
 Every parameter of a `def` in the package, apart from `self`, `cls` and
 `_`-prefixed names, is named in its body; lambdas (such as the entries of
 a dispatch table) are not checked.
+
+A definition or method that some file names, but no file in src/, is
+code only the tests run: it is either listed in TESTS_ONLY with the
+reason it stays, or it fails `test_no_definitions_only_tests_name`.
 """
 
 import ast
@@ -154,3 +158,64 @@ def test_no_unused_parameters():
               for path in sorted(PACKAGE.rglob("*.py"))
               for line, name, param in _unused_parameters(_parse(path))]
     assert not unused, "parameters nothing reads:\n" + "\n".join(unused)
+
+
+LAYER_TARGET = ("a perfbench LAYERS target; deleted (ROADMAP item 8) once "
+                "the layer map is rebuilt on live code (item 1)")
+PAPER_CHECK = ("a paper check that is not yet a verify claim; it becomes "
+               "one or leaves src/ (ROADMAP item 11)")
+TEST_DATA = "builds test data or converts lattices for tests and interchange"
+
+# definitions (by name) and methods (as Class.method) that only tests name
+TESTS_ONLY = {
+    "det_fraction": LAYER_TARGET,
+    "mat_inverse_fraction": LAYER_TARGET,
+    "saturation_basis": LAYER_TARGET,
+    "matrix_rank": LAYER_TARGET,
+    "poly_roots": LAYER_TARGET,
+    "validate_report": "perfbench/run.py validates each report it reads",
+    "normalize_spec": PAPER_CHECK,
+    "z1z2_parametrization_check": PAPER_CHECK,
+    "divisorial_gcd_check": PAPER_CHECK,
+    "f_ij_table": PAPER_CHECK,
+    "extra_root_orthogonality": PAPER_CHECK,
+    "complement_of_kummer": PAPER_CHECK,
+    "build_subcode": PAPER_CHECK,
+    "code_to_overlattice": PAPER_CHECK,
+    "reflect": PAPER_CHECK,
+    "h0_bn_dim": PAPER_CHECK,
+    "ade_lattice": TEST_DATA,
+    "lattice_to_json": TEST_DATA,
+    "FqPoly.evaluate": TEST_DATA,
+    "FqPoly.restrict_vars": TEST_DATA,
+    "RdpType.coindex": TEST_DATA,
+}
+
+
+def _named_only_outside_src():
+    """path:line name for each definition of the package that no file in
+    src/ names outside its own definition, and path:line Class.name for
+    each method no file in src/ accesses outside its own body."""
+    trees = {p: _parse(p) for p in sorted(PACKAGE.rglob("*.py"))}
+    aliases = {p: _aliases(t) for p, t in trees.items()}
+    names = sum((_references(t, aliases[p]) for p, t in trees.items()), Counter())
+    attrs = sum((_attributes(t) for t in trees.values()), Counter())
+    out = {}
+    for path, tree in trees.items():
+        where = path.relative_to(ROOT)
+        for name, node in _definitions(tree):
+            if names[name] - _references(node, aliases[path])[name] <= 0:
+                out[name] = f"{where}:{node.lineno}"
+        for cls, node in _methods(tree):
+            if attrs[node.name] - _attributes(node)[node.name] <= 0:
+                out[f"{cls}.{node.name}"] = f"{where}:{node.lineno}"
+    return out
+
+
+def test_no_definitions_only_tests_name():
+    found = _named_only_outside_src()
+    new = [f"{found[n]} {n}" for n in sorted(found.keys() - TESTS_ONLY.keys())]
+    stale = sorted(TESTS_ONLY.keys() - found.keys())
+    assert not new, "definitions only tests name:\n" + "\n".join(new)
+    assert not stale, "TESTS_ONLY entries that src/ names or no longer has:\n" \
+        + "\n".join(stale)
