@@ -420,12 +420,16 @@ class PackedRing(_Ring):
         return _packed_mul(self.key(a), self.key(b), self.mul_t)
 
     def divmod(self, a, b):
+        if not b:
+            raise PolyError("polynomial division by zero")
         row = self.key(b)
         quot = bytearray(max(self.deg(a) + 2 - len(row), 0))
         rem = _packed_reduce(a, row, self.mul_t, self.inv_t[row[-1]], quot)
         return self.pack(quot), rem
 
     def rem(self, a, b):
+        if not b:
+            raise PolyError("polynomial division by zero")
         row = self.key(b)
         return _packed_reduce(a, row, self.mul_t, self.inv_t[row[-1]])
 

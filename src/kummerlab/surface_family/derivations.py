@@ -18,7 +18,9 @@ computed for them; their fixed locus is zero-dimensional exactly when the
 two generators are nonzero and coprime, which `_condition_iii` reads off
 their gcd (`poly.poly_gcd_multivariate`).  `_system_order`, the total
 colength of the generator ideal over its closed points, serves the
-callers that read a non-additive order or cross-check the Ore order.
+callers that read a non-additive order or cross-check the Ore order; it
+takes each colength from `points._colength_at`, the share of the
+resultant's multiplicity or else Fulton's algorithm.
 
 Condition (iv) of `classify_derivations` asks for additive generators
 once a rational fixed point p is moved to the origin.  No translation is
@@ -27,14 +29,16 @@ zero to the origin changes only the constant terms.  (iv) therefore holds
 iff f - f(0, 0) and g - g(0, 0) are additive and the fixed locus has a
 rational point: the origin when both constant terms vanish, otherwise,
 when (iii) makes the locus zero-dimensional, a point of residue degree 1
-among `points.closed_points`.
+among `points.closed_points`.  (iv) reads only residue degrees, never a
+colength, so it holds on a locus whose colength passes COLENGTH_CAP, where
+`_system_order` raises.
 """
 
 from dataclasses import dataclass
 
 from ..char2_algebra.poly import FqPoly, dense_trim, poly_gcd_multivariate
 from .spec import SurfaceError, _FIXED_TERMS, _f4_elements, _spec_from_H
-from .points import _NonIsolated, _colength_at, _jacobian, closed_points
+from .points import _NonIsolated, _colength_at, closed_points
 
 
 @dataclass
@@ -169,13 +173,15 @@ def additive_order(gens, field):
 
 
 def _system_order(gens, variables):
-    """Total colength of a zero-dimensional ideal (g1, g2) in the plane."""
+    """Total colength of a zero-dimensional ideal (g1, g2) in the plane:
+    deg * `_colength_at` summed over the orbits of `closed_points`.
+    Raises SurfaceError when the locus is not isolated or a colength
+    passes COLENGTH_CAP."""
     g1, g2 = gens
-    jac = _jacobian(g1, g2)
     total = 0
     try:
-        for pt_field, emb, point, deg in closed_points(g1, g2, *variables):
-            total += deg * _colength_at(g1, g2, jac, pt_field, emb, point)
+        for pt_field, emb, point, deg, share in closed_points(g1, g2, *variables):
+            total += deg * _colength_at(g1, g2, pt_field, emb, point, share)
     except _NonIsolated:
         raise SurfaceError("fixed locus is not zero-dimensional") from None
     return total
@@ -312,5 +318,6 @@ def classify_derivations(family, f_poly, g_poly):
     verdict["iv"] = additive and (
         consts == (field.zero, field.zero)
         or verdict["iii"] and any(
-            deg == 1 for *_, deg in closed_points(f_poly, g_poly, *variables)))
+            deg == 1
+            for *_, deg, _share in closed_points(f_poly, g_poly, *variables)))
     return verdict

@@ -15,15 +15,17 @@ tower stores, so no power of the root is ever formed.  The gcd of the
 two specializations in k's ring holds the points over that root; a
 monic gcd of degree 1 gives its point as -g_0 directly, and any other
 is factored (`factor.ring_factors`) and each factor hosts one orbit.
-`_colength_at` then gives the local colength there: 1 at transverse
-points (a nonvanishing Jacobian, from the four partials that `_jacobian`
-takes once per system over the base field, evaluated from one power
-table per coordinate), otherwise the intersection multiplicity of the
-two curves at the point, by Fulton's algorithm (Fulton, Algebraic
-Curves, 3.3) on the pair mapped to the point field and translated there
-by `FqPoly.shift`, a Taylor shift.  That recursion uses only field
-addition and multiplication, so it runs unchanged over base fields and
-towers; a colength above COLENGTH_CAP counts as non-isolated.
+`_colength_at` reads the colengths off the fibre identity behind Bezout
+(Fulton, Algebraic Curves, ch. 5), Res_y(f, g) = lc_y(f)^deg g *
+prod g(x, y_i): where lc_y(f) or lc_y(g) is nonzero at u, the multiplicity
+M of u in the resultant is the sum of the colengths over u.  A generator
+c free of y stands for Res(c, g) = +-c^n, n = deg_y g, so M is its
+multiplicity times n.  A fibre of one orbit of r conjugate points gives
+each the share M / r.  Elsewhere (two or more orbits over u, or both
+leading coefficients zero at u) it runs Fulton's algorithm (3.3) on the
+pair mapped to the point field and translated there by `FqPoly.shift`;
+that uses only field addition and multiplication, so it runs unchanged
+over towers.  A colength above COLENGTH_CAP counts as non-isolated.
 
 `closed_points` has three readers.  `singular_points` solves the
 partials (H_x, H_y) of a family member.
@@ -192,16 +194,19 @@ def closed_points(g1, g2, key, elim):
     """Each Galois orbit of common zeros of (g1, g2) in the plane, once.
 
     Yields (point field, embedding of the base field, {variable: coordinate},
-    residue degree).  Raises _NonIsolated when a generator or the resultant
-    in `elim` vanishes, or when both specializations at a root of the
-    resultant do (a common curve through that root).
+    residue degree, share), the share being the colength at each point of
+    the orbit read off the resultant, or None.  Raises _NonIsolated when a
+    generator or the resultant in `elim` vanishes, or when both
+    specializations at a root of the resultant do (a common curve through
+    that root).
     """
     if g1.is_zero() or g2.is_zero():
         raise _NonIsolated()
-    if g1.degree(elim) > 0 and g2.degree(elim) > 0:
-        res = poly_resultant(g1, g2, elim)
-    else:
-        res = g1 if g1.degree(elim) == 0 else g2
+    d1, d2 = g1.degree(elim), g2.degree(elim)
+    if d1 > 0 and d2 > 0:
+        res, scale = poly_resultant(g1, g2, elim), 1
+    else:                                  # Res(c, g) = +-c^(deg g)
+        res, scale = (g1, d2) if d1 == 0 else (g2, d1)
     if res.is_zero():
         raise _NonIsolated()
     base = g1.field
@@ -210,7 +215,7 @@ def closed_points(g1, g2, key, elim):
     ki = res.vars.index(key)
     _unit, factors = factor_univariate(FqPoly._clean(
         base, (key,), {(e[ki],): c for e, c in res.terms.items()}))
-    for fac, _mult in factors:
+    for fac, mult in factors:
         dense = fac.dense_univariate()
         width = len(dense) - 1
         k_field, embed1, xbar = _adjoin_root(dense, base)
@@ -218,61 +223,40 @@ def closed_points(g1, g2, key, elim):
         s1, s2 = (_at_root(c, mod, k_field, base) for c in splits)
         if not s1 and not s2:
             raise _NonIsolated()
+        # both specializations drop degree: both leading coefficients vanish
+        share = (None if k_ring.deg(s1) < d1 and k_ring.deg(s2) < d2
+                 else mult * scale)
         g = k_ring.gcd(s1, s2)
         deg = k_ring.deg(g)
         if deg == 1:                       # monic: the point is -g_0
             ybar = k_field.neg(k_ring.key(g)[0])
-            yield k_field, embed1, {key: xbar, elim: ybar}, width
+            yield k_field, embed1, {key: xbar, elim: ybar}, width, share
         elif deg > 1:
-            for ydense, _m in ring_factors(g, k_ring):
+            orbits = ring_factors(g, k_ring)
+            if len(orbits) > 1:
+                share = None
+            for ydense, _m in orbits:
                 pt_field, embed2, ybar = _adjoin_root(ydense, k_field)
                 if pt_field is k_field:
                     emb = embed1
                 else:
                     emb = lambda c, e1=embed1, e2=embed2: e2(e1(c))
+                r = len(ydense) - 1
                 yield pt_field, emb, {key: embed2(xbar), elim: ybar}, \
-                    width * (len(ydense) - 1)
+                    width * r, None if share is None else share // r
 
 
-def _jacobian(g1, g2):
-    """The partials (g1_v1, g1_v2, g2_v1, g2_v2) over the base field and
-    their top degree in each variable, for `_colength_at` at every closed
-    point of the system."""
-    v1, v2 = g1.vars
-    partials = g1.partial(v1), g1.partial(v2), g2.partial(v1), g2.partial(v2)
-    return partials, [max((e[i] for d in partials for e in d.terms), default=0)
-                      for i in (0, 1)]
-
-
-def _colength_at(g1, g2, jac, field, embed, point):
-    """Local colength of (g1, g2) at a common zero hosted in `field`; jac is
-    `_jacobian(g1, g2)`, evaluated from one power table per coordinate."""
-    partials, tops = jac
-    add, mul = field.add, field.mul
-    # row k holds the k-th power; exponent 0 multiplies by nothing
-    px, py = powers = [[None, point[v]] for v in g1.vars]
-    for row, top in zip(powers, tops):
-        for _ in range(top - 1):
-            row.append(mul(row[-1], row[1]))
-
-    def value(poly):
-        total = field.zero
-        for (i, j), c in poly.terms.items():
-            term = embed(c)
-            if i:
-                term = mul(term, px[i])
-            if j:
-                term = mul(term, py[j])
-            total = add(total, term)
-        return total
-
-    a1, a2, b1, b2 = map(value, partials)
-    # transversality shortcut: the Jacobian determinant at the point
-    if field.sub(field.mul(a1, b2), field.mul(a2, b1)) != field.zero:
-        return 1
-    if field is not g1.field:
-        g1, g2 = (g.map_field(field, embed) for g in (g1, g2))
-    return local_colength([g.shift(point) for g in (g1, g2)], field)
+def _colength_at(g1, g2, field, embed, point, share):
+    """Local colength of (g1, g2) at a common zero hosted in `field`: the
+    share that `closed_points` read off the resultant, else Fulton's
+    algorithm on the pair translated to the point."""
+    if share is None:
+        if field is not g1.field:
+            g1, g2 = (g.map_field(field, embed) for g in (g1, g2))
+        return local_colength([g.shift(point) for g in (g1, g2)], field)
+    if share > COLENGTH_CAP:
+        raise _NonIsolated()
+    return share
 
 
 def singular_points(spec):
@@ -282,12 +266,12 @@ def singular_points(spec):
     share a factor or a colength exceeds COLENGTH_CAP.
     """
     a_poly, b_poly, key, elim = _elim_data(spec)
-    jac = _jacobian(a_poly, b_poly)
     v1, v2 = spec.vars
     out = []
     try:
-        for pt_field, emb, point, deg in closed_points(a_poly, b_poly, key, elim):
-            colength = _colength_at(a_poly, b_poly, jac, pt_field, emb, point)
+        for pt_field, emb, point, deg, share in closed_points(a_poly, b_poly,
+                                                              key, elim):
+            colength = _colength_at(a_poly, b_poly, pt_field, emb, point, share)
             out.append(PointRecord(pt_field, point[v1], point[v2], deg,
                                    colength, emb))
     except _NonIsolated:

@@ -750,8 +750,17 @@ def test_multivariate_gcd_and_exact_division():
         # gcd contains g up to the gcd of a, b
         q = poly_divexact(a * g, poly_gcd_multivariate(gg, g.monic()))
         assert not q.is_zero() or (a * g).is_zero()
-    with pytest.raises(PolyError):
-        poly_divexact(_rand_poly(f, rng), FqPoly.zero(f, ("x", "y")))
+
+
+@pytest.mark.parametrize("e", [4, 10])
+def test_ring_division_by_zero_raises_poly_error(e):
+    # F_16 packs its polynomials (PackedRing), F_2^10 keeps lists (_ListRing)
+    f = get_field(2, e)
+    for ring in (f.ring, _ListRing(f)):
+        a = ring.pack([f.one, f.zero, f.one])
+        for divide in (ring.rem, ring.divmod, ring.divexact):
+            with pytest.raises(PolyError, match="division by zero"):
+                divide(a, ring.zero)
 
 
 @pytest.mark.parametrize("variables", [("x",), ("x", "y", "z")])

@@ -24,7 +24,7 @@ from kummerlab.surface_family import (
     translate_to_origin,
     z1z2_parametrization_check,
 )
-from kummerlab.surface_family import derivations
+from kummerlab.surface_family import derivations, points
 from kummerlab.surface_family.derivations import (
     _additive_witness,
     _condition_iii,
@@ -35,7 +35,6 @@ from kummerlab.surface_family.points import (
     COLENGTH_CAP,
     _NonIsolated,
     _colength_at,
-    _jacobian,
     closed_points,
     local_colength,
     matrix_rank,
@@ -128,12 +127,11 @@ def test_closed_points_orbits_over_tower():
     x, y = (FqPoly.variable(f, v, n) for n in v)
     g1, g2 = x.pow_int(4) + x, y * y + y
     found = []
-    jac = _jacobian(g1, g2)
-    for pt_field, emb, point, deg in closed_points(g1, g2, "x", "y"):
+    for pt_field, emb, point, deg, share in closed_points(g1, g2, "x", "y"):
         for g in (g1, g2):
             assert g.map_field(pt_field, emb).evaluate(point) == pt_field.zero
         assert isinstance(pt_field, ExtField) == (deg == 2)
-        found.append((deg, _colength_at(g1, g2, jac, pt_field, emb, point)))
+        found.append((deg, _colength_at(g1, g2, pt_field, emb, point, share)))
     assert found == [(1, 1)] * 4 + [(2, 1)] * 2
     assert sum(d * c for d, c in found) == 8
 
@@ -207,10 +205,10 @@ def _reference_points(g1, g2, key, elim):
 
 
 def _solver_points(g1, g2, key, elim):
-    jac = _jacobian(g1, g2)
     try:
-        return [(deg, point, _colength_at(g1, g2, jac, pt_field, emb, point))
-                for pt_field, emb, point, deg in closed_points(g1, g2, key, elim)]
+        return [(deg, point, _colength_at(g1, g2, pt_field, emb, point, share))
+                for pt_field, emb, point, deg, share
+                in closed_points(g1, g2, key, elim)]
     except _NonIsolated:
         return None
 
@@ -228,22 +226,38 @@ SOLVER_FIELDS = [get_field(2, 2), get_field(2, 4), get_field(2, 8), get_field(2,
 
 @st.composite
 def solver_systems(draw):
-    """(g1, g2) in k[x, y] of degree <= 3 in each variable over a
-    SOLVER_FIELDS field, half of them through a shared rational point."""
+    """(g1, g2) in k[x, y] of degree <= 3 in each variable (4 in y for
+    "leads_vanish") over a SOLVER_FIELDS field, half of them through a
+    shared rational point.
+
+    Each route of the fibre shares occurs: "free_of_y" keeps g1 in x alone,
+    so g1 stands for the resultant and its multiplicities are scaled;
+    "leads_vanish" adds (x - a) y^4 to both (times a nonzero scalar), so
+    both leading coefficients in y vanish at x = a, the x of the shared
+    point; and small fields give fibres of two or more orbits."""
     f = draw(st.sampled_from(SOLVER_FIELDS))
     if isinstance(f, ExtField):
         nonzero = st.tuples(*[st.integers(0, f.base.order - 1)] * 2).filter(
             lambda c: c != f.zero)
     else:
         nonzero = st.integers(1, f.order - 1)
-    expo = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    g1, g2 = (FqPoly(f, ("x", "y"), draw(st.dictionaries(expo, nonzero, min_size=1,
-                                                          max_size=4)))
-              for _ in range(2))
+    kind = draw(st.sampled_from(["random", "free_of_y", "leads_vanish"]))
+    v = ("x", "y")
+
+    def poly(y_max):
+        expo = st.tuples(st.integers(0, 3), st.integers(0, y_max))
+        return FqPoly(f, v, draw(st.dictionaries(expo, nonzero, min_size=1,
+                                                 max_size=4)))
+
+    g1, g2 = poly(0 if kind == "free_of_y" else 3), poly(3)
+    a = draw(nonzero)
+    if kind == "leads_vanish":
+        top = FqPoly(f, v, {(1, 4): f.one, (0, 4): f.neg(a)})
+        g1, g2 = g1 + top, g2 + top.scale(draw(nonzero))
     if draw(st.booleans()):
         # both through a shared rational point: subtract their values there
-        point = {"x": draw(nonzero), "y": draw(nonzero)}
-        g1, g2 = (g - FqPoly.const(f, g.vars, g.evaluate(point)) for g in (g1, g2))
+        point = {"x": a, "y": draw(nonzero)}
+        g1, g2 = (g - FqPoly.const(f, v, g.evaluate(point)) for g in (g1, g2))
     return g1, g2
 
 
@@ -260,12 +274,63 @@ def _system(e, g1_terms, g2_terms):
 @example(_system(2, {(0, 1): 1, (1, 0): 1}, {(2, 0): 1, (1, 0): 1}))
 @example(_system(2, {(0, 2): 1, (0, 0): 1}, {(1, 0): 1}))
 @example(_system(2, {(0, 2): 1, (0, 1): 1, (0, 0): 2}, {(1, 0): 1, (0, 0): 1}))
+# x^2 + x is free of y, so Res = (x^2 + x)^2: each root has share 1 * 2,
+# the colength at (0, 0) and at (1, 1)
+@example(_system(2, {(2, 0): 1, (1, 0): 1}, {(0, 2): 1, (1, 0): 1}))
+# x y^2 + y and x y^2 + y + x have leading coefficient x: the resultant has
+# x^4, while (0, 0) has colength 1, so Fulton's algorithm gives it
+@example(_system(2, {(1, 2): 1, (0, 1): 1}, {(1, 2): 1, (0, 1): 1, (1, 0): 1}))
+# y^2 + y + x and x y + x meet over x = 0 in two orbits, (0, 0) of colength
+# 1 and (0, 1) of colength 2, so no share of the multiplicity 3 is read
+@example(_system(2, {(0, 2): 1, (0, 1): 1, (1, 0): 1}, {(1, 1): 1, (1, 0): 1}))
 def test_closed_points_match_the_specialize_reference(system):
     g1, g2 = system
     got, want = _solver_points(g1, g2, "x", "y"), _reference_points(g1, g2, "x", "y")
     assert (got is None) == (want is None)
     if got is not None:
         assert sorted(map(repr, got)) == sorted(map(repr, want))
+
+
+def _no_fulton(polys, field):
+    raise AssertionError("local_colength ran")
+
+
+@pytest.mark.parametrize("e", [4, 8])
+def test_class2_colengths_come_from_the_resultant(e):
+    # lc_x(H_x) = 1, and every fibre holds one orbit: a linear gcd when
+    # h11 != 0, and the square of a linear factor when H_t is free of x
+    f = get_field(2, e)
+    rng = random.Random(f"shares|{e}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "local_colength", _no_fulton)
+        for branch in BRANCHES:
+            for _ in range(4):
+                spec = sample_branch_spec("class2", branch, f, rng)
+                assert classify_full(spec).branch == branch
+
+
+def test_split_fibres_run_fultons_algorithm():
+    # h03 = 0 leaves H_y = x^4 + x free of y, and over F_16 each of its
+    # roots carries 4 rational points, whose fibre share is not read
+    f = get_field(2, 4)
+    spec = SurfaceSpec("class4", f, {"h11": f.one})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "local_colength", _no_fulton)
+        with pytest.raises(AssertionError, match="local_colength ran"):
+            singular_points(spec)
+    assert [r.colength for r in singular_points(spec)] == [1] * 16
+
+
+def test_condition_iv_computes_no_colength():
+    # s^32 + 1 and t^32 + 1 meet only at (1, 1), with colength 32 * 32 = 1024
+    f = get_field(2, 2)
+    v = ("s", "t")
+    s_var, t_var = (FqPoly.variable(f, v, n) for n in v)
+    one = FqPoly.const(f, v, f.one)
+    gens = s_var.pow_int(32) + one, t_var.pow_int(32) + one
+    assert classify_derivations("class4", *gens)["iv"]
+    with pytest.raises(SurfaceError, match="fixed locus is not zero-dimensional"):
+        _system_order(gens, v)
 
 
 def _truncated_colength(f_poly, g_poly, field, max_cut):
