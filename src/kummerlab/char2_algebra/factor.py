@@ -8,22 +8,28 @@ polynomial is returned as it stands, and a polynomial coprime to its
 derivative is its own squarefree part; neither shortcut draws from the
 generator.
 
-The characteristic-2 split of a product a of irreducibles of degree d
-over F_q, q = 2^e, reads the absolute trace of a random element of
-F_q[x]/(a), which lies in F_2 in every factor, so its gcd with a splits a
-about half the time (Berlekamp, Math. Comp. 24, 1970; von zur Gathen and
-Shoup, Comput. Complexity 2, 1992).  The trace is built from rows of
-powers of x mod a, found once for a and used unreduced by every part of
-a, since the gcd with a part reduces the trial mod that part:
+Distinct-degree splitting steps h = x^(q^d) mod a to h^q by one
+`ring.combine` of h's coefficients with the Frobenius rows x^(q i) mod a,
+i < deg a, as c^q = c on F_q (von zur Gathen and Shoup, Comput.
+Complexity 2, 1992).  `frobenius_rows` builds them once per squarefree
+part a, so h stays reduced mod a and the gcd with what is left of a
+reduces it further.
 
-- d > 1: the Frobenius rows x^(q i) mod a, i < deg a.  As c^q = c on F_q,
-  r^q is `ring.combine` of r's coefficients with the rows, so the trace
-  r + r^q + ... + r^(q^(d-1)) down to F_q costs d - 1 combinations and
-  the trace from F_q down to F_2 e - 1 squarings, where a squaring per
-  step would cost e d - 1 squarings.
-- d = 1: the square rows x^(2^j) mod a, j < e.  A trial is c x for a
-  random c != 0, whose trace is one combination of the e rows with
-  (c, c^2, ..., c^(2^(e-1))) and then one gcd.
+The characteristic-2 split of a product of irreducibles of degree d over
+F_q, q = 2^e, reads the absolute trace of a random element of F_q[x]/(a),
+which lies in F_2 in every factor, so its gcd with a splits a about half
+the time (Berlekamp, Math. Comp. 24, 1970).  The trace reads the rows of
+the squarefree part a, unreduced by every factor of a, since the gcd with
+a part reduces the trial mod that part:
+
+- d > 1: the Frobenius rows.  The trace r + r^q + ... + r^(q^(d-1)) down
+  to F_q costs d - 1 combinations and the trace from F_q down to F_2
+  e - 1 squarings, where a squaring per step would cost e d - 1
+  squarings.
+- d = 1: the square rows x^(2^j) mod a, j < e, the squaring chain that
+  ends in x^q.  A trial is c x for a random c != 0, whose trace is one
+  combination of the e rows with (c, c^2, ..., c^(2^(e-1))) and then one
+  gcd.
 
 Each step is written once over the field's univariate ring `field.ring`,
 so a byte-table field and coefficient lists run the same steps on the
@@ -88,8 +94,36 @@ def _pow_mod(base, n, mod, ring):
                  lambda a, b: ring.mulmod(a, b, row), ring.one)
 
 
-def distinct_degree(a, ring):
-    """[(product of irreducible factors of degree d, d)] for squarefree monic a."""
+def frobenius_rows(a, ring):
+    """(square rows, Frobenius rows) of a monic a of degree >= 2, packed as
+    `ring.modrow`.  The square rows are x^(2^j) mod a for j < e, q = 2^e,
+    in characteristic 2 (none in odd characteristic), and their chain of
+    squarings ends in x^q.  The Frobenius rows are x^(q i) mod a for
+    i < deg a: r^q mod a is `ring.combine` of r's coefficients with them,
+    as c^q = c in F_q.  Row 2i is the square of row i, row 2i + 1 that
+    times x^q."""
+    f = ring.field
+    row = ring.modrow(a)
+    x = ring.pack([f.zero, f.one])
+    squares = []
+    if f.char == 2:
+        xq = x
+        for _ in range(f.degree):
+            squares.append(xq)
+            xq = ring.mulmod(xq, xq, row)
+    else:
+        xq = _pow_mod(x, f.order, a, ring)
+    rows = [ring.one, xq]
+    for i in range(2, ring.deg(a)):
+        half = rows[i >> 1]
+        rows.append(ring.mulmod(half, half, row) if i % 2 == 0
+                    else ring.mulmod(rows[i - 1], xq, row))
+    return [ring.modrow(r) for r in squares], [ring.modrow(r) for r in rows]
+
+
+def distinct_degree(a, frob, ring):
+    """[(product of irreducible factors of degree d, d)] for squarefree monic
+    a of degree >= 2, with `frob` its Frobenius rows."""
     f = ring.field
     out = []
     x = ring.pack([f.zero, f.one])
@@ -98,43 +132,14 @@ def distinct_degree(a, ring):
     d = 0
     while ring.deg(rest) >= 2 * (d + 1):
         d += 1
-        h = _pow_mod(h, f.order, rest, ring)
+        h = ring.combine(ring.key(h), frob)          # x^(q^d) mod a
         g = ring.gcd(rest, ring.sub(h, x))
         if ring.deg(g) > 0:
             out.append((g, d))
             rest, _ = ring.divmod(rest, g)
-            h = ring.rem(h, rest)
     if ring.deg(rest) > 0:
         out.append((rest, ring.deg(rest)))
     return out
-
-
-def frobenius_rows(a, ring):
-    """The rows x^(q i) mod a for i < deg a, q the field order, packed as
-    `ring.modrow`: r^q mod a is `ring.combine` of r's coefficients with
-    them, as c^q = c in F_q.  Row 2i is the square of row i, row 2i + 1
-    that times x^q."""
-    f = ring.field
-    row = ring.modrow(a)
-    xq = _pow_mod(ring.pack([f.zero, f.one]), f.order, a, ring)
-    rows = [ring.one, xq]
-    for i in range(2, ring.deg(a)):
-        half = rows[i >> 1]
-        rows.append(ring.mulmod(half, half, row) if i % 2 == 0
-                    else ring.mulmod(rows[i - 1], xq, row))
-    return [ring.modrow(r) for r in rows[:ring.deg(a)]]
-
-
-def _square_rows(a, ring):
-    """The rows x^(2^j) mod a for j < e, q = 2^e, packed as `ring.modrow`:
-    the absolute trace of c x mod a is `ring.combine` of (c, c^2, ...,
-    c^(2^(e-1))) with them."""
-    f = ring.field
-    row = ring.modrow(a)
-    rows = [ring.rem(ring.pack([f.zero, f.one]), a)]
-    for _ in range(f.degree - 1):
-        rows.append(ring.mulmod(rows[-1], rows[-1], row))
-    return [ring.modrow(r) for r in rows]
 
 
 def _trace_trial(poly, d, rows, ring, rng):
@@ -170,19 +175,22 @@ def _power_trial(poly, d, ring, rng):
     return ring.sub(_pow_mod(r, (f.order ** d - 1) // 2, poly, ring), ring.one)
 
 
-def equal_degree_split(a, d, ring, rng):
+def equal_degree_split(a, d, rows, ring, rng):
     """All monic irreducible factors of a (product of degree-d irreducibles).
 
-    In characteristic 2 the rows of a, the square rows for d = 1 and the
-    Frobenius rows otherwise, serve the trials of every part of a."""
+    `rows` are the (square, Frobenius) rows of a multiple of a, the
+    squarefree part a came from; in characteristic 2 the square rows for
+    d = 1 and the Frobenius rows otherwise serve the trials of every part
+    of a."""
     a = ring.monic(a)
     if ring.deg(a) == d:
         return [a]
     if ring.field.char == 2:
-        rows = _square_rows(a, ring) if d == 1 else frobenius_rows(a, ring)
+        squares, frob = rows
+        trial_rows = frob if d > 1 else squares
 
         def trial(poly):
-            return _trace_trial(poly, d, rows, ring, rng)
+            return _trace_trial(poly, d, trial_rows, ring, rng)
     else:
         def trial(poly):
             return _power_trial(poly, d, ring, rng)
@@ -206,15 +214,21 @@ def equal_degree_split(a, d, ring, rng):
 def ring_factors(a, ring, seed=0):
     """The monic irreducible factors of a nonzero element a of `ring` (none
     for a constant), as coefficient keys with multiplicities, sorted by
-    degree, multiplicity and coefficients."""
+    degree, multiplicity and the `str` forms of the coefficients.  The rows
+    of each squarefree part of degree >= 2 are built once and serve its
+    distinct-degree and equal-degree steps."""
     if ring.deg(a) == 1:                   # linear: irreducible as it stands
         return [(ring.key(ring.monic(a)), 1)]
     rng, result = None, []
     for sqf, mult in _squarefree(a, ring):
-        for prod, d in distinct_degree(sqf, ring):
+        if ring.deg(sqf) == 1:
+            result.append((ring.key(sqf), mult))
+            continue
+        rows = frobenius_rows(sqf, ring)
+        for prod, d in distinct_degree(sqf, rows[1], ring):
             if rng is None and ring.deg(prod) > d:     # seeded at its first use
                 rng = random.Random(f"kummerlab.factor.{seed}")
-            for irr in equal_degree_split(prod, d, ring, rng):
+            for irr in equal_degree_split(prod, d, rows, ring, rng):
                 result.append((ring.key(irr), mult))
     result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
     return result

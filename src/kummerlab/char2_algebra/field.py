@@ -3,13 +3,11 @@
 Base fields encode elements as integers 0..p^e-1 (digit vectors of the
 modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
-2^16; the tables come from the quotient ring ExtField(F_p, modulus) on
-digit tuples.  The p-th root is one read of a table built next to them.
-Towers K[u]/(h) over a base field or another tower keep
-elements as coefficient tuples, multiply through the base's `ring`
-(below), and host algebraic points found during factorization; they are
-never serialized.  `row_reduce` is the Gaussian elimination over
-any of these field objects.
+2^16; the tables come from the quotient ring ExtField(F_p, modulus).
+The p-th root is one read of a table built next to them.  Towers
+K[u]/(h) over a base field or another tower host algebraic points found
+during factorization; they are never serialized.  `row_reduce` is the
+Gaussian elimination over any of these field objects.
 
 Every field object has one row operation, `addmul_row(dst, off, c, src)`:
 dst[off + j] += c * src[j] in place.  `row_reduce`, the Cartier-module
@@ -25,11 +23,19 @@ Every field object builds its univariate ring F[x] once, as `ring`.  A
 characteristic-2 base field with q <= 256 carries `byte_tables`: one
 256-byte `bytes.translate` table per constant c (s -> c*s) and one
 squaring table, cut from the exp/log tables; its ring is the
-`poly.PackedRing` on ints with a coefficient per byte.  A tower over
-such a field packs its modulus once, so `ExtField.mul` is one packed
-product and one reduction; its elements stay tuples.  Every other field
+`poly.PackedRing` on ints with a coefficient per byte.  Every other field
 object has `byte_tables = None` and a `poly._ListRing` on coefficient
-lists.  `ExtField.inv` runs Euclid in the base's ring.
+lists.  A tower element is its residue mod h in the base's ring, in one
+of two forms:
+
+- over a byte-table base, the packed int itself, a coefficient per byte:
+  zero is 0, one is 1, the embedding is the identity, + and - are XOR,
+  and `ExtField.mul` is one packed product and one reduction by the
+  modulus's bytes, with no conversion;
+- over any other base (q > 256, odd p, a tower), the tuple of its deg h
+  coefficients.
+
+`ExtField.inv` runs Euclid in the base's ring on the residue.
 
 Moduli come from a fixed built-in table; construction proves each one
 irreducible by finding an element of multiplicative order p^e - 1.
@@ -37,10 +43,10 @@ irreducible by finding an element of multiplicative order p^e - 1.
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 from .. import KummerlabError
-from .poly import (PackedRing, _ListRing, _packed_mul, _packed_reduce,
-                   _packed_square, power)
+from .poly import PackedRing, _ListRing, power
 
 
 class FieldError(KummerlabError):
@@ -155,15 +161,22 @@ class BaseField:
 
     def _build_tables(self):
         p, q = self.char, self.order
-        # the exp table is computed in F_p[x]/(modulus) on digit tuples;
-        # F_p itself, which that ring is built over, multiplies ints mod p
+        # the exp table is computed in F_p[x]/(modulus), whose element is
+        # the residue of the digit list in F_p[x]; F_p itself, which that
+        # ring is built over, multiplies ints mod p
         if self.degree == 1:
             one, mul, to_int = 1, lambda a, b: a * b % p, int
             elements = range(1, q)
         else:
-            ring = ExtField(get_field(p, 1), self.spec.modulus)
-            one, mul, to_int = ring.one, ring.mul, self._undigits
-            elements = (tuple(self._digits(a)) for a in range(1, q))
+            f_p = get_field(p, 1)
+            ring = ExtField(f_p, self.spec.modulus)
+            one, mul = ring.one, ring.mul
+
+            def to_int(a):
+                return self._undigits(f_p.ring.key(ring._residue(a)))
+
+            elements = (ring._element(f_p.ring.pack(self._digits(a)))
+                        for a in range(1, q))
         # a reducible modulus leaves fewer than q - 1 units, so no element
         # has order q - 1: the generator search doubles as the proof
         fact = _prime_factors(q - 1)
@@ -327,7 +340,11 @@ def get_field(p, e):
 class ExtField:
     """Quotient ring base[u]/(h) for monic irreducible h; hosts closed points.
 
-    Elements are tuples of base-field elements of length deg(h).
+    An element is its residue mod h in `base.ring`, of degree < deg h:
+    over a byte-table base the packed int itself, whose arithmetic is bound
+    at construction (XOR for + and -, the identity for the embedding and
+    -a, `PackedRing.mulmod` by the modulus for *); over any other base the
+    tuple of its deg h coefficients.  `u` is the class of u.
     Irreducibility of h is the caller's responsibility (factor output);
     zero divisors surface as division-by-zero errors during inversion.
     """
@@ -341,11 +358,26 @@ class ExtField:
         self.degree = base.degree * self.rel_degree  # over F_p, as BaseField
         self.char = base.char
         self.order = base.order ** self.rel_degree
-        self.zero = (base.zero,) * self.rel_degree
-        self.one = tuple([base.one] + [base.zero] * (self.rel_degree - 1))
-        if base.byte_tables is not None:
-            self._row = bytes(self.modulus)
+        ring = base.ring
+        self._mod = ring.pack(self.modulus)
+        if base.byte_tables is None:
+            self.zero = (base.zero,) * self.rel_degree
+            self.one = self._element(ring.one)
+        else:
+            self.zero, self.one = 0, 1
+            self.add = self.sub = operator.xor
+            self.neg = self.embed = self._element = self._residue = operator.pos
+            self.mul = partial(ring.mulmod, row=ring.modrow(self._mod))
+        self.u = self._element(ring.rem(ring.pack([base.zero, base.one]), self._mod))
         self.ring = _ListRing(self)
+
+    # -- the tuple form; a byte-table base rebinds these in __init__ --------
+    def _element(self, r):
+        """The element whose residue in the base's ring is r."""
+        return tuple(r) + self.zero[len(r):]
+
+    def _residue(self, a):
+        return self.base.ring.pack(a)
 
     def embed(self, a):
         return tuple([a] + [self.base.zero] * (self.rel_degree - 1))
@@ -360,18 +392,11 @@ class ExtField:
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        row = self._row
-        if row is None:
-            out = self.base.ring.mulmod(a, b, self.modulus)
-            return tuple(out) + self.zero[len(out):]
-        mul, square = self.base.byte_tables
-        acc = _packed_square(a, square) if a is b else _packed_mul(a, b, mul)
-        return tuple(_packed_reduce(acc, row, mul, 1)
-                     .to_bytes(self.rel_degree, "little"))
+        return self._element(self.base.ring.mulmod(a, b, self._mod))
 
+    # -- both forms -----------------------------------------------------------
     addmul_row = _addmul_row
-    # the modulus as a packed reduction row when the base has byte tables
-    _row = byte_tables = None
+    byte_tables = None
     # the p-th root of u, on the first `proot`
     _root_of_u = None
 
@@ -380,7 +405,7 @@ class ExtField:
             raise FieldError("division by zero")
         ring = self.base.ring
         # extended Euclid in base[u]
-        r0, r1 = ring.pack(self.modulus), ring.pack(a)
+        r0, r1 = self._mod, self._residue(a)
         s0, s1 = ring.zero, ring.one
         while r1:
             q, r = ring.divmod(r0, r1)
@@ -388,8 +413,7 @@ class ExtField:
             s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
         if ring.deg(r0) != 0:
             raise FieldError("tower modulus is not irreducible (zero divisor hit)")
-        out = tuple(ring.key(ring.divmod(s0, r0)[0]))
-        return out + self.zero[len(out):]
+        return self._element(ring.divmod(s0, r0)[0])
 
     def pow_elem(self, a, n):
         if n < 0:
@@ -403,20 +427,19 @@ class ExtField:
         """The p-th root.  With A_j the p-th roots of the coefficients j,
         j + p, ... of a, a = sum_j u^j A_j(u)^p, so its root is
         sum_j r^j A_j for r the p-th root of u, found once per field."""
-        base, p = self.base, self.char
+        base, ring, p = self.base, self.base.ring, self.char
         if self._root_of_u is None:
-            # u is (0, 1, 0, ...); at rel_degree 1 this reads one, but then
-            # every A_j with j > 0 is zero and r does not matter
-            u = self.one[-1:] + self.one[:-1]
-            self._root_of_u = self.pow_elem(u, p ** (self.degree - 1))
+            self._root_of_u = self.pow_elem(self.u, p ** (self.degree - 1))
+        coeffs = ring.key(self._residue(a))
         out = self.zero
         for j in range(p - 1, -1, -1):              # Horner in r
-            part = tuple(base.proot(c) for c in a[j::p])
-            out = self.add(self.mul(out, self._root_of_u), part + self.zero[len(part):])
+            part = ring.pack([base.proot(c) for c in coeffs[j::p]])
+            out = self.add(self.mul(out, self._root_of_u), self._element(part))
         return out
 
     def rand(self, rng):
-        return tuple(self.base.rand(rng) for _ in range(self.rel_degree))
+        return self._element(self.base.ring.pack(
+            [self.base.rand(rng) for _ in range(self.rel_degree)]))
 
     def rand_nonzero(self, rng):
         while True:
@@ -433,7 +456,6 @@ class ExtField:
 
     def __hash__(self):
         return hash((self.base, self.modulus))
-
 
 
 # ---------------------------------------------------------------------------

@@ -360,19 +360,11 @@ def _packed_reduce(acc, row, mul, scale, quot=None):
 
 
 class _Ring:
-    """What the two univariate rings share: Euclid's gcd on their rem, and
-    `join`, which takes the dense list of `split` back to an FqPoly."""
+    """What the two univariate rings share: `rem` from divmod, and `join`,
+    which takes the dense list of `split` back to an FqPoly."""
 
     def rem(self, a, b):
         return self.divmod(a, b)[1]
-
-    def gcd(self, a, b):
-        """The monic gcd; gcd(a, 0) is a made monic."""
-        while b:
-            if self.deg(b) == 0:           # a nonzero constant: coprime
-                return self.one
-            a, b = b, self.rem(a, b)
-        return self.monic(a)
 
     def join(self, coeffs, variables, var):
         i, zero = variables.index(var), self.field.zero
@@ -432,6 +424,16 @@ class PackedRing(_Ring):
             raise PolyError("polynomial division by zero")
         row = self.key(b)
         return _packed_reduce(a, row, self.mul_t, self.inv_t[row[-1]])
+
+    def gcd(self, a, b):
+        """The monic gcd; gcd(a, 0) is a made monic.  An inverse is one
+        table read here, so a divisor is not made monic first, as
+        `_ListRing.gcd` does."""
+        while b:
+            if self.deg(b) == 0:           # a nonzero constant: coprime
+                return self.one
+            a, b = b, self.rem(a, b)
+        return self.monic(a)
 
     def divexact(self, a, b):
         if b == 1:
@@ -500,8 +502,23 @@ class _ListRing(_Ring):
         return m
 
     def monic(self, a):
-        inv = self.field.inv(a[-1]) if a else None
-        return [self.field.mul(inv, x) for x in a]
+        f = self.field
+        if not a or a[-1] == f.one:
+            return list(a)
+        inv = f.inv(a[-1])
+        return [f.mul(inv, x) for x in a]
+
+    def gcd(self, a, b):
+        """The monic gcd; gcd(a, 0) is a made monic.  Each divisor is made
+        monic before it divides, so a Euclid step takes one field inverse,
+        which on a tower costs several products, and the last divisor is
+        not inverted a second time for the result."""
+        while b:
+            if self.deg(b) == 0:           # a nonzero constant: coprime
+                return self.one
+            b = self.monic(b)
+            a, b = b, self.rem(a, b)
+        return self.monic(a)
 
     def sub(self, a, b):
         f = self.field
@@ -522,16 +539,20 @@ class _ListRing(_Ring):
         b = dense_trim(list(b), f)
         if not b:
             raise PolyError("polynomial division by zero")
-        inv = f.inv(b[-1])
+        # a monic divisor needs no inverse
+        inv = None if b[-1] == f.one else f.inv(b[-1])
         q = [f.zero] * max(len(a) - len(b) + 1, 0)
         a = dense_trim(list(a), f)
-        while len(a) >= len(b):
-            c = f.mul(a[-1], inv)
-            shift = len(a) - len(b)
-            q[shift] = c
-            f.addmul_row(a, shift, f.neg(c), b)
-            dense_trim(a, f)
-        return q, a
+        # one pass from the top down, as mulmod: each step cancels one
+        # coefficient, so the loop ends whatever the field does
+        nb = len(b)
+        for shift in range(len(a) - nb, -1, -1):
+            lead = a[shift + nb - 1]
+            if lead != f.zero:
+                c = lead if inv is None else f.mul(lead, inv)
+                q[shift] = c
+                f.addmul_row(a, shift, f.neg(c), b)
+        return q, dense_trim(a[:nb - 1], f)
 
     def divexact(self, a, b):
         q, r = self.divmod(a, b)

@@ -11,10 +11,13 @@ lists in the eliminated variable, whose coefficients are ring elements
 in the key variable.  At a monic irreducible factor fac of the resultant
 the specialization is by reduction: a coefficient reduced mod fac is its
 value at the root u of fac, the element of k = base[u]/(fac) that the
-tower stores, so no power of the root is ever formed.  The gcd of the
-two specializations in k's ring holds the points over that root; a
-monic gcd of degree 1 gives its point as -g_0 directly, and any other
-is factored (`factor.ring_factors`) and each factor hosts one orbit.
+tower stores, so no power of the root is ever formed.  Over a byte-table
+base `_at_root` takes that residue, a packed int, as the element at every
+width, so the solver stays on packed ints from the resultant to the
+point.  The gcd of the two specializations in k's ring holds the points
+over that root; a monic gcd of degree 1 gives its point as -g_0
+directly, and any other is factored (`factor.ring_factors`) and each
+factor hosts one orbit.
 `_colength_at` reads the colengths off the fibre identity behind Bezout
 (Fulton, Algebraic Curves, ch. 5), Res_y(f, g) = lc_y(f)^deg g *
 prod g(x, y_i): where lc_y(f) or lc_y(g) is nonzero at u, the multiplicity
@@ -171,16 +174,20 @@ def _adjoin_root(dense, field):
     if len(dense) == 2:
         return field, _identity, field.neg(dense[0])
     ext = ExtField(field, dense)
-    root = tuple([field.zero, field.one] + [field.zero] * (len(dense) - 3))
-    return ext, ext.embed, root
+    return ext, ext.embed, ext.u
 
 
 def _at_root(coeffs, mod, k_field, base):
     """The polynomial with coefficient list `coeffs` (base-ring elements in
     the key variable) at the root u of the monic irreducible `mod`, in the
     ring of k_field = base[u]/(mod): a coefficient reduced mod `mod` is its
-    value at u."""
+    value at u.  Over a byte-table base that residue, a packed int, is the
+    element of k_field at every width, so nothing is converted; elsewhere
+    it is padded to a coefficient tuple, or read as a base element at
+    width 1."""
     ring = base.ring
+    if base.byte_tables is not None:
+        return k_field.ring.pack([ring.rem(c, mod) for c in coeffs])
     width = ring.deg(mod)
     pad = (base.zero,) * width
     out = []

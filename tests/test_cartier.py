@@ -220,8 +220,9 @@ def block_pairs(draw):
     if name == "tower":
         # u^2 + u + 2 has no root in F_4, so the quotient is F_16
         field = ExtField(get_field(2, 2), [2, 1, 1])
-        coef = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
-            lambda c: c != field.zero)
+        # an element is its residue packed a coefficient per byte
+        coef = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+            lambda c: int.from_bytes(bytes(c), "little")).filter(lambda c: c != field.zero)
     else:
         field = get_field(*name)
         coef = st.integers(1, field.order - 1)

@@ -18,8 +18,10 @@ from kummerlab.char2_algebra import (
     poly_roots,
     resultant,
 )
-from kummerlab.char2_algebra.factor import (_squarefree, distinct_degree,
-                                            equal_degree_split, frobenius_rows)
+from kummerlab.char2_algebra.factor import (_pow_mod, _power_trial, _squarefree,
+                                            _trace_trial, distinct_degree,
+                                            equal_degree_split, frobenius_rows,
+                                            ring_factors)
 from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import _ListRing, _subresultant_prs, power
 
@@ -128,18 +130,37 @@ def test_base_field_mul_is_the_product_mod_the_modulus(p, e):
         assert f.mul(a, b) == reference(a, b)
 
 
+def coords(ext, a):
+    """The coefficient tuple of a tower element: the bytes of its packed
+    residue over a byte-table base, the element itself otherwise."""
+    if ext.base.byte_tables is None:
+        return a
+    return tuple(a.to_bytes(ext.rel_degree, "little"))
+
+
+def element(ext, cs):
+    """The tower element with coefficient tuple cs (inverse of `coords`)."""
+    if ext.base.byte_tables is None:
+        return tuple(cs)
+    return int.from_bytes(bytes(cs), "little")
+
+
 def _reference_ops(field):
-    """(add, sub, mul, zero) of a field, towers by schoolbook over the base."""
+    """(add, sub, mul, zero) of a field, towers by schoolbook over the base
+    on coefficient tuples."""
     if isinstance(field, BaseField):
         return field.add, field.sub, field.mul, field.zero
     add, sub, mul, zero = _reference_ops(field.base)
 
+    def on_coords(op):
+        return lambda a, b: element(field, op(coords(field, a), coords(field, b)))
+
     def tower_mul(a, b):
         return tuple(_schoolbook_mulmod(a, b, field.modulus, add, sub, mul, zero))
 
-    return (lambda a, b: tuple(add(x, y) for x, y in zip(a, b)),
-            lambda a, b: tuple(sub(x, y) for x, y in zip(a, b)),
-            tower_mul, (zero,) * field.rel_degree)
+    return (on_coords(lambda a, b: tuple(add(x, y) for x, y in zip(a, b))),
+            on_coords(lambda a, b: tuple(sub(x, y) for x, y in zip(a, b))),
+            on_coords(tower_mul), element(field, (zero,) * field.rel_degree))
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (3, 2)])
@@ -151,7 +172,7 @@ def test_tower_over_tower_mul_and_pow(p, e):
     values = {f.add(f.mul(a, a), f.mul(lin, a)) for a in f.elements()}
     c = next(c for c in f.elements() if c not in values)
     inner = ExtField(f, [f.neg(c), lin, f.one])
-    inner_elements = [(x, y) for x in f.elements() for y in f.elements()]
+    inner_elements = [element(inner, (x, y)) for x in f.elements() for y in f.elements()]
     values = {inner.sub(inner.pow_elem(a, 3), a) for a in inner_elements}
     d = next(d for d in inner_elements if d not in values)
     outer = ExtField(inner, [inner.neg(d), inner.neg(inner.one), inner.zero,
@@ -196,13 +217,16 @@ def _row_field(name):
     return _quadratic_tower(get_field(p, e)) if "[" in name else get_field(p, e)
 
 
+_QUAD = _row_field("F_2^4[u]/deg2")
+
+
 def _elements(field):
     """Field elements with zero drawn about as often as all others."""
     if isinstance(field, BaseField):
         nonzero = st.integers(1, field.order - 1)
     else:
-        nonzero = st.tuples(*[_elements(field.base)] * field.rel_degree).filter(
-            lambda a: a != field.zero)
+        nonzero = st.tuples(*[_elements(field.base)] * field.rel_degree).map(
+            lambda cs: element(field, cs)).filter(lambda a: a != field.zero)
     return st.one_of(st.just(field.zero), nonzero)
 
 
@@ -229,7 +253,8 @@ def row_cases(draw):
 @example(("F_2^8", [3, 0, 7], 0, 0, [5, 9, 1]))                    # c = 0
 @example(("F_2^13", [1, 2, 3, 4, 5], 2, 4095, [8191 - 1, 0, 17]))  # off > 0
 @example(("F_3^2", [0, 1, 2, 3], 1, 5, [0, 8, 0]))                 # zeros in src
-@example(("F_2^4[u]/deg2", [(1, 0), (0, 0), (2, 3)], 1, (0, 1), [(0, 0), (5, 7)]))
+@example(("F_2^4[u]/deg2", [element(_QUAD, c) for c in [(1, 0), (0, 0), (2, 3)]], 1,
+          element(_QUAD, (0, 1)), [element(_QUAD, c) for c in [(0, 0), (5, 7)]]))
 def test_addmul_row_is_the_elementwise_add_multiply(case):
     name, dst, off, c, src = case
     field = _row_field(name)
@@ -798,10 +823,13 @@ def _factor_steps(dense, ring):
     """factor_univariate's steps on one ring: each irreducible factor as a
     coefficient list with its multiplicity, in the order they are found."""
     rng = random.Random("kummerlab.factor.0")
-    return [(list(ring.key(irr)), m)
-            for sqf, m in _squarefree(ring.pack(dense), ring)
-            for prod, d in distinct_degree(sqf, ring)
-            for irr in equal_degree_split(prod, d, ring, rng)]
+    out = []
+    for sqf, m in _squarefree(ring.pack(dense), ring):
+        rows = frobenius_rows(sqf, ring) if ring.deg(sqf) > 1 else ([], [])
+        out += [(list(ring.key(irr)), m)
+                for prod, d in distinct_degree(sqf, rows[1], ring)
+                for irr in equal_degree_split(prod, d, rows, ring, rng)]
+    return out
 
 
 def _absolute_trace(f, c):
@@ -894,9 +922,9 @@ def _mulmod(ring, mod):
 
 @st.composite
 def monic_moduli(draw):
-    """(field, monic coefficient list of degree 1..8) over a FACTOR_FIELDS field."""
+    """(field, monic coefficient list of degree 2..8) over a FACTOR_FIELDS field."""
     f = _row_field(draw(st.sampled_from(FACTOR_FIELDS)))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 8))
     return f, draw(st.lists(_elements(f), min_size=n, max_size=n)) + [f.one]
 
 
@@ -906,10 +934,13 @@ def test_frobenius_rows_are_the_q_powers_of_x(case):
     f, dense = case
     for ring in (f.ring, _ListRing(f)):
         a = ring.pack(dense)
-        x = ring.rem(ring.pack([f.zero, f.one]), a)
-        assert frobenius_rows(a, ring) == [
+        x = ring.pack([f.zero, f.one])
+        squares, frob = frobenius_rows(a, ring)
+        assert frob == [
             ring.modrow(power(x, f.order * i, _mulmod(ring, a), ring.one))
             for i in range(ring.deg(a))]
+        assert squares == ([ring.modrow(power(x, 1 << j, _mulmod(ring, a), ring.one))
+                            for j in range(f.degree)] if f.char == 2 else [])
 
 
 def _is_irreducible(a, ring):
@@ -1156,7 +1187,7 @@ def tower_cases(draw):
     n = draw(st.integers(1, 5))
     coef = st.integers(0, f.order - 1)
     ext = ExtField(f, draw(st.lists(coef, min_size=n, max_size=n)) + [f.one])
-    elem = st.tuples(*[coef] * n)
+    elem = st.tuples(*[coef] * n).map(lambda cs: element(ext, cs))
     return ext, draw(elem), draw(elem)
 
 
@@ -1167,3 +1198,204 @@ def test_packed_tower_mul_is_the_schoolbook_product(case):
     _add, _sub, ref_mul, _zero = _reference_ops(ext)
     assert ext.mul(a, b) == ref_mul(a, b)
     assert ext.mul(a, a) == ref_mul(a, a)       # one object: the packed square
+
+
+# the packed tower: its arithmetic against the schoolbook on coefficient tuples
+
+
+@st.composite
+def tower_elements(draw):
+    """(tower, a, b): a tower of relative degree 1..7 over F_2, F_16 or
+    F_256, packed, or of degree 1..3 over the packed quadratic tower over
+    F_16, on tuples.  Its modulus is the first monic polynomial a seeded
+    generator draws that Rabin's test finds irreducible."""
+    base = _row_field(draw(st.sampled_from(["F_2^1", "F_2^4", "F_2^8", "F_2^4[u]/deg2"])))
+    n = draw(st.integers(1, 3 if isinstance(base, ExtField) else 7))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    while True:
+        dense = [base.rand(rng) for _ in range(n)] + [base.one]
+        if _is_irreducible(base.ring.pack(dense), base.ring):
+            break
+    ext = ExtField(base, dense)
+    elem = st.tuples(*[_elements(base)] * n).map(lambda cs: element(ext, cs))
+    return ext, draw(elem), draw(elem)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(tower_elements())
+def test_tower_arithmetic_is_the_schoolbook(case):
+    ext, a, b = case
+    _add, _sub, ref_mul, _zero = _reference_ops(ext)
+    assert ext.mul(a, b) == ref_mul(a, b)
+    assert ext.mul(a, a) == ref_mul(a, a)       # one object: the Frobenius square
+    if a != ext.zero:
+        assert ref_mul(a, ext.inv(a)) == ext.one
+        assert ref_mul(ext.pow_elem(a, -3), ref_mul(a, ref_mul(a, a))) == ext.one
+    root = ext.proot(a)
+    assert ref_mul(root, root) == a
+    # the element form: packed residues over a byte-table base, tuples otherwise
+    assert element(ext, coords(ext, a)) == a
+    assert isinstance(a, int) == (ext.base.byte_tables is not None)
+
+
+def test_tower_gcd_inverts_once_per_division_step(monkeypatch):
+    f = get_field(2, 6)
+    # the first u^3 + u + c that Rabin's test finds irreducible over F_64
+    c = next(c for c in f.elements()
+             if _is_irreducible(f.ring.pack([c, f.one, f.zero, f.one]), f.ring))
+    ext = ExtField(f, [c, f.one, f.zero, f.one])
+    ring = ext.ring
+    rng = random.Random(43)
+    r, s, lc_a, lc_b = (ext.rand_nonzero(rng) for _ in range(4))
+    cubic = [ext.rand(rng) for _ in range(3)] + [ext.one]
+    # a = lc_a (x + r) cubic and b = lc_b (x + r)(x + s) with cubic(s) != 0,
+    # so the gcd is x + r, found in two division steps
+    assert ring.rem(cubic, [s, ext.one])
+    a = ring.mul([lc_a], ring.mul([r, ext.one], cubic))
+    b = ring.mul([lc_b], ring.mul([r, ext.one], [s, ext.one]))
+    a, b = ring.pack(a), ring.pack(b)
+    assert (ring.deg(a), ring.deg(b)) == (4, 2)
+    inverses, divisions = [], []
+    inv, divmod_ = ext.inv, ring.divmod
+    monkeypatch.setattr(ext, "inv", lambda x: inverses.append(x) or inv(x))
+    monkeypatch.setattr(ring, "divmod", lambda x, y: divisions.append(y) or divmod_(x, y))
+    g = ring.gcd(a, b)
+    monkeypatch.undo()
+    assert g == [r, ext.one]
+    assert not ring.rem(a, g) and not ring.rem(b, g)
+    assert len(divisions) == 2 and len(inverses) == len(divisions)
+
+
+# ---------------------------------------------------------------------------
+# the factorization route before each squarefree part shared its rows
+
+
+def _per_part_distinct_degree(a, ring):
+    """[(product of the degree-d factors, d)], x^(q^d) by powering mod what
+    is left of a at every step."""
+    f = ring.field
+    out = []
+    x = ring.pack([f.zero, f.one])
+    h, rest, d = x, a, 0
+    while ring.deg(rest) >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, f.order, rest, ring)
+        g = ring.gcd(rest, ring.sub(h, x))
+        if ring.deg(g) > 0:
+            out.append((g, d))
+            rest, _ = ring.divmod(rest, g)
+            h = ring.rem(h, rest)
+    if ring.deg(rest) > 0:
+        out.append((rest, ring.deg(rest)))
+    return out
+
+
+def _per_part_rows(a, d, ring):
+    """The rows of one equal-degree part a: x^(2^j) mod a, j < e, for d = 1,
+    and x^(q i) mod a, i < deg a, otherwise."""
+    f = ring.field
+    row = ring.modrow(a)
+    x = ring.rem(ring.pack([f.zero, f.one]), a)
+    if d == 1:
+        rows = [x]
+        for _ in range(f.degree - 1):
+            rows.append(ring.mulmod(rows[-1], rows[-1], row))
+        return [ring.modrow(r) for r in rows]
+    xq = _pow_mod(x, f.order, a, ring)
+    rows = [ring.one, xq]
+    for i in range(2, ring.deg(a)):
+        half = rows[i >> 1]
+        rows.append(ring.mulmod(half, half, row) if i % 2 == 0
+                    else ring.mulmod(rows[i - 1], xq, row))
+    return [ring.modrow(r) for r in rows[:ring.deg(a)]]
+
+
+def _per_part_equal_degree_split(a, d, ring, rng):
+    a = ring.monic(a)
+    if ring.deg(a) == d:
+        return [a]
+    if ring.field.char == 2:
+        rows = _per_part_rows(a, d, ring)
+
+        def trial(poly):
+            return _trace_trial(poly, d, rows, ring, rng)
+    else:
+        def trial(poly):
+            return _power_trial(poly, d, ring, rng)
+    out, stack = [], [a]
+    while stack:
+        poly = stack.pop()
+        n = ring.deg(poly)
+        if n == d:
+            out.append(poly)
+            continue
+        while True:
+            g = ring.gcd(poly, trial(poly))
+            if 0 < ring.deg(g) < n:
+                break
+        stack.append(g)
+        stack.append(ring.divmod(poly, g)[0])
+    return out
+
+
+def _per_part_factors(a, ring, seed=0):
+    """Reference: `ring_factors` by its earlier route, which powered x^q
+    mod the rest at each distinct-degree step and built fresh rows for
+    each equal-degree part, on the same draws."""
+    if ring.deg(a) == 1:
+        return [(ring.key(ring.monic(a)), 1)]
+    rng, result = None, []
+    for sqf, mult in _squarefree(a, ring):
+        for prod, d in _per_part_distinct_degree(sqf, ring):
+            if rng is None and ring.deg(prod) > d:
+                rng = random.Random(f"kummerlab.factor.{seed}")
+            for irr in _per_part_equal_degree_split(prod, d, ring, rng):
+                result.append((ring.key(irr), mult))
+    result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
+    return result
+
+
+# F_2^1..F_2^8 factor on the packed ring; F_2^9, F_3, F_9 and the tower on lists
+PER_PART_FIELDS = [f"F_2^{e}" for e in range(1, 10)] + ["F_3^1", "F_3^2",
+                                                        "F_2^4[u]/deg2"]
+
+
+@st.composite
+def per_part_inputs(draw):
+    """A unit times one to four monic factors of degree 1..4, each to a
+    power 1..3 and the whole squared half the time, of degree <= 20 over a
+    PER_PART_FIELDS field.  Random monic factors are often reducible, so a
+    squarefree part often splits over several degrees."""
+    f = _row_field(draw(st.sampled_from(PER_PART_FIELDS)))
+    coef = _elements(f)
+    target = FqPoly.const(f, ("t",), draw(coef.filter(lambda c: c != f.zero)))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 4))
+        factor = FqPoly.from_dense(f, "t", draw(st.lists(coef, min_size=k, max_size=k))
+                                   + [f.one])
+        target = target * factor.pow_int(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        target = target * target
+    assume(target.degree() <= 20)
+    return target
+
+
+def _product(e, *factors):
+    """The product of coefficient lists over F_2^e, as an FqPoly in t."""
+    f = get_field(2, e)
+    return functools.reduce(FqPoly.__mul__, [FqPoly.from_dense(f, "t", c) for c in factors])
+
+
+@settings(PROPERTY, max_examples=100)
+@given(per_part_inputs())
+# t (t^2 + t + 1)(t^3 + t + 1): one squarefree part split over degrees 1, 2, 3
+@example(_product(1, [0, 1], [1, 1, 1], [1, 1, 0, 1]))
+# (t^2 + t + 1)^2 (t + 1)^4 over F_4, a square, where t^2 + t + 1 splits
+@example(_product(2, [1, 1, 1], [1, 1, 1], [1, 1], [1, 1], [1, 1], [1, 1]))
+# t^16 + t over F_2: the irreducibles of degree 1, 2 and 4, one squarefree
+# part split over three degrees
+@example(_product(1, [0, 1] + [0] * 14 + [1]))
+def test_ring_factors_is_the_per_part_route(target):
+    ring = target.field.ring
+    a = ring.pack(target.dense_univariate())
+    assert ring_factors(a, ring) == _per_part_factors(a, ring)

@@ -148,12 +148,20 @@ def _specialize(poly, key, value, field, embed):
     return field.ring.pack(out)
 
 
+def element(ext, cs):
+    """The tower element with coefficient tuple cs: its residue packed a
+    coefficient per byte over a byte-table base, the tuple otherwise."""
+    if ext.base.byte_tables is None:
+        return tuple(cs)
+    return int.from_bytes(bytes(cs), "little")
+
+
 def _reference_root(fac, field):
     dense = fac.dense_univariate()
     if len(dense) == 2:
         return field, (lambda c: c), field.neg(field.mul(dense[0], field.inv(dense[1])))
     ext = ExtField(field, dense)
-    root = tuple([field.zero, field.one] + [field.zero] * (len(dense) - 3))
+    root = element(ext, [field.zero, field.one] + [field.zero] * (len(dense) - 3))
     return ext, ext.embed, root
 
 
@@ -237,8 +245,8 @@ def solver_systems(draw):
     point; and small fields give fibres of two or more orbits."""
     f = draw(st.sampled_from(SOLVER_FIELDS))
     if isinstance(f, ExtField):
-        nonzero = st.tuples(*[st.integers(0, f.base.order - 1)] * 2).filter(
-            lambda c: c != f.zero)
+        nonzero = st.tuples(*[st.integers(0, f.base.order - 1)] * 2).map(
+            lambda cs: element(f, cs)).filter(lambda c: c != f.zero)
     else:
         nonzero = st.integers(1, f.order - 1)
     kind = draw(st.sampled_from(["random", "free_of_y", "leads_vanish"]))
@@ -283,6 +291,14 @@ def _system(e, g1_terms, g2_terms):
 # y^2 + y + x and x y + x meet over x = 0 in two orbits, (0, 0) of colength
 # 1 and (0, 1) of colength 2, so no share of the multiplicity 3 is read
 @example(_system(2, {(0, 2): 1, (0, 1): 1, (1, 0): 1}, {(1, 1): 1, (1, 0): 1}))
+# over F_4, g1 = 2x^3 + 3x^2 + 1 is free of y with a quadratic factor, so
+# its root lies in a width-2 tower, where g2 has an irreducible cubic in
+# y: an orbit with r = 3 whose share is read off the resultant
+@example(_system(2, {(3, 0): 2, (2, 0): 3, (0, 0): 1}, {(3, 3): 2, (3, 0): 1, (0, 0): 3}))
+# y (x^3 + 2x^2 + 2) and 2xy^3 + x^2y + 3x^3 over F_4: a fibre over a
+# width-2 root holds two orbits, one of them quadratic over that tower, so
+# Fulton's algorithm runs at a point in a tower over a tower
+@example(_system(2, {(3, 1): 1, (2, 1): 2, (0, 1): 2}, {(1, 3): 2, (2, 1): 1, (3, 0): 3}))
 def test_closed_points_match_the_specialize_reference(system):
     g1, g2 = system
     got, want = _solver_points(g1, g2, "x", "y"), _reference_points(g1, g2, "x", "y")
@@ -370,7 +386,8 @@ def plane_cubic_pairs(draw):
     """Two polynomials of degree <= 3 through the origin."""
     field = draw(st.sampled_from(COLENGTH_FIELDS))
     if isinstance(field, ExtField):
-        coef = st.tuples(*[st.integers(0, field.base.order - 1)] * field.rel_degree)
+        coef = st.tuples(*[st.integers(0, field.base.order - 1)] * field.rel_degree).map(
+            lambda cs: element(field, cs))
     else:
         coef = st.integers(0, field.order - 1)
     expo = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
