@@ -1,9 +1,11 @@
 """Exact finite-field and polynomial algebra in small characteristic.
 
-Fields F_{p^e} (p in {2, 3, 5}) with explicit moduli, extension towers for
-working with algebraic points, sparse multivariate polynomials, univariate
-factorization, and the explicit Cartier-operator computations used by the
-surface families.
+Fields F_{p^e} (p in {2, 3, 5}) with explicit moduli, sparse multivariate
+polynomials, and the explicit Cartier-operator computations used by the
+surface families.  Extension towers for algebraic points and univariate
+factorization are characteristic 2 only.  Odd p remains in `BaseField`,
+`FqPoly`, `cartier_general`, `pth_root_poly` and `check_p1_derivative`,
+which the Cartier checks over F_3, F_9 and F_5 run.
 """
 
 from .field import (FieldError, FieldSpec, BaseField, ExtField, get_field,

@@ -82,9 +82,6 @@ class FormElement:
     def is_zero(self):
         return all(c.is_zero() for c in self.wcoeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, FormElement) and self.wcoeffs == other.wcoeffs
-
 
 def cartier_p2(g_poly, h_poly):
     """C(g eta_0) = (w sqrt(g_xy) + sqrt((gH)_xy)) eta_0 in characteristic 2.

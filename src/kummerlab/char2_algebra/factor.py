@@ -1,12 +1,12 @@
-"""Univariate factorization over a finite field object.
+"""Univariate factorization over a field object of characteristic 2.
 
-Squarefree decomposition (with the char-p perfect-power descent), then
-distinct-degree splitting, then equal-degree splitting: trace-based for
-characteristic 2, exponent-based Cantor-Zassenhaus for odd p.  The random
-generator is supplied by the caller so runs are reproducible.  A linear
-polynomial is returned as it stands, and a polynomial coprime to its
-derivative is its own squarefree part; neither shortcut draws from the
-generator.
+Squarefree decomposition (with the descent through square roots), then
+distinct-degree splitting, then trace-based equal-degree splitting.
+`ring_factors` raises PolyError on a field of odd characteristic.  The
+random generator is seeded with the fixed tag "kummerlab.factor.0" at its
+first use, so runs are reproducible.  A linear polynomial is returned as
+it stands, and a polynomial coprime to its derivative is its own
+squarefree part; neither shortcut draws from the generator.
 
 Distinct-degree splitting steps h = x^(q^d) mod a to h^q by one
 `ring.combine` of h's coefficients with the Frobenius rows x^(q i) mod a,
@@ -15,10 +15,10 @@ Complexity 2, 1992).  `frobenius_rows` builds them once per squarefree
 part a, so h stays reduced mod a and the gcd with what is left of a
 reduces it further.
 
-The characteristic-2 split of a product of irreducibles of degree d over
-F_q, q = 2^e, reads the absolute trace of a random element of F_q[x]/(a),
-which lies in F_2 in every factor, so its gcd with a splits a about half
-the time (Berlekamp, Math. Comp. 24, 1970).  The trace reads the rows of
+The split of a product of irreducibles of degree d over F_q, q = 2^e,
+reads the absolute trace of a random element of F_q[x]/(a), which lies
+in F_2 in every factor, so its gcd with a splits a about half the time
+(Berlekamp, Math. Comp. 24, 1970).  The trace reads the rows of
 the squarefree part a, unreduced by every factor of a, since the gcd with
 a part reduces the trial mod that part:
 
@@ -33,18 +33,17 @@ a part reduces the trial mod that part:
 
 Each step is written once over the field's univariate ring `field.ring`,
 so a byte-table field and coefficient lists run the same steps on the
-same draws.  On a byte-table field (characteristic 2, q <= 256) a
-polynomial stays one packed int from entry to exit: the derivative is a
-byte mask, the square root one `translate`, each modulus and each row is
-packed once.  Other fields (odd p, q > 256, towers) use coefficient
-lists.  `ring_factors` factors a ring element and returns coefficient
-keys, for callers that stay in the ring; `factor_univariate` is it on an
-FqPoly.
+same draws.  On a byte-table field (q <= 256) a polynomial stays one
+packed int from entry to exit: the derivative is a byte mask, the square
+root one `translate`, each modulus and each row is packed once.  Other
+fields (q > 256, towers) use coefficient lists.  `ring_factors` factors
+a ring element and returns coefficient keys, for callers that stay in
+the ring; `factor_univariate` is it on an FqPoly.
 """
 
 import random
 
-from .poly import FqPoly, PolyError, power
+from .poly import FqPoly, PolyError
 
 
 def _squarefree(a, ring):
@@ -64,7 +63,7 @@ def _squarefree(a, ring):
         poly = ring.monic(poly)
         d = ring.deriv(poly)
         if not d:
-            recurse(ring.proot(poly), mult * ring.field.char)
+            recurse(ring.proot(poly), mult * 2)
             return
         c = ring.gcd(poly, d)
         if ring.deg(c) == 0:               # poly is squarefree
@@ -81,38 +80,26 @@ def _squarefree(a, ring):
             c, _ = ring.divmod(c, y)
             i += 1
         if ring.deg(c) > 0:
-            recurse(ring.proot(c), mult * ring.field.char)
+            recurse(ring.proot(c), mult * 2)
 
     recurse(a, 1)
     return [tuple(gm) for _key, gm in sorted(out.items())]
 
 
-def _pow_mod(base, n, mod, ring):
-    """base^n modulo the monic `mod`."""
-    row = ring.modrow(mod)
-    return power(ring.rem(base, mod), n,
-                 lambda a, b: ring.mulmod(a, b, row), ring.one)
-
-
 def frobenius_rows(a, ring):
     """(square rows, Frobenius rows) of a monic a of degree >= 2, packed as
     `ring.modrow`.  The square rows are x^(2^j) mod a for j < e, q = 2^e,
-    in characteristic 2 (none in odd characteristic), and their chain of
-    squarings ends in x^q.  The Frobenius rows are x^(q i) mod a for
-    i < deg a: r^q mod a is `ring.combine` of r's coefficients with them,
-    as c^q = c in F_q.  Row 2i is the square of row i, row 2i + 1 that
-    times x^q."""
+    and their chain of squarings ends in x^q.  The Frobenius rows are
+    x^(q i) mod a for i < deg a: r^q mod a is `ring.combine` of r's
+    coefficients with them, as c^q = c in F_q.  Row 2i is the square of
+    row i, row 2i + 1 that times x^q."""
     f = ring.field
     row = ring.modrow(a)
-    x = ring.pack([f.zero, f.one])
+    xq = ring.pack([f.zero, f.one])
     squares = []
-    if f.char == 2:
-        xq = x
-        for _ in range(f.degree):
-            squares.append(xq)
-            xq = ring.mulmod(xq, xq, row)
-    else:
-        xq = _pow_mod(x, f.order, a, ring)
+    for _ in range(f.degree):
+        squares.append(xq)
+        xq = ring.mulmod(xq, xq, row)
     rows = [ring.one, xq]
     for i in range(2, ring.deg(a)):
         half = rows[i >> 1]
@@ -143,7 +130,7 @@ def distinct_degree(a, frob, ring):
 
 
 def _trace_trial(poly, d, rows, ring, rng):
-    """One char-2 splitting trial for a factor poly of the rows' modulus: a
+    """One splitting trial for a factor poly of the rows' modulus: a
     random element mapped to F_2 in every degree-d factor by the absolute
     trace.  For d = 1 it is the trace of c x, one combination of the square
     rows; otherwise the trace of a random r, down to F_q by d - 1
@@ -168,32 +155,17 @@ def _trace_trial(poly, d, rows, ring, rng):
     return t
 
 
-def _power_trial(poly, d, ring, rng):
-    """One odd-p splitting trial: r^((q^d - 1) / 2) - 1 for a random r."""
-    f = ring.field
-    r = ring.pack([f.rand(rng) for _ in range(ring.deg(poly))])
-    return ring.sub(_pow_mod(r, (f.order ** d - 1) // 2, poly, ring), ring.one)
-
-
 def equal_degree_split(a, d, rows, ring, rng):
     """All monic irreducible factors of a (product of degree-d irreducibles).
 
     `rows` are the (square, Frobenius) rows of a multiple of a, the
-    squarefree part a came from; in characteristic 2 the square rows for
-    d = 1 and the Frobenius rows otherwise serve the trials of every part
-    of a."""
+    squarefree part a came from; the square rows for d = 1 and the
+    Frobenius rows otherwise serve the trials of every part of a."""
     a = ring.monic(a)
     if ring.deg(a) == d:
         return [a]
-    if ring.field.char == 2:
-        squares, frob = rows
-        trial_rows = frob if d > 1 else squares
-
-        def trial(poly):
-            return _trace_trial(poly, d, trial_rows, ring, rng)
-    else:
-        def trial(poly):
-            return _power_trial(poly, d, ring, rng)
+    squares, frob = rows
+    trial_rows = frob if d > 1 else squares
     out = []
     stack = [a]
     while stack:
@@ -203,7 +175,7 @@ def equal_degree_split(a, d, rows, ring, rng):
             out.append(poly)
             continue
         while True:
-            g = ring.gcd(poly, trial(poly))
+            g = ring.gcd(poly, _trace_trial(poly, d, trial_rows, ring, rng))
             if 0 < ring.deg(g) < n:
                 break
         stack.append(g)
@@ -211,12 +183,15 @@ def equal_degree_split(a, d, rows, ring, rng):
     return out
 
 
-def ring_factors(a, ring, seed=0):
+def ring_factors(a, ring):
     """The monic irreducible factors of a nonzero element a of `ring` (none
     for a constant), as coefficient keys with multiplicities, sorted by
     degree, multiplicity and the `str` forms of the coefficients.  The rows
     of each squarefree part of degree >= 2 are built once and serve its
-    distinct-degree and equal-degree steps."""
+    distinct-degree and equal-degree steps.  Raises PolyError outside
+    characteristic 2."""
+    if ring.field.char != 2:
+        raise PolyError("factorization runs in characteristic 2 only")
     if ring.deg(a) == 1:                   # linear: irreducible as it stands
         return [(ring.key(ring.monic(a)), 1)]
     rng, result = None, []
@@ -227,14 +202,14 @@ def ring_factors(a, ring, seed=0):
         rows = frobenius_rows(sqf, ring)
         for prod, d in distinct_degree(sqf, rows[1], ring):
             if rng is None and ring.deg(prod) > d:     # seeded at its first use
-                rng = random.Random(f"kummerlab.factor.{seed}")
+                rng = random.Random("kummerlab.factor.0")
             for irr in equal_degree_split(prod, d, rows, ring, rng):
                 result.append((ring.key(irr), mult))
     result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
     return result
 
 
-def factor_univariate(poly, seed=0):
+def factor_univariate(poly):
     """Complete factorization into monic irreducibles with multiplicities.
 
     Accepts a univariate FqPoly; returns (unit, [(FqPoly factor, mult)]),
@@ -246,12 +221,12 @@ def factor_univariate(poly, seed=0):
     if not dense:
         raise PolyError("cannot factor the zero polynomial")
     return dense[-1], [(FqPoly.from_dense(f, var, irr), m) for irr, m
-                       in ring_factors(f.ring.pack(dense), f.ring, seed)]
+                       in ring_factors(f.ring.pack(dense), f.ring)]
 
 
-def poly_roots(poly, seed=0):
+def poly_roots(poly):
     """Roots in the coefficient field with multiplicities."""
-    unit, factors = factor_univariate(poly, seed)
+    unit, factors = factor_univariate(poly)
     del unit
     out = []
     f = poly.field

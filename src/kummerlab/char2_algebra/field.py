@@ -3,11 +3,13 @@
 Base fields encode elements as integers 0..p^e-1 (digit vectors of the
 modulus-basis coordinates, base p; for p = 2 plain bitmasks).  Arithmetic
 uses exp/log tables over a precomputed generator, so p^e is capped at
-2^16; the tables come from the quotient ring ExtField(F_p, modulus).
-The p-th root is one read of a table built next to them.  Towers
-K[u]/(h) over a base field or another tower host algebraic points found
-during factorization; they are never serialized.  `row_reduce` is the
-Gaussian elimination over any of these field objects.
+2^16; the tables are computed on residues mod the modulus in the ring of
+F_p (`ring.mulmod`).  The p-th root is one read of a table built next to
+them.  Base fields of odd characteristic (F_9, F_5 and the rest) serve
+the Cartier checks over F_3 and F_5; towers are characteristic 2 only.
+Towers K[u]/(h) over a base field or another tower host algebraic points
+found during factorization; they are never serialized.  `row_reduce` is
+the Gaussian elimination over any of these field objects.
 
 Every field object has one row operation, `addmul_row(dst, off, c, src)`:
 dst[off + j] += c * src[j] in place.  `row_reduce`, the Cartier-module
@@ -32,9 +34,11 @@ of two forms:
   zero is 0, one is 1, the embedding is the identity, + and - are XOR,
   and `ExtField.mul` is one packed product and one reduction by the
   modulus's bytes, with no conversion;
-- over any other base (q > 256, odd p, a tower), the tuple of its deg h
-  coefficients.
+- over any other base (q > 256, a tower), the tuple of its deg h
+  coefficients, where + and - are coefficientwise and -a = a.
 
+`ExtField.from_residue` takes a residue in the base's ring to its
+element, so no caller reads which form a tower element takes.
 `ExtField.inv` runs Euclid in the base's ring on the residue.
 
 Moduli come from a fixed built-in table; construction proves each one
@@ -102,9 +106,6 @@ class FieldSpec:
             raise FieldError(f"no built-in modulus for p={p}, e={e}") from None
         return FieldSpec(p, e, tuple(mod))
 
-    def to_json(self):
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
 
 def _addmul_row(field, dst, off, c, src):
     """dst[off + j] += c * src[j] for every j, in place, on the field's own
@@ -161,22 +162,24 @@ class BaseField:
 
     def _build_tables(self):
         p, q = self.char, self.order
-        # the exp table is computed in F_p[x]/(modulus), whose element is
-        # the residue of the digit list in F_p[x]; F_p itself, which that
-        # ring is built over, multiplies ints mod p
+        # the exp table is computed in F_p[x]/(modulus): an element is the
+        # residue of its digit list in the ring of F_p, which multiplies
+        # ints mod p
         if self.degree == 1:
             one, mul, to_int = 1, lambda a, b: a * b % p, int
             elements = range(1, q)
         else:
-            f_p = get_field(p, 1)
-            ring = ExtField(f_p, self.spec.modulus)
-            one, mul = ring.one, ring.mul
+            ring = get_field(p, 1).ring
+            row = ring.modrow(ring.pack(self.spec.modulus))
+            one = ring.one
+
+            def mul(a, b):
+                return ring.mulmod(a, b, row)
 
             def to_int(a):
-                return self._undigits(f_p.ring.key(ring._residue(a)))
+                return self._undigits(ring.key(a))
 
-            elements = (ring._element(f_p.ring.pack(self._digits(a)))
-                        for a in range(1, q))
+            elements = (ring.pack(self._digits(a)) for a in range(1, q))
         # a reducible modulus leaves fewer than q - 1 units, so no element
         # has order q - 1: the generator search doubles as the proof
         fact = _prime_factors(q - 1)
@@ -337,42 +340,51 @@ def get_field(p, e):
     return _FIELD_CACHE[key]
 
 
+def _identity(a):
+    return a
+
+
 class ExtField:
-    """Quotient ring base[u]/(h) for monic irreducible h; hosts closed points.
+    """Quotient ring base[u]/(h) for monic irreducible h over a base of
+    characteristic 2; hosts closed points.
 
     An element is its residue mod h in `base.ring`, of degree < deg h:
     over a byte-table base the packed int itself, whose arithmetic is bound
     at construction (XOR for + and -, the identity for the embedding and
     -a, `PackedRing.mulmod` by the modulus for *); over any other base the
-    tuple of its deg h coefficients.  `u` is the class of u.
-    Irreducibility of h is the caller's responsibility (factor output);
-    zero divisors surface as division-by-zero errors during inversion.
+    tuple of its deg h coefficients, + and - coefficientwise and -a = a.
+    `from_residue` takes a residue in the base's ring to its element.  `u`
+    is the class of u.  Irreducibility of h is the caller's responsibility
+    (factor output); zero divisors surface as division-by-zero errors
+    during inversion.
     """
 
     def __init__(self, base, modulus):
+        if base.char != 2:
+            raise FieldError("towers are built in characteristic 2 only")
         if modulus[-1] != base.one:
             raise FieldError("tower modulus must be monic")
         self.base = base
         self.modulus = tuple(modulus)
         self.rel_degree = len(modulus) - 1
-        self.degree = base.degree * self.rel_degree  # over F_p, as BaseField
-        self.char = base.char
+        self.degree = base.degree * self.rel_degree  # over F_2, as BaseField
+        self.char = 2
         self.order = base.order ** self.rel_degree
         ring = base.ring
         self._mod = ring.pack(self.modulus)
         if base.byte_tables is None:
             self.zero = (base.zero,) * self.rel_degree
-            self.one = self._element(ring.one)
+            self.one = self.from_residue(ring.one)
         else:
             self.zero, self.one = 0, 1
             self.add = self.sub = operator.xor
-            self.neg = self.embed = self._element = self._residue = operator.pos
+            self.neg = self.embed = self.from_residue = self._residue = operator.pos
             self.mul = partial(ring.mulmod, row=ring.modrow(self._mod))
-        self.u = self._element(ring.rem(ring.pack([base.zero, base.one]), self._mod))
+        self.u = self.from_residue(ring.rem(ring.pack([base.zero, base.one]), self._mod))
         self.ring = _ListRing(self)
 
     # -- the tuple form; a byte-table base rebinds these in __init__ --------
-    def _element(self, r):
+    def from_residue(self, r):
         """The element whose residue in the base's ring is r."""
         return tuple(r) + self.zero[len(r):]
 
@@ -380,24 +392,21 @@ class ExtField:
         return self.base.ring.pack(a)
 
     def embed(self, a):
-        return tuple([a] + [self.base.zero] * (self.rel_degree - 1))
+        return (a,) + self.zero[1:]
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.add, a, b))
 
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+    sub = add
+    neg = staticmethod(_identity)
 
     def mul(self, a, b):
-        return self._element(self.base.ring.mulmod(a, b, self._mod))
+        return self.from_residue(self.base.ring.mulmod(a, b, self._mod))
 
     # -- both forms -----------------------------------------------------------
     addmul_row = _addmul_row
     byte_tables = None
-    # the p-th root of u, on the first `proot`
+    # the square root of u, on the first `proot`
     _root_of_u = None
 
     def inv(self, a):
@@ -413,32 +422,28 @@ class ExtField:
             s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
         if ring.deg(r0) != 0:
             raise FieldError("tower modulus is not irreducible (zero divisor hit)")
-        return self._element(ring.divmod(s0, r0)[0])
+        return self.from_residue(ring.divmod(s0, r0)[0])
 
     def pow_elem(self, a, n):
         if n < 0:
             return self.pow_elem(self.inv(a), -n)
         return power(a, n, self.mul, self.one)
 
-    def scalar(self, n):
-        return self.embed(self.base.scalar(n))
-
     def proot(self, a):
-        """The p-th root.  With A_j the p-th roots of the coefficients j,
-        j + p, ... of a, a = sum_j u^j A_j(u)^p, so its root is
-        sum_j r^j A_j for r the p-th root of u, found once per field."""
-        base, ring, p = self.base, self.base.ring, self.char
+        """The square root.  With A_0 and A_1 the square roots of the even
+        and the odd coefficients of a, a = A_0(u)^2 + u A_1(u)^2, so its
+        root is A_0 + r A_1 for r the square root of u, found once per
+        field."""
+        base, ring = self.base, self.base.ring
         if self._root_of_u is None:
-            self._root_of_u = self.pow_elem(self.u, p ** (self.degree - 1))
+            self._root_of_u = self.pow_elem(self.u, 1 << (self.degree - 1))
         coeffs = ring.key(self._residue(a))
-        out = self.zero
-        for j in range(p - 1, -1, -1):              # Horner in r
-            part = ring.pack([base.proot(c) for c in coeffs[j::p]])
-            out = self.add(self.mul(out, self._root_of_u), self._element(part))
-        return out
+        even, odd = (self.from_residue(ring.pack([base.proot(c) for c in coeffs[j::2]]))
+                     for j in (0, 1))
+        return self.add(self.mul(odd, self._root_of_u), even)
 
     def rand(self, rng):
-        return self._element(self.base.ring.pack(
+        return self.from_residue(self.base.ring.pack(
             [self.base.rand(rng) for _ in range(self.rel_degree)]))
 
     def rand_nonzero(self, rng):

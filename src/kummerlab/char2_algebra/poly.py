@@ -17,10 +17,13 @@ run the field's row hook `addmul_row(dst, off, c, src)` (dst[off + j] +=
 c * src[j]) once per row.  Both rings have `combine(coeffs, rows)`, the
 sum of c * row over rows packed by `modrow`, which factor.py reads the
 q-th power and the trace through, `split`, a polynomial in two variables
-as its dense list in one of ring elements in the other, and `join`, its
-inverse.  The gcd and the resultant of two polynomials in two variables
-come from one subresultant PRS with its coefficients in `field.ring`,
-and the gcd takes its contents with that ring's gcd.
+as its dense list in one of ring elements in the other, `join`, its
+inverse, and `constant`, the field element of a constant.  Their `deriv`
+and `proot`, which only factorization reads, take the characteristic-2
+form: the odd coefficients moved down, the square roots of the even ones.
+The gcd and the resultant of two polynomials in two variables come from
+one subresultant PRS with its coefficients in `field.ring`, and the gcd
+takes its contents with that ring's gcd.
 """
 
 import operator
@@ -380,6 +383,8 @@ class PackedRing(_Ring):
 
     zero, one = 0, 1
     sub = operator.xor                # characteristic 2
+    # a constant is one coefficient byte, the field element itself
+    constant = operator.pos
 
     def __init__(self, field):
         self.field = field
@@ -501,6 +506,10 @@ class _ListRing(_Ring):
     def modrow(m):
         return m
 
+    def constant(self, a):
+        """The field element of a constant."""
+        return a[0] if a else self.field.zero
+
     def monic(self, a):
         f = self.field
         if not a or a[-1] == f.one:
@@ -582,16 +591,19 @@ class _ListRing(_Ring):
         return dense_trim(acc, f)
 
     def deriv(self, a):
-        f = self.field
-        out = [f.zero if i % f.char == 0 else f.mul(a[i], f.scalar(i))
-               for i in range(1, len(a))]
-        return dense_trim(out, f)
+        """The derivative in characteristic 2: the odd coefficients, moved
+        one place down."""
+        zero = self.field.zero
+        return dense_trim([c if i % 2 else zero for i, c in enumerate(a[1:], 1)],
+                          self.field)
 
     def proot(self, a):
+        """The square root of a square in characteristic 2: its even
+        coefficients, each through the field's square root."""
         f = self.field
-        if any(c != f.zero for i, c in enumerate(a) if i % f.char):
+        if any(c != f.zero for c in a[1::2]):
             raise PolyError("polynomial is not a p-th power")
-        return dense_trim([f.proot(c) for c in a[::f.char]], f)
+        return dense_trim([f.proot(c) for c in a[::2]], f)
 
     def split(self, poly, var):
         """An FqPoly in k[u, v] as its dense list in var of trimmed lists in

@@ -210,13 +210,6 @@ class DiscriminantGroup:
     orders: list
     qvalues: list
 
-    @property
-    def order(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
-
 
 def _qmod2(x):
     return Fraction(x) % 2

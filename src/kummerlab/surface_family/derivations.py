@@ -49,7 +49,6 @@ class DerivationSpec:
     f: object              # D(first var)
     g: object              # D(second var)
     c: object              # closure scalar: D^2 = c D
-    source: object = None  # the SurfaceSpec it came from, if any
 
     def apply(self, poly):
         v1, v2 = self.vars
@@ -84,7 +83,7 @@ def covering_derivation(spec):
         c1 = f.one
         c = f.zero
     d = DerivationSpec(spec.family, f, new_vars,
-                       gen_f.scale(c1), gen_g.scale(c1), c, spec)
+                       gen_f.scale(c1), gen_g.scale(c1), c)
     # verify D^2 = c D on the coordinate generators
     for gen in (d.f, d.g):
         if d.apply(gen) != gen.scale(c):

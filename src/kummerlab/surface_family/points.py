@@ -46,7 +46,7 @@ no cap, and non-additive ones get none.
 from dataclasses import dataclass
 
 from ..char2_algebra.factor import factor_univariate, ring_factors
-from ..char2_algebra.field import ExtField, row_reduce
+from ..char2_algebra.field import ExtField, _identity, row_reduce
 from ..char2_algebra.poly import FqPoly
 from ..char2_algebra.poly import resultant as poly_resultant
 from .spec import BRANCH_PROFILES, SurfaceError, classify_by_coefficients
@@ -164,10 +164,6 @@ def _elim_data(spec):
     return a, b, v2, v1          # eliminate x, key by t
 
 
-def _identity(c):
-    return c
-
-
 def _adjoin_root(dense, field):
     """(field', embedding of field, root) for the coefficient list of a
     monic irreducible polynomial."""
@@ -181,20 +177,12 @@ def _at_root(coeffs, mod, k_field, base):
     """The polynomial with coefficient list `coeffs` (base-ring elements in
     the key variable) at the root u of the monic irreducible `mod`, in the
     ring of k_field = base[u]/(mod): a coefficient reduced mod `mod` is its
-    value at u.  Over a byte-table base that residue, a packed int, is the
-    element of k_field at every width, so nothing is converted; elsewhere
-    it is padded to a coefficient tuple, or read as a base element at
-    width 1."""
+    value at u.  At width 1 that residue is a constant of the base's ring
+    (`ring.constant`); wider it is the residue that `k_field.from_residue`
+    takes to its element, over a byte-table base the packed int itself."""
     ring = base.ring
-    if base.byte_tables is not None:
-        return k_field.ring.pack([ring.rem(c, mod) for c in coeffs])
-    width = ring.deg(mod)
-    pad = (base.zero,) * width
-    out = []
-    for c in coeffs:
-        r = tuple(ring.key(ring.rem(c, mod))) + pad
-        out.append(r[0] if width == 1 else r[:width])
-    return k_field.ring.pack(out)
+    element = ring.constant if ring.deg(mod) == 1 else k_field.from_residue
+    return k_field.ring.pack([element(ring.rem(c, mod)) for c in coeffs])
 
 
 def closed_points(g1, g2, key, elim):

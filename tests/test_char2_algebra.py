@@ -18,10 +18,9 @@ from kummerlab.char2_algebra import (
     poly_roots,
     resultant,
 )
-from kummerlab.char2_algebra.factor import (_pow_mod, _power_trial, _squarefree,
-                                            _trace_trial, distinct_degree,
-                                            equal_degree_split, frobenius_rows,
-                                            ring_factors)
+from kummerlab.char2_algebra.factor import (_squarefree, _trace_trial,
+                                            distinct_degree, equal_degree_split,
+                                            frobenius_rows, ring_factors)
 from kummerlab.char2_algebra.field import _MODULI
 from kummerlab.char2_algebra.poly import _ListRing, _subresultant_prs, power
 
@@ -102,11 +101,11 @@ def _schoolbook_mulmod(a, b, mod, add, sub, mul, zero):
     return res[:d]
 
 
-SMALL_BUILTIN_FIELDS = [(p, e) for p, moduli in sorted(_MODULI.items())
-                        for e in sorted(moduli) if p ** e <= 1 << 10]
+BUILTIN_FIELDS = [(p, e) for p, moduli in sorted(_MODULI.items())
+                  for e in sorted(moduli)]
 
 
-@pytest.mark.parametrize("p,e", SMALL_BUILTIN_FIELDS)
+@pytest.mark.parametrize("p,e", BUILTIN_FIELDS)
 def test_base_field_mul_is_the_product_mod_the_modulus(p, e):
     f = get_field(p, e)
     mod = FieldSpec.standard(p, e).modulus
@@ -163,20 +162,18 @@ def _reference_ops(field):
             on_coords(tower_mul), element(field, (zero,) * field.rel_degree))
 
 
-@pytest.mark.parametrize("p,e", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("p,e", [(2, 4), (2, 9)])
 def test_tower_over_tower_mul_and_pow(p, e):
     f = get_field(p, e)
-    # u^2 + u + c (p = 2) or u^2 - c (odd p) over F_q, then v^3 - v - d over
-    # that: each is irreducible because it has no root in the field below
-    lin = f.one if p == 2 else f.zero
-    values = {f.add(f.mul(a, a), f.mul(lin, a)) for a in f.elements()}
-    c = next(c for c in f.elements() if c not in values)
-    inner = ExtField(f, [f.neg(c), lin, f.one])
-    inner_elements = [element(inner, (x, y)) for x in f.elements() for y in f.elements()]
-    values = {inner.sub(inner.pow_elem(a, 3), a) for a in inner_elements}
-    d = next(d for d in inner_elements if d not in values)
-    outer = ExtField(inner, [inner.neg(d), inner.neg(inner.one), inner.zero,
-                             inner.one])
+    # u^2 + u + c over F_q, then the first v^3 + v + d over that which
+    # Rabin's test finds irreducible.  Over F_16 the inner tower is packed
+    # and the outer one on tuples; over F_2^9 both are on tuples
+    inner = _quadratic_tower(f)
+    ring = inner.ring
+    d = next(d for d in (element(inner, (x, y)) for x in f.elements()
+                         for y in f.elements())
+             if _is_irreducible(ring.pack([d, inner.one, inner.zero, inner.one]), ring))
+    outer = ExtField(inner, [d, inner.one, inner.zero, inner.one])
     rng = random.Random(29)
     _add, _sub, ref_mul, _zero = _reference_ops(outer)
     for _ in range(40):
@@ -493,7 +490,7 @@ def test_partial_drops_even_exponents():
 
 def test_factor_round_trip():
     rng = random.Random(23)
-    for trial in range(80):
+    for _ in range(80):
         f = get_field(2, rng.choice([1, 2, 3, 4]))
         target = FqPoly.const(f, ("t",), f.one)
         for _ in range(rng.randrange(1, 4)):
@@ -502,7 +499,7 @@ def test_factor_round_trip():
             factor = FqPoly.from_dense(f, "t", coeffs)
             for _ in range(rng.randrange(1, 3)):
                 target = target * factor
-        unit, factors = factor_univariate(target, seed=trial)
+        unit, factors = factor_univariate(target)
         prod = FqPoly.const(f, ("t",), unit)
         for irr, mult in factors:
             prod = prod * irr.pow_int(mult)
@@ -521,23 +518,37 @@ def test_factor_known_cases():
     assert f.mul(f.proot(c), f.one) == f.neg(root.coefficient((0,)))
 
 
-def test_factor_odd_characteristic():
-    f = get_field(3, 2)
+def test_factor_over_the_list_ring():
+    # F_2^10 has no byte tables: it factors on coefficient lists
+    f = get_field(2, 10)
     rng = random.Random(29)
-    for trial in range(30):
+    for _ in range(30):
         coeffs = [f.rand(rng) for _ in range(4)] + [f.one]
         poly = FqPoly.from_dense(f, "t", coeffs)
-        unit, factors = factor_univariate(poly, seed=trial)
+        unit, factors = factor_univariate(poly)
         prod = FqPoly.const(f, ("t",), unit)
         for irr, mult in factors:
             prod = prod * irr.pow_int(mult)
         assert prod == poly
 
 
+def test_towers_and_factorization_reject_odd_characteristic():
+    with pytest.raises(FieldError, match="characteristic 2"):
+        ExtField(get_field(3, 1), [1, 2, 0, 1])          # u^3 - u + 1
+    f9 = get_field(3, 2)
+    for dense in ([1, 0, 1], [2, 1]):                     # linear as well
+        poly = FqPoly.from_dense(f9, "t", dense)
+        with pytest.raises(PolyError, match="characteristic 2"):
+            ring_factors(f9.ring.pack(dense), f9.ring)
+        with pytest.raises(PolyError, match="characteristic 2"):
+            factor_univariate(poly)
+
+
 @st.composite
 def univariate_products(draw, min_factors=0, max_mult=3):
-    """(unit * prod of monic polynomials, its field) over F_2^e or F_3^2."""
-    f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])))
+    """unit * prod of monic polynomials over F_2^1..F_2^4, which factor on
+    the packed ring, or F_2^9, which factors on coefficient lists."""
+    f = get_field(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (2, 9)])))
     coef = st.integers(0, f.order - 1)
     target = FqPoly.const(f, ("t",), draw(st.integers(1, f.order - 1)))
     for _ in range(draw(st.integers(min_factors, 3))):
@@ -561,7 +572,7 @@ def test_factor_multiplies_back(target):
 
 
 @pytest.mark.parametrize("name", ["F_2^1", "F_2^4", "F_2^8", "F_2^4[u]/deg2",
-                                  "F_3^2"])
+                                  "F_2^9"])
 def test_factor_linear_is_the_unit_times_its_monic(name):
     f = _row_field(name)
     rng = random.Random(31)
@@ -888,9 +899,9 @@ def test_packed_factorization_is_the_list_factorization(case):
     assert sorted((irr.dense_univariate(), m) for irr, m in factors) == sorted(steps)
 
 
-# F_2^1..F_2^8 factor on the packed ring, F_2^10, F_3^2 and the tower on lists
+# F_2^1..F_2^8 factor on the packed ring, F_2^10 and the tower on lists
 FACTOR_FIELDS = ["F_2^1", "F_2^2", "F_2^3", "F_2^4", "F_2^5", "F_2^6", "F_2^7",
-                 "F_2^8", "F_2^10", "F_3^2", "F_2^4[u]/deg2"]
+                 "F_2^8", "F_2^10", "F_2^4[u]/deg2"]
 
 
 @pytest.mark.parametrize("p,e", [(2, e) for e in range(1, 9)]
@@ -904,10 +915,12 @@ def test_proot_table_is_the_inverse_frobenius(p, e):
 
 
 def test_tower_proot_is_the_inverse_frobenius():
+    # packed towers over F_4 and F_16, tuple towers over a packed tower and
+    # over F_2^9
     f4, quad = get_field(2, 2), _quadratic_tower(get_field(2, 4))
     towers = [quad, ExtField(f4, [f4.one, f4.one, f4.zero, f4.one]),   # u^3 + u + 1
               ExtField(quad, [quad.one, quad.one, quad.zero, quad.one]),
-              ExtField(get_field(3, 1), [1, 2, 0, 1])]                  # u^3 - u + 1
+              _quadratic_tower(get_field(2, 9))]
     rng = random.Random(37)
     for ext in towers:
         for _ in range(50):
@@ -939,8 +952,8 @@ def test_frobenius_rows_are_the_q_powers_of_x(case):
         assert frob == [
             ring.modrow(power(x, f.order * i, _mulmod(ring, a), ring.one))
             for i in range(ring.deg(a))]
-        assert squares == ([ring.modrow(power(x, 1 << j, _mulmod(ring, a), ring.one))
-                            for j in range(f.degree)] if f.char == 2 else [])
+        assert squares == [ring.modrow(power(x, 1 << j, _mulmod(ring, a), ring.one))
+                           for j in range(f.degree)]
 
 
 def _is_irreducible(a, ring):
@@ -1270,6 +1283,11 @@ def test_tower_gcd_inverts_once_per_division_step(monkeypatch):
 # the factorization route before each squarefree part shared its rows
 
 
+def _pow_mod(base, n, mod, ring):
+    """base^n modulo the monic `mod`."""
+    return power(ring.rem(base, mod), n, _mulmod(ring, mod), ring.one)
+
+
 def _per_part_distinct_degree(a, ring):
     """[(product of the degree-d factors, d)], x^(q^d) by powering mod what
     is left of a at every step."""
@@ -1314,14 +1332,7 @@ def _per_part_equal_degree_split(a, d, ring, rng):
     a = ring.monic(a)
     if ring.deg(a) == d:
         return [a]
-    if ring.field.char == 2:
-        rows = _per_part_rows(a, d, ring)
-
-        def trial(poly):
-            return _trace_trial(poly, d, rows, ring, rng)
-    else:
-        def trial(poly):
-            return _power_trial(poly, d, ring, rng)
+    rows = _per_part_rows(a, d, ring)
     out, stack = [], [a]
     while stack:
         poly = stack.pop()
@@ -1330,7 +1341,7 @@ def _per_part_equal_degree_split(a, d, ring, rng):
             out.append(poly)
             continue
         while True:
-            g = ring.gcd(poly, trial(poly))
+            g = ring.gcd(poly, _trace_trial(poly, d, rows, ring, rng))
             if 0 < ring.deg(g) < n:
                 break
         stack.append(g)
@@ -1338,7 +1349,7 @@ def _per_part_equal_degree_split(a, d, ring, rng):
     return out
 
 
-def _per_part_factors(a, ring, seed=0):
+def _per_part_factors(a, ring):
     """Reference: `ring_factors` by its earlier route, which powered x^q
     mod the rest at each distinct-degree step and built fresh rows for
     each equal-degree part, on the same draws."""
@@ -1348,16 +1359,15 @@ def _per_part_factors(a, ring, seed=0):
     for sqf, mult in _squarefree(a, ring):
         for prod, d in _per_part_distinct_degree(sqf, ring):
             if rng is None and ring.deg(prod) > d:
-                rng = random.Random(f"kummerlab.factor.{seed}")
+                rng = random.Random("kummerlab.factor.0")
             for irr in _per_part_equal_degree_split(prod, d, ring, rng):
                 result.append((ring.key(irr), mult))
     result.sort(key=lambda t: (len(t[0]), t[1], [str(c) for c in t[0]]))
     return result
 
 
-# F_2^1..F_2^8 factor on the packed ring; F_2^9, F_3, F_9 and the tower on lists
-PER_PART_FIELDS = [f"F_2^{e}" for e in range(1, 10)] + ["F_3^1", "F_3^2",
-                                                        "F_2^4[u]/deg2"]
+# F_2^1..F_2^8 factor on the packed ring; F_2^9 and the tower on lists
+PER_PART_FIELDS = [f"F_2^{e}" for e in range(1, 10)] + ["F_2^4[u]/deg2"]
 
 
 @st.composite
