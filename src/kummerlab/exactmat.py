@@ -1,27 +1,29 @@
 """Exact integer and rational matrix routines (no external CAS).
 
 All matrices are lists of lists of ints or Fractions.  `mat_mul` is the
-one product kernel: each entry is `sum(map(mul, row, col))` over the
-columns `zip(*b)`, so it multiplies ints and Fractions alike, and every
-Gram matrix of the lattice layer goes through it.  Every other routine
-computes in Python integers: a rational input is first scaled to integers
-over one common denominator (`integer_scaled`).  Two fraction-free
-(Bareiss) loops do all the elimination besides the Hermite and Smith
-forms: `_bareiss` (Gauss-Jordan; determinants and solving) and
-`symmetric_bareiss` (congruence; its pivot signs give signatures, and its
-pivots the positive-definite factor for root enumeration).  `solve_left`
-returns integer numerators over the last Bareiss pivot; `lattice_coords`
-keeps the integral solutions, and the Fraction views build Fractions only
-for their results.  For a square upper-triangular basis, such as a Hermite
-basis of full rank, `triangular_coords` gives the same integral solutions
-by substitution, with no elimination.  The Smith diagonal gives
-saturation indices and the row transform U left kernels.  These back the
-lattice layer.
+one product kernel: row i of a * b is the combination of the rows of b by
+the nonzero entries of row i of a, so it multiplies ints and Fractions
+alike, skips every zero coefficient, and every Gram matrix of the lattice
+layer goes through it with the sparse factor on the left.  Every other
+routine computes in Python integers: a rational input is first scaled to
+integers over one common denominator (`integer_scaled`).  Two
+fraction-free (Bareiss) loops do all the elimination besides the Hermite
+and Smith forms: `_bareiss` (Gauss-Jordan; determinants and solving) and
+`symmetric_bareiss` (congruence on an integer matrix; its pivot signs give
+signatures, and its pivots the positive-definite factor for root
+enumeration).  `solve_left` returns integer numerators over the last
+Bareiss pivot; `lattice_coords` keeps the integral solutions, and the
+Fraction views build Fractions only for their results.  For a square
+upper-triangular basis, such as a Hermite basis of full rank,
+`triangular_coords` gives the same integral solutions by substitution over
+the nonzero entries above the diagonal, with no elimination.  The Smith
+form takes as pivot the first entry of least absolute value, and its scan
+stops at the first unit; its diagonal gives saturation indices and its row
+transform U left kernels.  These back the lattice layer.
 """
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 
 def mat_copy(a):
@@ -46,9 +48,20 @@ def integer_scaled(mats):
 
 
 def mat_mul(a, b):
-    """The product a * b; with no rows in b, it has no columns."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """The product a * b; with no rows in b, it has no columns.
+
+    Row i is the combination of the rows of b by the nonzero entries of
+    row i of a, so a sparse left factor costs only its nonzeros.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def _bareiss(m, ncols):
@@ -194,16 +207,24 @@ def snf(a):
 
     def addmul_col(dst, src, q):
         for row in m:
-            row[dst] += q * row[src]
+            if row[src]:
+                row[dst] += q * row[src]
 
     t = 0
     while t < min(rows, cols):
-        piv = None
+        # the first entry of least absolute value, in row-major order; no
+        # later entry beats a unit, so the scan stops at the first one
+        piv, best = None, 0
         for i in range(t, rows):
+            row = m[i]
             for j in range(t, cols):
-                if m[i][j] != 0:
-                    if piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]]):
-                        piv = (i, j)
+                x = abs(row[j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -224,18 +245,17 @@ def snf(a):
                         addmul_col(j, t, -(m[t][j] // m[t][t]))
                     else:
                         bezout_cols(t, j)
-            if all(m[i][t] == 0 for i in range(t + 1, rows)) and \
-               all(m[t][j] == 0 for j in range(t + 1, cols)):
+            # the column pass leaves row t clear, but a Bezout column step
+            # can refill column t below the pivot
+            if not any(m[i][t] for i in range(t + 1, rows)):
                 break
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot, which
+        # a unit pivot has already
         bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        p = m[t][t]
+        if abs(p) != 1:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % p for x in m[i][t + 1:])), None)
         if bad is not None:
             m[t] = [x + y for x, y in zip(m[t], m[bad])]
             u[t] = [x + y for x, y in zip(u[t], u[bad])]
@@ -295,19 +315,22 @@ def lattice_coords(b, vs):
 def triangular_coords(s, vs):
     """`lattice_coords` for a square upper-triangular integer s with nonzero
     diagonal: each c with c * s = v comes from substitution down the columns
-    of s, and is None where a division leaves a remainder."""
-    cols = list(zip(*s))
-    out = []
-    for v in vs:
-        c = []
-        for j, col in enumerate(cols):
-            q, r = divmod(v[j] - sum(map(mul, c, col)), col[j])
-            if r:
-                c = None
-                break
-            c.append(q)
-        out.append(c)
-    return out
+    of s, and is None where a division leaves a remainder.
+
+    All of vs are solved at once, column by column: column j of the
+    solutions is column j of vs, less s[i][j] times column i of the
+    solutions for each nonzero s[i][j] above the diagonal, over s[j][j].
+    """
+    sols, exact = [], [True] * len(vs)
+    for j, col in enumerate(zip(*s)):
+        acc = [v[j] for v in vs]
+        for i, x in enumerate(col[:j]):
+            if x:
+                acc = [a - x * c for a, c in zip(acc, sols[i])]
+        p = col[j]
+        sols.append([a // p for a in acc])
+        exact = [e and not a % p for e, a in zip(exact, acc)]
+    return [[c[k] for c in sols] if e else None for k, e in enumerate(exact)]
 
 
 def solve_left_fraction(b, vs):
@@ -343,19 +366,18 @@ def left_kernel_basis(a):
 
 
 def symmetric_bareiss(g):
-    """Fraction-free congruence elimination of a rational symmetric matrix.
+    """Fraction-free congruence elimination of an integer symmetric matrix.
 
-    Returns (den, pivots, rows).  den * g is the integer matrix that is
-    eliminated; pivots[k] is its k-th leading principal minor after the
-    pivoting, and rows[k] the k-th pivot row from the pivot on, so that
-    D_k = pivots[k] / (pivots[k-1] * den) are the diagonal entries of
+    Returns (pivots, rows).  pivots[k] is the k-th leading principal minor
+    of g after the pivoting, and rows[k] the k-th pivot row from the pivot
+    on, so that D_k = pivots[k] / pivots[k-1] are the diagonal entries of
     P g P^T = D for some P, and rows[k][j] / pivots[k] the entries of the
     unit upper-triangular factor.  A zero diagonal pivot is replaced by the
     first nonzero later diagonal entry, else by the sum trick e_i += e_j;
     elimination stops when the remaining block is zero.  When every pivot
     is positive no pivoting happened and g = U^T D U in its own order.
     """
-    den, (m,) = integer_scaled([g])
+    m = [list(row) for row in g]
     pivots, rows, prev = [], [], 1
     while m:
         piv = next((i for i in range(len(m)) if m[i][i]), None)
@@ -380,4 +402,4 @@ def symmetric_bareiss(g):
         m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
              for row in m[1:]]
         prev = p
-    return den, pivots, rows
+    return pivots, rows

@@ -108,14 +108,20 @@ class KummerLattice:
     root_pairs: list       # lattice-basis coordinates, one per +-pair
     checks: dict = field(default_factory=dict)
 
-    def frame_class_coords(self, subset):
-        """(1/2) sum of e_v over `subset`, in lattice-basis coordinates:
-        the c with c * frame_basis = the indicator vector of `subset`."""
-        vec = [int(i in subset) for i in range(16)]
-        c = solve_left_fraction(self.frame_basis, [vec])[0]
-        if c is None:
+    def frame_class_coords(self, subsets):
+        """(1/2) sum of e_v over each subset, in lattice-basis coordinates.
+
+        Row k is the c with c * frame_basis = the indicator vector of
+        subsets[k]; all of them come from one elimination of the frame
+        basis, and none at all when there are no subsets.
+        """
+        if not subsets:
+            return []
+        vecs = [[int(i in subset) for i in range(16)] for subset in subsets]
+        coords = solve_left_fraction(self.frame_basis, vecs)
+        if None in coords:
             raise KummerError("class does not lie in the rational span")
-        return c
+        return coords
 
 
 _BUILD_CACHE = {}
@@ -333,7 +339,7 @@ def embed_kummer(type_symbol, sigma, complement="Q4", extended=False):
     else:
         t_subsets = T_CLASSES_Q2[:n_glue]
         u_all, reading = u_classes_q2()
-    m1 = [kl.frame_class_coords(sub) for sub in t_subsets]
+    m1 = kl.frame_class_coords(t_subsets)
     m2 = [list(u) for u in u_all[:n_glue]]
     res = glue(kl.lattice, q, GlueData(m1, m2))
     lat = res.lattice

@@ -4,10 +4,13 @@ Lattices are free Z-modules with a symmetric pairing given by a Gram
 matrix G, stored as the integer matrix den * G with den in {1, 2}.
 Vectors are row tuples of coordinates in the lattice basis, with integer
 or rational entries.  Every Gram or cross-pairing matrix is one integer
-product rows * (den * G) * cols^T over a common denominator (`gram_of`);
-`Lattice.pair` is the pair-by-pair reference.  Discriminant groups come
-from the Smith normal form U * G * V = D of the integer Gram: the
-generators are the rows U[i] / d_i mod Z^n.  Determinants, signatures
+product rows * (cols * (den * G))^T over a common denominator
+(`gram_of`), in that one order, so that both products have a coordinate
+matrix, the sparse factor, on the left; `Lattice.pair` is the
+pair-by-pair reference.  Discriminant groups come from the Smith normal
+form U * G * V = D of the integer Gram: the generators are the rows
+U[i] / d_i mod Z^n, and each q-value is the integer w G w^T for
+w = U[i] mod d_i, over d_i^2.  Determinants, signatures
 (signs of consecutive pivots) and lattice coordinates use the fraction-free
 integer eliminations of `exactmat`; roots come from one symmetric
 elimination of -den * G, whose pivots both prove negative definiteness and
@@ -16,14 +19,15 @@ int over the lcm of the LDL^T denominators.  The ADE type of a root set is
 read off one simple system, picked by an integer functional.  Even
 overlattices come from glue data on discriminant groups: the glued basis
 is S / den, for the integer Hermite basis S of den * I and the den-scaled
-glue vectors.  S is upper triangular with positive pivots, so everything
-`glue` proves is read off it in integers: the index over the direct sum
-is den^n / prod(diag S), the glued Gram is one integer block product
-S_k (den_k G_k) S_k^T per factor over lcm(den_1, den_2) * den^2, and the
-factor coordinates, the rows of den * S^-1, come from triangular
-substitution.  `saturation` gives the index of a sublattice in its
-saturation from the Smith diagonal, and `embed_kummer` is where
-saturation of the glued factors is verified.
+glue vectors.  `glue` checks q1 + q2 = 0 on the glue subgroup in integers
+over one common denominator.  S is upper triangular with positive pivots,
+so everything else `glue` proves is read off it in integers: the index
+over the direct sum is den^n / prod(diag S), the glued Gram is one integer
+block product S_k (den_k G_k) S_k^T per factor over
+lcm(den_1, den_2) * den^2, and the factor coordinates, the rows of
+den * S^-1, come from triangular substitution.  `saturation` gives the
+index of a sublattice in its saturation from the Smith diagonal, and
+`embed_kummer` is where saturation of the glued factors is verified.
 
 Every lattice the package builds is integral (code overlattices from
 `mod4_overlattice` included); denominator 2 comes only from outside
@@ -36,6 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from . import KummerlabError
 from .exactmat import (
@@ -119,23 +124,26 @@ def even_lattice(gram, labels=None):
     return lat
 
 
-def gram_of(lat, rows, cols=None):
-    """The pairing matrix rows * G * cols^T (cols defaults to rows).
+def _pairing_numerators(lat, rows, cols=None):
+    """(num, den): the integer matrix num with rows * G * cols^T = num / den.
 
-    Rows and cols are scaled to integers over one common denominator d
-    and multiplied as integers with den * G.  For m rows and k cols in
-    rank n, (rows * G) * cols^T costs m n^2 + m n k products and, G being
-    symmetric, rows * (cols * G)^T costs n^2 k + m n k: the shorter side
-    is multiplied by G first.  Entries are ints when d^2 * den is 1, else
-    Fractions.
+    Rows and cols are scaled to integers rs and cs over one common
+    denominator d, so den = d^2 * lat.den, and G being symmetric, num is
+    rs * (cs * lat.gram)^T: both products have a coordinate matrix, the
+    sparse factor, on the left.
     """
     d, scaled = integer_scaled([rows] if cols is None else [rows, cols])
     rs, cs = scaled[0], scaled[-1]
-    if len(cs) < len(rs):
-        out = mat_mul(rs, list(zip(*mat_mul(cs, lat.gram))))
-    else:
-        out = mat_mul(mat_mul(rs, lat.gram), list(zip(*cs)))
-    den = d * d * lat.den
+    return mat_mul(rs, list(zip(*mat_mul(cs, lat.gram)))), d * d * lat.den
+
+
+def gram_of(lat, rows, cols=None):
+    """The pairing matrix rows * G * cols^T (cols defaults to rows).
+
+    One integer product over a common denominator (`_pairing_numerators`);
+    entries are ints when that denominator is 1, else Fractions.
+    """
+    out, den = _pairing_numerators(lat, rows, cols)
     if den == 1:
         return out
     return [[Fraction(x, den) for x in row] for row in out]
@@ -189,8 +197,8 @@ def discriminant(lat):
 
 def signature(lat):
     """(r, s) = numbers of positive and negative squares: the diagonal of a
-    congruent form is p_k / (p_{k-1} * den) for the pivots p (p_-1 = 1)."""
-    _den, pivots, _rows = symmetric_bareiss(lat.gram)
+    form congruent to den * G is p_k / p_{k-1} for the pivots p (p_-1 = 1)."""
+    pivots, _rows = symmetric_bareiss(lat.gram)
     if len(pivots) != lat.rank:
         raise LatticeError("degenerate lattice")
     r = sum(1 for p, q in zip(pivots, [1] + pivots) if p * q > 0)
@@ -221,12 +229,13 @@ def discriminant_group(lat):
     d, u = snf(lat.gram_int())
     if 0 in d:
         raise LatticeError("degenerate lattice")
-    # U G V = D gives G^-1 = V D^-1 U, so the dual classes are U[i] / d_i
-    gens = sorted((di, tuple(Fraction(x % di, di) for x in u[i]))
-                  for i, di in enumerate(d) if di != 1)
-    generators = [list(vec) for _, vec in gens]
-    orders = [o for o, _ in gens]
-    qvalues = [_qmod2(row[i]) for i, row in enumerate(gram_of(lat, generators))]
+    # U G V = D gives G^-1 = V D^-1 U, so the dual classes are U[i] / d_i;
+    # with w_i = U[i] mod d_i, q(w_i / d_i) = (w_i G w_i^T) / d_i^2
+    gens = sorted((di, [x % di for x in u[i]]) for i, di in enumerate(d) if di != 1)
+    generators = [[Fraction(x, di) for x in w] for di, w in gens]
+    orders = [di for di, _ in gens]
+    qvalues = [_qmod2(Fraction(sum(map(mul, wg, w)), di * di))
+               for (di, w), wg in zip(gens, mat_mul([w for _, w in gens], lat.gram))]
     return DiscriminantGroup(generators, orders, qvalues)
 
 
@@ -272,7 +281,7 @@ def roots(lat):
     sum_i w_i (p_i x_i + c_i)^2 = 2 * den * D; the Fincke-Pohst search fixes
     x_{n-1}, ..., x_0 in turn, carrying the remaining norm as one int.
     """
-    _, pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
+    pivots, rows = symmetric_bareiss([[-x for x in row] for row in lat.gram])
     n = lat.rank
     if len(pivots) != n:
         raise LatticeError("degenerate lattice")
@@ -474,7 +483,7 @@ def _subgroup_elements(gens_coeff_orders):
 def _block_gram(s, lat, lo, hi):
     """S_k (den * G) S_k^T for the columns S_k = S[:, lo:hi] on the factor lat."""
     sk = [row[lo:hi] for row in s]
-    return mat_mul(mat_mul(sk, lat.gram), list(zip(*sk)))
+    return mat_mul(sk, list(zip(*mat_mul(sk, lat.gram))))
 
 
 def glue(l1, l2, gd):
@@ -500,13 +509,17 @@ def glue(l1, l2, gd):
         if o1 != o2:
             raise LatticeError("glue map does not respect group orders")
         orders.append(o1)
-    # q1 + q2 on sum c_i (v1_i, v2_i) is the form c^T (M1 + M2) c
-    q = [[a + b for a, b in zip(r1, r2)]
-         for r1, r2 in zip(gram_of(l1, gd.m1), gram_of(l2, gd.m2))]
+    # q1 + q2 on sum c_i (v1_i, v2_i) is the form c^T (M1 + M2) c, here
+    # c^T q c / qden in integers; it must vanish mod 2 * qden
+    p1, den1 = _pairing_numerators(l1, gd.m1)
+    p2, den2 = _pairing_numerators(l2, gd.m2)
+    qden = lcm(den1, den2)
+    f1, f2 = qden // den1, qden // den2
+    q = [[f1 * a + f2 * b for a, b in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
     for coeffs in _subgroup_elements(orders):
         val = sum(ci * cj * q[i][j] for i, ci in enumerate(coeffs)
                   for j, cj in enumerate(coeffs))
-        if _qmod2(val) != 0:
+        if val % (2 * qden):
             raise LatticeError("glue data violates q1 + q2 = 0")
     n = n1 + n2
     rows = identity(n) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]

@@ -818,12 +818,15 @@ def test_gcd_takes_at_most_two_variables():
 
 def test_dense_gcd_monic():
     f = get_field(2, 3)
-    a = [f.one, f.one]          # x + 1
-    b = [f.zero, f.one]         # x
-    prod_a = [f.one, f.add(f.one, f.zero), f.zero]
-    del prod_a
     ring = f.ring
-    assert ring.gcd(ring.pack(a), ring.pack(b)) == ring.one
+    a = ring.pack([f.one, f.one])       # x + 1
+    b = ring.pack([f.zero, f.one])      # x
+    assert ring.gcd(a, b) == ring.one
+    # gcd((x + 1) x, c (x + 1)) is x + 1 for every nonzero c, so it is monic
+    for c in f.elements():
+        if c != f.zero:
+            g = ring.gcd(ring.mul(a, b), ring.pack([c, c]))
+            assert g == a and ring.key(g)[-1] == f.one
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kummerlab.exactmat import (
+    _xgcd,
     det_bareiss,
     det_fraction,
     hnf_basis,
@@ -107,6 +108,132 @@ def test_snf_transforms_and_divisibility():
             assert prod(d[:k]) == minors_gcd(a, k)
 
 
+def full_scan_snf(a):
+    """`snf` as it was before its pivot scan stopped at a unit: every pass
+    scans the whole remaining block for the first entry of least absolute
+    value, checks every entry for divisibility by the pivot, and every
+    column clear touches every row.  `snf` must return the same (d, U)."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    u = identity(rows)
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def bezout_rows(t, i):
+        g, x, y = _xgcd(m[t][t], m[i][t])
+        p, q = m[t][t] // g, m[i][t] // g
+        mt, mi = m[t], m[i]
+        m[t] = [x * a_ + y * b_ for a_, b_ in zip(mt, mi)]
+        m[i] = [-q * a_ + p * b_ for a_, b_ in zip(mt, mi)]
+        ut, ui = u[t], u[i]
+        u[t] = [x * a_ + y * b_ for a_, b_ in zip(ut, ui)]
+        u[i] = [-q * a_ + p * b_ for a_, b_ in zip(ut, ui)]
+
+    def bezout_cols(t, j):
+        g, x, y = _xgcd(m[t][t], m[t][j])
+        p, q = m[t][t] // g, m[t][j] // g
+        for row in m:
+            at, aj = row[t], row[j]
+            row[t] = x * at + y * aj
+            row[j] = -q * at + p * aj
+
+    def addmul_row(dst, src, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for row in m:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        piv = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0:
+                    if piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    if m[i][t] % m[t][t] == 0:
+                        addmul_row(i, t, -(m[i][t] // m[t][t]))
+                    else:
+                        bezout_rows(t, i)
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    if m[t][j] % m[t][t] == 0:
+                        addmul_col(j, t, -(m[t][j] // m[t][t]))
+                    else:
+                        bezout_cols(t, j)
+            if all(m[i][t] == 0 for i in range(t + 1, rows)) and \
+               all(m[t][j] == 0 for j in range(t + 1, cols)):
+                break
+        bad = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if m[i][j] % m[t][t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            continue
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    d = [m[i][i] if i < cols else 0 for i in range(min(rows, cols))]
+    return d, u
+
+
+@st.composite
+def smith_cases(draw):
+    """An integer matrix of up to 7 x 7, sparse or dense, whose entries
+    include units or avoid them (so that no pivot scan stops early)."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = draw(st.sampled_from(((-2, -1, 1, 3), (-6, -4, -3, -2, 2, 3, 4, 6, 9))))
+    entry = st.sampled_from(values)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@PROPERTY
+@given(smith_cases())
+@example([[4, 6], [6, 9]])
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 1]])
+@example([[0, 1], [1, 0], [-1, 1]])
+def test_snf_matches_the_full_scan_reference(a):
+    assert snf(a) == full_scan_snf(a)
+
+
+def test_snf_matches_the_full_scan_reference_on_lattice_sizes():
+    """Gram-like and generator-like matrices of the sizes `glue` and
+    `discriminant_group` see: 22 x 22 and 16 x 22, 10% to fully dense."""
+    rng = random.Random(5)
+    for rows, cols, density in ((22, 22, 0.35), (16, 22, 0.15), (22, 22, 1.0),
+                                (6, 22, 0.5), (12, 12, 0.1)):
+        for lim in (1, 4):
+            a = [[rng.randint(-lim, lim) if rng.random() < density else 0
+                  for _ in range(cols)] for _ in range(rows)]
+            assert snf(a) == full_scan_snf(a)
+
+
 def test_saturation_basis_index():
     basis, index = saturation_basis([[2, 0], [0, 3]])
     assert index == 6
@@ -199,8 +326,8 @@ def test_symmetric_bareiss_keeps_inertia(case):
             p[i] = [x + c * y for x, y in zip(p[i], p[j])]
     pd = [[x * diag[j] for j, x in enumerate(row)] for row in p]
     g = mat_mul(pd, [list(col) for col in zip(*p)])
-    den, pivots, _rows = symmetric_bareiss(g)
-    assert den == 1 and 0 not in pivots
+    pivots, _rows = symmetric_bareiss(g)
+    assert 0 not in pivots
     signs = [(x > 0) - (x < 0) for x in (a * b for a, b in zip(pivots, [1] + pivots))]
     signs += [0] * (n - len(pivots))
     # every congruence step is unimodular, so det g = prod D = p_{n-1}
@@ -296,11 +423,14 @@ def schoolbook(a, b):
 
 @st.composite
 def products(draw):
-    """(a, b) of shapes m x k and k x p, all ints or all Fractions; m and k
-    may be 0, and m = p = 1 gives the 1 x k * k x 1 case."""
-    m, k, p = (draw(st.integers(0, 4)) for _ in range(3))
+    """(a, b) of shapes m x k and k x p, all ints or all Fractions, dense or
+    about half zeros; m, k and p may be 0, and m = p = 1 gives the
+    1 x k * k x 1 case."""
+    m, k, p = (draw(st.integers(0, 5)) for _ in range(3))
     entry = draw(st.sampled_from((
         st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
     a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
     b = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=k, max_size=k))
     return a, b
@@ -312,19 +442,42 @@ def products(draw):
 @example(([[], []], []))
 @example(([[1, 2, 3]], [[4], [5], [6]]))
 @example(([[Fraction(1, 2), 1]], [[Fraction(2, 3)], [Fraction(-1, 3)]]))
+@example(([[1, 2]], [[], []]))
+@example(([[0, 0], [0, 3]], [[1, 2], [3, 4]]))
 def test_mat_mul_matches_the_schoolbook(case):
     a, b = case
     assert mat_mul(a, b) == schoolbook(a, b)
 
 
+def test_mat_mul_matches_the_schoolbook_on_lattice_sizes():
+    """The shapes of the glue products (22 x 16 by 16 x 16, 22 x 22 by
+    22 x 22, a row by 22 x 22) at densities from 10% to full, in ints and
+    Fractions."""
+    rng = random.Random(6)
+
+    def rand(rows, cols, density, frac):
+        return [[(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if frac
+                  else rng.randint(-5, 5)) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    for m, k, p in ((22, 16, 16), (22, 22, 22), (1, 22, 22), (16, 16, 16)):
+        for density in (0.1, 0.4, 1.0):
+            for frac in (False, True):
+                a, b = rand(m, k, density, frac), rand(k, p, 1.0, frac)
+                assert mat_mul(a, b) == schoolbook(a, b)
+
+
 @st.composite
 def triangular_cases(draw):
     """(s, vs): an n x n upper-triangular integer s with nonzero diagonal,
-    integer combinations of its rows, and integer vectors that may lie
-    outside their integer span."""
-    n = draw(st.integers(1, 5))
+    dense or mostly zero above it, integer combinations of its rows, and
+    integer vectors that may lie outside their integer span."""
+    n = draw(st.integers(1, 8))
+    above = st.integers(-6, 6)
+    if draw(st.booleans()):
+        above = st.one_of(st.just(0), st.just(0), above)
     s = [[0] * i + [draw(st.integers(-4, 4).filter(bool))]
-         + draw(st.lists(st.integers(-6, 6), min_size=n - i - 1, max_size=n - i - 1))
+         + draw(st.lists(above, min_size=n - i - 1, max_size=n - i - 1))
          for i in range(n)]
     coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                            max_size=3))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -89,7 +91,7 @@ def test_q_glue_values_table():
     # the sum of all five classes is computed but carries no table value
     assert vals[5] == [Fraction(0)]
     kl = build_kummer("16A1")
-    ts = [kl.frame_class_coords(s) for s in T_CLASSES_Q4]
+    ts = kl.frame_class_coords(T_CLASSES_Q4)
     tvals = q_glue_values(kl.lattice, ts)
     assert tvals == {0: [Fraction(0)], 1: [Fraction(0)], 2: [Fraction(1)],
                      3: [Fraction(1)], 4: [Fraction(0)]}
@@ -114,13 +116,12 @@ def test_t_classes_live_in_the_right_duals():
     duals = {"2D8": 2, "4D4": 3, "16A1": 4}
     for sym, n in duals.items():
         kl = build_kummer(sym)
-        for sub in T_CLASSES_Q4[:n]:
-            vec = kl.frame_class_coords(sub)
+        for vec in kl.frame_class_coords(T_CLASSES_Q4[:n]):
             for i in range(16):
                 basis_vec = [Fraction(int(j == i)) for j in range(16)]
                 assert Fraction(kl.lattice.pair(vec, basis_vec)).denominator == 1
     kl8 = build_kummer("2D8")
-    t3 = kl8.frame_class_coords(T_CLASSES_Q4[2])
+    (t3,) = kl8.frame_class_coords(T_CLASSES_Q4[2:3])
     pairings = [Fraction(kl8.lattice.pair(
         t3, [Fraction(int(j == i)) for j in range(16)])) for i in range(16)]
     assert any(p.denominator != 1 for p in pairings)
@@ -203,3 +204,54 @@ def test_complement_is_two_elementary_type2(sym, sigma, comp):
     comp_lat = complement_of_kummer(res)
     assert comp_lat.rank == 6
     assert is_two_elementary_type2(discriminant_group(comp_lat)) == (True, True)
+
+
+def _dg_record(lat):
+    dg = discriminant_group(lat)
+    return [dg.generators, dg.orders, dg.qvalues]
+
+
+def _sha256(records):
+    return hashlib.sha256(json.dumps(records, default=str).encode()).hexdigest()
+
+
+def admissible_triples():
+    """Every (type, sigma, complement, extended) that embed_kummer accepts,
+    Q4 once (extended changes nothing there) and Q2 with and without
+    extended where the glue count allows it: 29 in all."""
+    out = []
+    for sym in KUMMER_TYPES:
+        for comp in ("Q4", "Q2"):
+            sigmas = admissible_sigmas(sym, comp)
+            for sigma in sigmas:
+                exts = (False,) if comp == "Q4" else (
+                    (True,) if sigma < max(sigmas) else (False, True))
+                out += [(sym, sigma, comp, ext) for ext in exts]
+    return out
+
+
+# sha256 of every embedding and Kummer build, recorded before the exact
+# kernels became sparse-aware: each must stay byte-identical
+ALL_EMBEDDINGS_SHA256 = "833b5a6585a5b29c3fa2369c68f622d0b8fcd1f26d2989b3c107dd78de387166"
+ALL_KUMMER_BUILDS_SHA256 = "19f08b9498f69dfd05014a949742e8095da121b84d1913c1718c5ead36f5fa2e"
+
+
+def test_every_embedding_is_pinned():
+    triples = admissible_triples()
+    assert len(triples) == 29
+    records = []
+    for sym, sigma, comp, ext in triples:
+        res = embed_kummer(sym, sigma, comp, extended=ext)
+        records.append([sym, sigma, comp, ext, res.lattice.gram, res.kummer_coords,
+                        res.complement_coords, list(res.checks.items()),
+                        res.glue_info, _dg_record(res.lattice)])
+    assert _sha256(records) == ALL_EMBEDDINGS_SHA256
+
+
+def test_every_kummer_build_is_pinned():
+    records = []
+    for sym in KUMMER_TYPES:
+        kl = build_kummer(sym)
+        records.append([sym, kl.lattice.gram, kl.frame_basis, kl.root_pairs,
+                        list(kl.checks.items()), _dg_record(kl.lattice)])
+    assert _sha256(records) == ALL_KUMMER_BUILDS_SHA256
