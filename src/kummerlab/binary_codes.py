@@ -32,7 +32,6 @@ tests.
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 
 from . import KummerlabError
@@ -502,7 +501,7 @@ def mod4_overlattice(code):
     how the D- and E-type overlattices of A_1^16 arise).  `root_pairs` are
     the roots of `a1m_frame_roots` in the coordinates of the new basis.
     """
-    from .exactmat import hnf_basis, lattice_coords, mat_mul
+    from .exactmat import hnf_basis, mat_mul, triangular_coords
     from .lattice_core import Lattice
     for w in code.words():
         if w and bin(w).count("1") % 4:
@@ -511,17 +510,18 @@ def mod4_overlattice(code):
     rows = [[2 * int(i == j) for j in range(m)] for i in range(m)]
     for b in code.basis:
         rows.append([1 if (b >> i) & 1 else 0 for i in range(m)])
+    # 2 I is among the rows, so the HNF is square and upper triangular; the
+    # basis in the A_1^m frame, whose Gram is -2 I, is basis / 2
     basis = hnf_basis(rows)
-    # basis / 2 is the basis in the A_1^m frame, whose Gram is -2 I
     gram = mat_mul(basis, [list(c) for c in zip(*basis)])
-    lat = Lattice([[Fraction(-x, 2) for x in row] for row in gram])
-    if not lat.is_even:
+    lat = Lattice([[-x // 2 for x in row] for row in gram])
+    if any(x % 2 for row in gram for x in row) or not lat.is_even:
         raise CodeError("overlattice is not even")
     det = prod(row[i] for i, row in enumerate(basis))
     index = (1 << m) // det if det else 0
     if index != 1 << code.dim:
         raise CodeError("overlattice index mismatch")
-    pairs = lattice_coords(basis, a1m_frame_roots(code))
+    pairs = triangular_coords(basis, a1m_frame_roots(code))
     if None in pairs:
         raise CodeError("root bookkeeping failed")
     return Overlattice(lat, basis, index, pairs)

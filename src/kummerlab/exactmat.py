@@ -13,10 +13,11 @@ and Smith forms: `_bareiss` (Gauss-Jordan; determinants and solving) and
 signatures, and its pivots the positive-definite factor for root
 enumeration).  `solve_left` returns integer numerators over the last
 Bareiss pivot; `lattice_coords` keeps the integral solutions, and the
-Fraction views build Fractions only for their results.  For a square
-upper-triangular basis, such as a Hermite basis of full rank,
-`triangular_coords` gives the same integral solutions by substitution over
-the nonzero entries above the diagonal, with no elimination.  The Smith
+Fraction views build Fractions only for their results.  Every square
+Hermite basis the package solves against (a glued basis, a code
+overlattice basis, the Kummer frame bases) is upper triangular, and
+`triangular_coords` gives its integral solutions by substitution over the
+nonzero entries above the diagonal, with no elimination.  The Smith
 form takes as pivot the first entry of least absolute value, and its scan
 stops at the first unit; its diagonal gives saturation indices and its row
 transform U left kernels.  These back the lattice layer.

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 
 from .exactmat import (det_bareiss, hnf_basis, identity, lattice_coords, left_kernel_basis,
-                       mat_mul, solve_left_fraction)
+                       mat_mul, triangular_coords)
 from .binary_codes import BinaryCode, build_v16, mod4_overlattice
 from .lattice_core import (
     GlueData,
@@ -112,16 +112,14 @@ class KummerLattice:
         """(1/2) sum of e_v over each subset, in lattice-basis coordinates.
 
         Row k is the c with c * frame_basis = the indicator vector of
-        subsets[k]; all of them come from one elimination of the frame
-        basis, and none at all when there are no subsets.
+        subsets[k]; 2c is integral and comes by substitution in the square
+        Hermite basis against twice the indicators.
         """
-        if not subsets:
-            return []
-        vecs = [[int(i in subset) for i in range(16)] for subset in subsets]
-        coords = solve_left_fraction(self.frame_basis, vecs)
+        vecs = [[2 * int(i in subset) for i in range(16)] for subset in subsets]
+        coords = triangular_coords(self.frame_basis, vecs)
         if None in coords:
-            raise KummerError("class does not lie in the rational span")
-        return coords
+            raise KummerError("class does not lie in (1/2) L")
+        return [[Fraction(x, 2) for x in row] for row in coords]
 
 
 _BUILD_CACHE = {}
@@ -151,9 +149,10 @@ def build_kummer(type_symbol):
     basis_rows = hnf_basis(root_pairs)
     det = prod(row[i] for i, row in enumerate(basis_rows))
     checks["index_over_roots"] = det == 1 << kt.log2_index_over_roots
-    # both bases are doubled, so c * 2B = 2B' has the solutions of c * B = B'
+    # both bases are doubled Hermite bases, so c * 2B = 2B' has the
+    # solutions of c * B = B', by substitution
     k16_basis = ov.basis if type_symbol == "16A1" else build_kummer("16A1").frame_basis
-    sub = lattice_coords(ov.basis, k16_basis)
+    sub = triangular_coords(ov.basis, k16_basis)
     if None in sub:
         raise KummerError("K(16A1) is not contained in the overlattice")
     checks["index_over_16a1"] = abs(det_bareiss(sub)) == 1 << kt.log2_index_over_16a1

@@ -1,9 +1,10 @@
 """Exact arithmetic on integral symmetric bilinear forms.
 
 Lattices are free Z-modules with a symmetric pairing given by a Gram
-matrix G, stored as the integer matrix den * G with den in {1, 2}.
-Vectors are row tuples of coordinates in the lattice basis, with integer
-or rational entries.  Every Gram or cross-pairing matrix is one integer
+matrix G, stored as the integer matrix den * G with den in {1, 2}, which
+only `lattice_from_json` computes from rational entries.  Vectors are row
+tuples of coordinates in the lattice basis, with integer or rational
+entries.  Every Gram or cross-pairing matrix is one integer
 product rows * (cols * (den * G))^T over a common denominator
 (`gram_of`), in that one order, so that both products have a coordinate
 matrix, the sparse factor, on the left; `Lattice.pair` is the
@@ -19,20 +20,20 @@ int over the lcm of the LDL^T denominators.  The ADE type of a root set is
 read off one simple system, picked by an integer functional.  Even
 overlattices come from glue data on discriminant groups: the glued basis
 is S / den, for the integer Hermite basis S of den * I and the den-scaled
-glue vectors.  `glue` checks q1 + q2 = 0 on the glue subgroup in integers
-over one common denominator.  S is upper triangular with positive pivots,
-so everything else `glue` proves is read off it in integers: the index
-over the direct sum is den^n / prod(diag S), the glued Gram is one integer
-block product S_k (den_k G_k) S_k^T per factor over
-lcm(den_1, den_2) * den^2, and the factor coordinates, the rows of
-den * S^-1, come from triangular substitution.  `saturation` gives the
-index of a sublattice in its saturation from the Smith diagonal, and
-`embed_kummer` is where saturation of the glued factors is verified.
+glue vectors, den the lcm of the glue orders.  `glue` checks q1 + q2 = 0
+on the glue subgroup in integers over one common denominator.  S is upper
+triangular with positive pivots, so everything else `glue` proves is read
+off it in integers: the index over the direct sum is den^n / prod(diag S),
+the glued Gram is one integer block product S_k (den_k G_k) S_k^T per
+factor over lcm(den_1, den_2) * den^2, which must divide every entry, and
+the factor coordinates, the rows of den * S^-1, come from triangular
+substitution.  `saturation` gives the index of a sublattice in its
+saturation from the Smith diagonal, and `embed_kummer` is where
+saturation of the glued factors is verified.
 
 Every lattice the package builds is integral (code overlattices from
 `mod4_overlattice` included); denominator 2 comes only from outside
-input, such as a lattice file.  The even-lattice constructor rejects
-non-integral input.
+input, a lattice file read by `lattice_from_json`.
 """
 
 import functools
@@ -64,22 +65,21 @@ class Lattice:
     """A finitely generated symmetric bilinear form over Z (or (1/2)Z).
 
     `gram` holds den * G as tuples of ints, where den in {1, 2} is the
-    common denominator of the entries of G (ints or Fractions).
+    least common denominator of the entries of G; callers pass both.
     """
 
-    def __init__(self, gram, labels=None):
+    def __init__(self, gram, labels=None, den=1):
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise LatticeError("gram matrix must be square")
-        den, (g,) = integer_scaled([gram])
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
             raise LatticeError("gram matrix must be symmetric")
         if den not in (1, 2):
             raise LatticeError("gram entries must have denominator 1 or 2")
         if labels is not None and len(labels) != n:
             raise LatticeError(f"{len(labels)} labels for a rank-{n} lattice; "
                                f"expected one label per row")
-        self.gram = tuple(map(tuple, g))
+        self.gram = tuple(map(tuple, gram))
         self.den = den
         self.rank = n
         self.labels = list(labels) if labels is not None else None
@@ -115,10 +115,8 @@ class Lattice:
 
 
 def even_lattice(gram, labels=None):
-    """Construct a lattice, insisting on an even integral Gram matrix."""
+    """Construct a lattice, insisting on an even diagonal of the integer Gram."""
     lat = Lattice(gram, labels)
-    if not lat.is_integral:
-        raise LatticeError("even lattice requires an integral gram matrix")
     if not lat.is_even:
         raise LatticeError("even lattice requires even diagonal entries")
     return lat
@@ -496,9 +494,10 @@ def glue(l1, l2, gd):
     to the caller (`saturation` on sub1 and sub2).
 
     The glued basis is S / den for an upper-triangular integer Hermite
-    basis S.  Its Gram matrix is sum_k S_k (den_k G_k) S_k^T over
-    lcm(den_1, den_2) * den^2, with S_k the columns of S on factor k, and
-    the factor coordinates are the rows of den * S^-1, by exact
+    basis S, den the lcm of the glue orders.  Its Gram matrix is
+    sum_k S_k (den_k G_k) S_k^T over lcm(den_1, den_2) * den^2, with S_k
+    the columns of S on factor k (a remainder is a non-integral pairing),
+    and the factor coordinates are the rows of den * S^-1, by exact
     substitution: a remainder would mean a factor is not in the result.
     """
     n1, n2 = l1.rank, l2.rank
@@ -522,23 +521,20 @@ def glue(l1, l2, gd):
         if val % (2 * qden):
             raise LatticeError("glue data violates q1 + q2 = 0")
     n = n1 + n2
-    rows = identity(n) + [list(v1) + list(v2) for v1, v2 in zip(gd.m1, gd.m2)]
-    den, (scaled,) = integer_scaled([rows])
     # den * I is among the rows, so the HNF S is square and upper triangular
     # with positive pivots, and the glued basis is S / den
-    s = hnf_basis(scaled)
+    den = lcm(*orders)
+    den_i = [[den * x for x in row] for row in identity(n)]
+    s = hnf_basis(den_i + [[int(den * x) for x in list(v1) + list(v2)]
+                           for v1, v2 in zip(gd.m1, gd.m2)])
     dl = lcm(l1.den, l2.den)
     c1, c2 = dl // l1.den, dl // l2.den
     num = [[c1 * x + c2 * y for x, y in zip(r1, r2)]
            for r1, r2 in zip(_block_gram(s, l1, 0, n1), _block_gram(s, l2, n1, n))]
     total = dl * den * den
-    # Fractions only where total does not divide every entry; Lattice then
-    # rejects a denominator other than 1 or 2
-    glued = Lattice([[x // total for x in row] for row in num]
-                    if gcd(total, *(x for row in num for x in row)) == total
-                    else [[Fraction(x, total) for x in row] for row in num])
-    if not glued.is_integral:
+    if gcd(total, *(x for row in num for x in row)) != total:
         raise LatticeError("non-integral pairing in glued lattice")
+    glued = Lattice([[x // total for x in row] for row in num])
     if not glued.is_even:
         raise LatticeError("glued lattice is not even")
     # det(L1 (+) L2) = det L1 * det L2: `discriminant` rejects a degenerate
@@ -551,7 +547,7 @@ def glue(l1, l2, gd):
     if index != m1_order:
         raise LatticeError(
             f"glue index {index} differs from |M1| = {m1_order}; dependent glue generators")
-    coords = triangular_coords(s, [[den * x for x in row] for row in identity(n)])
+    coords = triangular_coords(s, den_i)
     if None in coords:
         i = coords.index(None)
         raise LatticeError(f"factor L{1 if i < n1 else 2} not contained in glued lattice")
@@ -572,6 +568,7 @@ def lattice_to_json(lat):
 
 
 def lattice_from_json(obj):
-    """A Lattice from {"gram": rows of ints or rational strings, "labels": [...]}."""
-    gram = [[Fraction(x) for x in row] for row in obj["gram"]]
-    return Lattice(gram, obj.get("labels"))
+    """A Lattice from {"gram": rows of ints or rational strings, "labels": [...]},
+    scaled to integers over the least common denominator of the entries."""
+    den, (gram,) = integer_scaled([[[Fraction(x) for x in row] for row in obj["gram"]]])
+    return Lattice(gram, obj.get("labels"), den)

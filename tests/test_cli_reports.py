@@ -66,6 +66,11 @@ GOLDEN_CASES = [
      "derivation_check_class2_e12_nonadditive.json"),
     (["surface", "classify", "--family", "class4", "--field", "e=16",
       "--coeffs", "h11=1,h30=1"], "classify_class4_e16.json"),
+    # a half-integral Gram: the only input that builds a lattice of denominator 2
+    (["lattice", "info", "--in", "tests/golden/half_integral_lattice.json"],
+     "lattice_info_half_integral.json"),
+    (["lattice", "roots", "--in", "tests/golden/half_integral_lattice.json"],
+     "lattice_roots_half_integral.json"),
 ]
 
 

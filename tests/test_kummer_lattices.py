@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 
 from kummerlab import kummer_lattices
+from kummerlab.binary_codes import BinaryCode, build_v16, mod4_overlattice
+from kummerlab.exactmat import solve_left_fraction
 from kummerlab.kummer_lattices import (
     KUMMER_TYPES,
     KummerError,
+    T_CLASSES_Q2,
     T_CLASSES_Q4,
+    _subset_mask,
     admissible_sigmas,
     build_kummer,
     build_q,
@@ -125,6 +129,30 @@ def test_t_classes_live_in_the_right_duals():
     pairings = [Fraction(kl8.lattice.pair(
         t3, [Fraction(int(j == i)) for j in range(16)])) for i in range(16)]
     assert any(p.denominator != 1 for p in pairings)
+
+
+def is_square_upper_triangular(b):
+    """Square, zero below the diagonal, positive on it."""
+    return all(len(row) == len(b) and row[i] > 0 and not any(row[:i])
+               for i, row in enumerate(b))
+
+
+@pytest.mark.parametrize("sym", list(KUMMER_TYPES))
+def test_frame_class_coords_match_the_bareiss_solve(sym):
+    # frame_class_coords and build_kummer solve by substitution, which needs
+    # the frame basis, the Hermite basis of mod4_overlattice, to be square
+    # and upper triangular
+    kl = build_kummer(sym)
+    code = BinaryCode(16, list(build_v16().basis)
+                      + [_subset_mask(sp) for sp in KUMMER_TYPES[sym].subspaces])
+    assert is_square_upper_triangular(mod4_overlattice(code).basis)
+    assert is_square_upper_triangular(kl.frame_basis)
+    for classes in (T_CLASSES_Q4, T_CLASSES_Q2):
+        for n in range(len(classes) + 1):
+            indicators = [[int(i in subset) for i in range(16)] for subset in classes[:n]]
+            got = kl.frame_class_coords(classes[:n])
+            assert got == solve_left_fraction(kl.frame_basis, indicators)
+            assert all(type(x) is Fraction for row in got for x in row)
 
 
 EXPECTED_MATRIX = {

@@ -44,11 +44,23 @@ def a1_sum(m):
     return even_lattice([[-2 if i == j else 0 for j in range(m)] for i in range(m)])
 
 
+def fraction_lattice(gram):
+    """The lattice of a Gram with int or Fraction entries, through the JSON
+    edge, so that den is the least common denominator."""
+    return lattice_from_json({"gram": gram})
+
+
+def halved(lat):
+    """The lattice with Gram G / 2: denominator 2 once an off-diagonal entry is odd."""
+    return fraction_lattice([[Fraction(x, 2 * lat.den) for x in row] for row in lat.gram])
+
+
 def direct_sum(l1, l2):
-    """The orthogonal sum l1 (+) l2, Gram G1 (+) G2 with Fraction entries."""
+    """The orthogonal sum l1 (+) l2, Gram G1 (+) G2."""
     n1, n2 = l1.rank, l2.rank
-    return Lattice([[Fraction(x, l1.den) for x in row] + [0] * n2 for row in l1.gram]
-                   + [[0] * n1 + [Fraction(x, l2.den) for x in row] for row in l2.gram])
+    return fraction_lattice([[Fraction(x, l1.den) for x in row] + [0] * n2 for row in l1.gram]
+                            + [[0] * n1 + [Fraction(x, l2.den) for x in row]
+                               for row in l2.gram])
 
 
 def test_discriminant_examples():
@@ -82,13 +94,17 @@ def test_even_constructor_rejects_bad_gram():
     with pytest.raises(LatticeError):
         even_lattice([[-1]])
     with pytest.raises(LatticeError):
-        even_lattice([[Fraction(1, 2)]])
-    with pytest.raises(LatticeError):
         Lattice([[0, 1], [2, 0]])  # not symmetric
-    with pytest.raises(LatticeError, match="denominator 1 or 2"):
-        Lattice([[Fraction(-2, 3)]])
     with pytest.raises(LatticeError, match="one label per row"):
         Lattice([[-2]], labels=[1, 2, 3])
+    # rational entries enter only through the JSON edge, scaled by their
+    # least common denominator
+    with pytest.raises(LatticeError, match="denominator 1 or 2"):
+        lattice_from_json({"gram": [["-2/3"]]})
+    half = lattice_from_json({"gram": [["1/2"]]})
+    assert (half.gram, half.den, half.is_even) == (((1,),), 2, False)
+    whole = lattice_from_json({"gram": [[Fraction(-4, 2), "2/2"], [1, -2]]})
+    assert (whole.gram, whole.den) == (((-2, 1), (1, -2)), 1)
 
 
 def test_half_integral_gram_pinned():
@@ -595,8 +611,8 @@ def root_lattices():
 @example((direct_sum(ade_lattice("A", 2), ade_lattice("A", 1)), None), True)
 def test_roots_match_the_fraction_search(case, halve):
     lat = case[0]
-    if halve:       # Gram G / 2: denominator 2 once an off-diagonal entry is odd
-        lat = Lattice([[Fraction(x, 2) for x in row] for row in lat.gram])
+    if halve:
+        lat = halved(lat)
     got = roots(lat)
     assert got == fraction_roots(lat)
     assert all(lat.norm(v) == -2 for v in got)
@@ -632,8 +648,8 @@ def test_gram_of_orders_agree(data):
     # gram_of multiplies the shorter of rows and cols by G first: swapping
     # them switches the order, so both orders must give transposed results
     lat = data.draw(even_lattices())
-    if data.draw(st.booleans()):    # denominator 2 once an off-diagonal entry is odd
-        lat = Lattice([[Fraction(x, 2) for x in row] for row in lat.gram])
+    if data.draw(st.booleans()):
+        lat = halved(lat)
     m = data.draw(st.integers(0, 4))
     k = data.draw(st.integers(0, 4).filter(lambda k: k != m))
     rows = data.draw(rational_rows(lat.rank, m, m))
@@ -669,9 +685,10 @@ def fraction_glue(l1, l2, gd):
     den, (scaled,) = integer_scaled([rows])
     s = hnf_basis(scaled)
     basis = [[Fraction(x, den) for x in row] for row in s]
-    glued = Lattice(gram_of(direct_sum(l1, l2), basis))
-    if not glued.is_integral:
+    gram = gram_of(direct_sum(l1, l2), basis)
+    if common_denominator(x for row in gram for x in row) != 1:
         raise LatticeError("non-integral pairing in glued lattice")
+    glued = fraction_lattice(gram)
     if not glued.is_even:
         raise LatticeError("glued lattice is not even")
     discriminant(l1)
@@ -708,7 +725,7 @@ def glue_cases(draw):
         lat = draw(block_sums(ROOT_BLOCKS, 10))[0]
         elements.append(_group_elements(lat))
         if draw(st.sampled_from((False, False, False, True))):
-            lat = Lattice([[Fraction(x, 2) for x in row] for row in lat.gram])
+            lat = halved(lat)
         lats.append(lat)
     l1, l2 = lats
     pairs = [(x, y) for x in elements[0] for y in elements[1]]
@@ -729,8 +746,7 @@ D4_GENERATORS = discriminant_group(ade_lattice("D", 4)).generators
 @given(glue_cases())
 # a factor of denominator 2: G1 (+) 2 G2 over 2, not G1 (+) G2 over 2, or
 # the glued Gram would be integral but odd
-@example((Lattice([[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]), ade_lattice("A", 1),
-          [], []))
+@example((halved(ade_lattice("A", 2)), ade_lattice("A", 1), [], []))
 @example((ade_lattice("D", 4), ade_lattice("D", 4),
           [D4_GENERATORS[0]] * 2, [D4_GENERATORS[0]] * 2))
 @example((ade_lattice("E", 6), ade_lattice("A", 2), [], []))
@@ -749,3 +765,14 @@ def test_glue_matches_the_fraction_reference(case):
         (lat.gram, lat.den, lat.labels)
     assert type(got.index) is int
     assert (got.index, got.sub1, got.sub2) == (index, sub1, sub2)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_glue_rejects_vectors_outside_the_duals(k):
+    # (1/k)(e1 + ... + e4) is not in the dual of A_1^4, nor 1/k in that of
+    # <8> for k = 8; q1 + q2 = -8/k^2 + 8/k^2 vanishes, so the glued Gram,
+    # with pairings of denominator 2 (k = 4) or 4 (k = 8), is what fails
+    gd = GlueData([[Fraction(1, k)] * 4], [[Fraction(1, k)]])
+    for build in (glue, fraction_glue):
+        with pytest.raises(LatticeError, match="^non-integral pairing in glued lattice$"):
+            build(a1_sum(4), even_lattice([[8]]), gd)
